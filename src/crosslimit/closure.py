@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .classes import Hypothesis, HypothesisClass
 from .space import SymbolicSet
@@ -101,13 +102,20 @@ class ClosureResult:
 
 def positive_closure(cls: HypothesisClass, xs: list[int]) -> ClosureResult:
     """Intersect the supports of all members containing every given positive."""
-    fitting = [
-        h for h in cls.members if all(h.contains(x) for x in xs)
-    ]
-    if not fitting:
+    return support_intersection(h for h in cls.members if all(h.contains(x) for x in xs))
+
+
+def support_intersection(members: Iterable[Hypothesis]) -> ClosureResult:
+    """Intersection of the members' supports: the closure of a version space.
+
+    Bottom when there are no members.  Learners that track version spaces
+    themselves call this on the surviving members.
+    """
+    members = list(members)
+    if not members:
         return ClosureResult.bottom()
     out = SymbolicSet.universe()
-    for h in fitting:
+    for h in members:
         out = out.intersect(h.support)
     return ClosureResult(out)
 
@@ -195,13 +203,7 @@ def contrastive_closure(cls: HypothesisClass, edge_set: EdgeSet) -> ClosureResul
     """
     if _is_punctured(cls):
         return _punctured_closure(cls, edge_set)
-    fitting = edge_version_space(cls, edge_set)
-    if not fitting:
-        return ClosureResult.bottom()
-    out = SymbolicSet.universe()
-    for h in fitting:
-        out = out.intersect(h.support)
-    return ClosureResult(out)
+    return support_intersection(edge_version_space(cls, edge_set))
 
 
 def safe_set(cls: HypothesisClass, prefix: Prefix) -> ClosureResult:
@@ -211,17 +213,8 @@ def safe_set(cls: HypothesisClass, prefix: Prefix) -> ClosureResult:
 
 def is_hollow(cls: HypothesisClass, edge_set: EdgeSet) -> bool:
     """Nonempty version space whose closure stays inside the edge vertices."""
-    if _is_punctured(cls):
-        state = _punctured_state(cls, edge_set)
-        if not state.nonempty:
-            return False
-        closure = _punctured_closure(cls, edge_set)
-    else:
-        fitting = edge_version_space(cls, edge_set)
-        if not fitting:
-            return False
-        closure = contrastive_closure(cls, edge_set)
-    return closure.value.difference(edge_set.vertex_set()).is_empty()
+    closure = contrastive_closure(cls, edge_set)
+    return not closure.is_bottom and closure.value.difference(edge_set.vertex_set()).is_empty()
 
 
 # ----------------------------------------------------------------------
@@ -459,9 +452,3 @@ def _closure_or_none(cls: HypothesisClass, edge_set: EdgeSet) -> SymbolicSet | N
     """The closure when the version space is nonempty, else None."""
     result = contrastive_closure(cls, edge_set)
     return None if result.is_bottom else result.value
-
-
-def _version_space_nonempty(cls: HypothesisClass, edge_set: EdgeSet) -> bool:
-    if _is_punctured(cls):
-        return _punctured_state(cls, edge_set).nonempty
-    return bool(edge_version_space(cls, edge_set))

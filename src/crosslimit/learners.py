@@ -7,6 +7,15 @@ for identifiers, an example for generators).  States are value-semantic and
 never mutated, so identical prefixes always reproduce identical outputs and
 every run record replays bit-for-bit.
 
+Per-step cost: `advance` and `read` cost O(1) amortised, growing with the
+class and the size of the answer but not with the steps before.  States
+share their history through append-only logs instead of copying it, and a
+generator's read is memoised on its state for `advance` to reuse.  Explicit
+classes keep the version space as a member bitmask whose closure is
+memoised on the learner; punctured families recompute their closed form
+from the edge set.  Caches live in private fields left out of equality, so
+they never change what compares equal or what a run records.
+
 The run harness executes a learner against a stream, detecting convergence
 with a stability window: limits are not finitely observable, so a run
 reports the start of the longest correct tail, provided the tail is at least
@@ -17,11 +26,20 @@ assert those bounds in the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .classes import CoSingletonClass, Hypothesis, HypothesisClass
-from .closure import EdgeSet, contrastive_closure, edge_version_space, is_hollow
+from .closure import (
+    ClosureResult,
+    EdgeSet,
+    _is_punctured,
+    contrastive_closure,
+    edge_version_space,
+    is_hollow,
+    support_intersection,
+)
 from .space import SymbolicSet
 from .streams import (
     CONTRASTIVE,
@@ -59,6 +77,10 @@ class Learner:
     def read(self, state):
         raise NotImplementedError
 
+    def is_default(self, state) -> bool:
+        """Whether `read` falls back to a placeholder; `run` flags such steps."""
+        return False
+
     def trace(self, state) -> dict:
         return {}
 
@@ -68,6 +90,57 @@ class Learner:
         for item in prefix.items:
             state = self.advance(state, item)
         return self.read(state)
+
+
+class _Log:
+    """The first n entries of an append-only history shared along a run.
+
+    Successive states of a run share one store, so `appended` costs O(1)
+    instead of a copy of the prefix: a log at the tip of its store extends
+    it in place, and an older log first forks a copy of its own n entries.
+    A log never looks past its own n, so it acts as an immutable value, and
+    equality compares entries.  Entries are indexed for membership tests and
+    occurrence counts, a pair also under each of its two elements.
+    """
+
+    __slots__ = ("_entries", "_steps", "_n")
+
+    def __init__(self, entries: list | None = None, steps: dict | None = None):
+        self._entries = [] if entries is None else entries
+        self._steps = {} if steps is None else steps  # key -> ascending entry numbers
+        self._n = len(self._entries)
+
+    def appended(self, entry) -> "_Log":
+        if self._n < len(self._entries):  # an older state branches off: fork
+            fork = _Log()
+            for old in self:
+                fork = fork.appended(old)
+            return fork.appended(entry)
+        self._entries.append(entry)
+        keys = (entry, entry.lo, entry.hi) if isinstance(entry, Pair) else (entry,)
+        for key in keys:
+            self._steps.setdefault(key, []).append(len(self._entries))
+        return _Log(self._entries, self._steps)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return itertools.islice(self._entries, self._n)
+
+    def __contains__(self, key) -> bool:
+        steps = self._steps.get(key)
+        return steps is not None and steps[0] <= self._n
+
+    def count(self, key) -> int:
+        """How many of the n entries are filed under `key`."""
+        return bisect_right(self._steps.get(key, ()), self._n)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Log) and list(self) == list(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +212,7 @@ def telltales_sound(cls: HypothesisClass, family: TellTaleFamily) -> bool:
 
 @dataclass(frozen=True)
 class _EligState:
-    seen: frozenset[int]
+    seen: frozenset[int]  # the tell-tale elements seen so far; no other matters
     crossed: tuple[bool, ...]
     count: int
 
@@ -155,6 +228,7 @@ class EligibilityIdentifier(Learner):
         self.cls = cls
         self.telltales = telltales
         self.name = "eligibility"
+        self._marks = frozenset().union(*telltales.entries.values())
 
     def initial(self) -> _EligState:
         return _EligState(frozenset(), tuple(True for _ in self.cls.members), 0)
@@ -163,7 +237,8 @@ class EligibilityIdentifier(Learner):
         crossed = tuple(
             ok and crosses(h, pair) for ok, h in zip(state.crossed, self.cls.members)
         )
-        return _EligState(state.seen | frozenset(pair.elements()), crossed, state.count + 1)
+        seen = state.seen | self._marks.intersection(pair.elements())
+        return _EligState(seen, crossed, state.count + 1)
 
     def eligible(self, state: _EligState) -> list[Hypothesis]:
         out = []
@@ -176,21 +251,21 @@ class EligibilityIdentifier(Learner):
         eligible = self.eligible(state)
         return eligible[0] if eligible else self.cls.members[0]
 
+    def is_default(self, state: _EligState) -> bool:
+        return not self.eligible(state)
+
     def trace(self, state: _EligState) -> dict:
-        eligible = self.eligible(state)
-        return {
-            "eligible": [h.id for h in eligible],
-            "default": not eligible,
-        }
+        return {"eligible": [h.id for h in self.eligible(state)]}
 
 
 class TextFromContrastiveIdentifier(Learner):
     """Text identifier simulating a contrastive one on synthetic pairs.
 
-    Each text prefix is replayed as pairs (x_t, z_n) where z_n is the least
+    Each text prefix is read as pairs (x_t, z_n) where z_n is the least
     unseen example; z_n eventually freezes at the least non-positive of the
     target, after which the inner identifier sees prefixes of one fixed
-    valid stream and converges.
+    valid stream and converges.  The inner state advances by one pair per
+    step, and the text is replayed only when z_n moves, at most z* + 1 times.
     """
 
     role = IDENTIFIER
@@ -203,30 +278,33 @@ class TextFromContrastiveIdentifier(Learner):
         self.name = f"text-from({inner.name})"
 
     def initial(self) -> tuple:
-        return ()
+        # (the text so far, the partner z: least example not in it, the
+        # inner state after the pairs (x_t, z) for every item)
+        return (_Log(), 0, self.inner.initial())
 
     def advance(self, state: tuple, item: int) -> tuple:
-        return state + (item,)
+        items, z, inner = state
+        items = items.appended(item)
+        while z in items:
+            z += 1
+        if z == state[1]:
+            return (items, z, self.inner.advance(inner, Pair.of(item, z)))
+        inner = self.inner.initial()
+        for pair in synthetic_contrastive_from_text(Prefix(TEXT, tuple(items))).items:
+            inner = self.inner.advance(inner, pair)
+        return (items, z, inner)
 
     def read(self, state: tuple):
-        inner_state = self.inner.initial()
-        if state:
-            synthetic = synthetic_contrastive_from_text(Prefix(TEXT, state))
-            for pair in synthetic.items:
-                inner_state = self.inner.advance(inner_state, pair)
-        return self.inner.read(inner_state)
+        return self.inner.read(state[2])
 
     def current_partner(self, state: tuple) -> int:
-        z = 0
-        while z in state:
-            z += 1
-        return z
+        return state[1]
 
 
 @dataclass(frozen=True)
 class _AbsenceState:
-    count: int
-    appearances: tuple[tuple[int, int], ...]  # (example, #pairs containing it)
+    pairs: _Log  # the pairs so far
+    best: int | None = None  # most frequent element so far, ties to the least
 
 
 class AbsenceCountIdentifier(Learner):
@@ -246,29 +324,27 @@ class AbsenceCountIdentifier(Learner):
         self.name = "absence-count"
 
     def initial(self) -> _AbsenceState:
-        return _AbsenceState(0, ())
+        return _AbsenceState(_Log())
 
     def advance(self, state: _AbsenceState, pair: Pair) -> _AbsenceState:
-        table = dict(state.appearances)
-        for x in pair.elements():
-            table[x] = table.get(x, 0) + 1
-        return _AbsenceState(state.count + 1, tuple(sorted(table.items())))
+        # only the pair's elements gained a count, so the least absence
+        # count (ties to the least x) is theirs or stays where it was
+        pairs = state.pairs.appended(pair)
+        contenders = pair.elements() if state.best is None else (state.best, *pair.elements())
+        return _AbsenceState(pairs, min(contenders, key=lambda x: (-pairs.count(x), x)))
 
     def absence_counts(self, state: _AbsenceState) -> dict[int, int]:
-        return {x: state.count - seen for x, seen in state.appearances}
+        seen = {x for pair in state.pairs for x in pair.elements()}
+        return {x: len(state.pairs) - state.pairs.count(x) for x in sorted(seen)}
 
     def read(self, state: _AbsenceState) -> Hypothesis:
-        if not state.appearances:
-            return self.family.member(0)
-        counts = self.absence_counts(state)
-        best = min(counts, key=lambda x: (counts[x], x))
-        return self.family.member(best)
+        return self.family.member(0 if state.best is None else state.best)
+
+    def is_default(self, state: _AbsenceState) -> bool:
+        return state.best is None
 
     def trace(self, state: _AbsenceState) -> dict:
-        return {
-            "absence_counts": self.absence_counts(state),
-            "default": not state.appearances,
-        }
+        return {"absence_counts": self.absence_counts(state)}
 
 
 class GoldInformantIdentifier(Learner):
@@ -297,9 +373,11 @@ class GoldInformantIdentifier(Learner):
                 return h
         return self.cls.members[0]
 
+    def is_default(self, state: tuple[bool, ...]) -> bool:
+        return not any(state)
+
     def trace(self, state: tuple[bool, ...]) -> dict:
-        consistent = [h.id for h, ok in zip(self.cls.members, state) if ok]
-        return {"consistent": consistent, "default": not consistent}
+        return {"consistent": [h.id for h, ok in zip(self.cls.members, state) if ok]}
 
 
 # ----------------------------------------------------------------------
@@ -308,10 +386,26 @@ class GoldInformantIdentifier(Learner):
 
 @dataclass(frozen=True)
 class _GenState:
-    edges: frozenset[Pair]
-    seen: frozenset[int]
-    outputs: tuple[int, ...]
     count: int
+    edges: _Log  # distinct edges in arrival order; `x in edges` finds vertices
+    outputs: _Log  # outputs of the earlier steps, in order
+    inner: object = None  # the wrapped identifier's state (identify-then-generate)
+    _masks: tuple[int, ...] = field(default=(), compare=False)  # version space per class
+    _cursor: tuple = field(default=(None, 0), compare=False)  # (support, last least fresh member)
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def seen(self) -> _Log:
+        """The edges, whose membership test `x in state.seen` finds vertices."""
+        return self.edges
+
+    def excludes(self, x: int) -> bool:
+        """x was seen or already output."""
+        return x in self.edges or x in self.outputs
+
+
+def _crossing_mask(cls: HypothesisClass, pair: Pair) -> int:
+    return sum(1 << i for i, h in enumerate(cls.members) if crosses(h, pair))
 
 
 class _PairGenerator(Learner):
@@ -320,32 +414,82 @@ class _PairGenerator(Learner):
 
     Advancing from the state after n-1 observations records that step's
     output, so `read` after n observations excludes exactly the outputs of
-    steps 1 through n-1.
+    steps 1 through n-1.  Subclasses compute the output in `_answer`; it is
+    memoised on the state, so `advance` reuses what `run` already read.
     """
 
     role = GENERATOR
     kind = CONTRASTIVE
+    classes: tuple[HypothesisClass, ...] = ()  # classes whose version spaces states track
+
+    def _track(self, *classes: HypothesisClass) -> None:
+        self.classes = classes
+        # (class index, member bitmask) -> closure: a pure function of the
+        # surviving members, so at most 2^|class| entries, shared by all runs
+        self._closures: dict[tuple[int, int], ClosureResult] = {}
 
     def initial(self) -> _GenState:
-        return _GenState(frozenset(), frozenset(), (), 0)
+        masks = tuple((1 << len(cls.members)) - 1 for cls in self.classes)
+        return _GenState(0, _Log(), _Log(), _masks=masks)
 
     def advance(self, state: _GenState, pair: Pair) -> _GenState:
-        outputs = state.outputs + self._emitted(state)
-        return _GenState(
-            state.edges | {pair},
-            state.seen | frozenset(pair.elements()),
-            outputs,
-            state.count + 1,
-        )
+        output = self._emitted(state)
+        edges, masks = state.edges, state._masks
+        if pair not in edges:
+            edges = edges.appended(pair)
+            masks = tuple(m & _crossing_mask(cls, pair) for cls, m in zip(self.classes, masks))
+        outputs = state.outputs if output is None else state.outputs.appended(output)
+        cursor = state._memo.get("cursor", state._cursor)
+        return _GenState(state.count + 1, edges, outputs, state.inner, masks, cursor)
 
-    def _emitted(self, state: _GenState) -> tuple[int, ...]:
+    def read(self, state: _GenState) -> int:
+        return self._output(state)
+
+    def _output(self, state: _GenState) -> int:
+        if "output" not in state._memo:
+            state._memo["output"] = self._answer(state)
+        return state._memo["output"]
+
+    def _emitted(self, state: _GenState) -> int | None:
         if state.count == 0:
-            return ()  # nothing was emitted before the first observation
+            return None  # nothing was emitted before the first observation
         try:
-            produced = self.read(state)
+            return self._output(state)
         except EmptySafeChoice:
-            return ()
-        return (produced,) if produced is not None else ()
+            return None
+
+    def _closure(self, state: _GenState, level: int = 0) -> ClosureResult:
+        cls = self.classes[level]
+        if _is_punctured(cls):
+            # closed form over the infinite family, which the mask of the
+            # truncated members does not determine
+            return contrastive_closure(cls, EdgeSet(frozenset(state.edges)))
+        key = (level, state._masks[level])
+        if key not in self._closures:
+            self._closures[key] = support_intersection(
+                h for i, h in enumerate(cls.members) if key[1] >> i & 1
+            )
+        return self._closures[key]
+
+    def _fresh(self, state: _GenState, support: SymbolicSet,
+               excluded: Callable[[int], bool]) -> int | None:
+        """Least member x of `support` with `excluded(x)` false, or None.
+
+        The excluded set only grows along a run, so while the support stays
+        the same the answer never decreases: the scan resumes from the last
+        answer, which the state passes on to its successors.
+        """
+        last_support, start = state._cursor
+        if last_support != support:
+            start = 0
+        if support.is_finite():
+            candidates = (x for x in sorted(support.plus) if x >= start)
+        else:
+            candidates = filter(support.contains, itertools.count(start))
+        least = next((x for x in candidates if not excluded(x)), None)
+        if least is not None:
+            state._memo["cursor"] = (support, least)
+        return least
 
 
 class ClosureGenerator(_PairGenerator):
@@ -363,14 +507,13 @@ class ClosureGenerator(_PairGenerator):
         self.cls = cls
         self.dimension = dimension
         self.name = f"closure-gen(d={dimension})"
+        self._track(cls)
 
-    def read(self, state: _GenState) -> int:
-        edge_set = EdgeSet(state.edges)
-        if len(edge_set) > self.dimension:
-            closure = contrastive_closure(self.cls, edge_set)
+    def _answer(self, state: _GenState) -> int:
+        if len(state.edges) > self.dimension:
+            closure = self._closure(state)
             if not closure.is_bottom:
-                candidate = closure.value.difference(edge_set.vertex_set())
-                least = candidate.min_element()
+                least = self._fresh(state, closure.value, state.edges.__contains__)
                 if least is not None:
                     return least
         return 0
@@ -399,18 +542,18 @@ class ChainGenerator(_PairGenerator):
         self.chain = chain
         self.thresholds = [m + d + 1 for m, d in zip(itertools.count(1), dims)]
         self.name = f"chain-gen({len(chain)} levels)"
+        self._track(*chain)
 
-    def read(self, state: _GenState) -> int:
-        edge_set = EdgeSet(state.edges)
+    def _answer(self, state: _GenState) -> int:
         usable = [
             i for i, threshold in enumerate(self.thresholds)
-            if threshold <= len(edge_set)
+            if threshold <= len(state.edges)
         ]
         for i in reversed(usable):
-            closure = contrastive_closure(self.chain[i], edge_set)
+            closure = self._closure(state, i)
             if closure.is_bottom:
                 continue
-            least = closure.value.difference(edge_set.vertex_set()).min_element()
+            least = self._fresh(state, closure.value, state.edges.__contains__)
             if least is not None:
                 return least
         return 0
@@ -427,13 +570,13 @@ class SafeCoreGenerator(_PairGenerator):
     def __init__(self, cls: HypothesisClass):
         self.cls = cls
         self.name = "safe-core-gen"
+        self._track(cls)
 
-    def read(self, state: _GenState) -> int:
-        closure = contrastive_closure(self.cls, EdgeSet(state.edges))
+    def _answer(self, state: _GenState) -> int:
+        closure = self._closure(state)
         if closure.is_bottom:
             raise EmptySafeChoice("version space is empty")
-        excluded = SymbolicSet.finite(state.seen | set(state.outputs))
-        least = closure.value.difference(excluded).min_element()
+        least = self._fresh(state, closure.value, state.excludes)
         if least is None:
             raise EmptySafeChoice("safe set exhausted by seen elements and outputs")
         return least
@@ -451,12 +594,12 @@ class EventualCoreGenerator(_PairGenerator):
         self.core = core
         self.name = name
 
-    def read(self, state: _GenState) -> int:
-        excluded = state.seen | set(state.outputs)
+    def _answer(self, state: _GenState) -> int:
         m = max(state.count, 1)
-        for _ in range(len(excluded) + 1):
+        # an injective core leaves the seen vertices and outputs within this many steps
+        for _ in range(2 * len(state.edges) + len(state.outputs) + 1):
             value = self.core(m)
-            if value not in excluded:
+            if not state.excludes(value):
                 return value
             m += 1
         raise AssertionError("injective core cannot exhaust")
@@ -476,30 +619,22 @@ class IdentifyThenGenerate(_PairGenerator):
         self.inner = inner
         self.name = f"identify-then-generate({inner.name})"
 
-    def initial(self):
-        return (_GenState(frozenset(), frozenset(), (), 0), self.inner.initial())
+    def initial(self) -> _GenState:
+        return replace(super().initial(), inner=self.inner.initial())
 
-    def advance(self, state, pair: Pair):
-        gen_state, inner_state = state
-        emitted = () if gen_state.count == 0 else (self.read(state),)
-        new_gen = _GenState(
-            gen_state.edges | {pair},
-            gen_state.seen | frozenset(pair.elements()),
-            gen_state.outputs + emitted,
-            gen_state.count + 1,
-        )
-        return (new_gen, self.inner.advance(inner_state, pair))
+    def advance(self, state: _GenState, pair: Pair) -> _GenState:
+        return replace(super().advance(state, pair), inner=self.inner.advance(state.inner, pair))
 
-    def read(self, state) -> int:
-        gen_state, inner_state = state
-        guess = self.inner.read(inner_state)
-        excluded = SymbolicSet.finite(gen_state.seen | set(gen_state.outputs))
-        least = guess.support.difference(excluded).min_element()
+    def _answer(self, state: _GenState) -> int:
+        guess = self.inner.read(state.inner)
+        least = self._fresh(state, guess.support, state.excludes)
         return least if least is not None else 0
 
-    def trace(self, state) -> dict:
-        _, inner_state = state
-        return {"guess": self.inner.read(inner_state).id, **self.inner.trace(inner_state)}
+    def is_default(self, state: _GenState) -> bool:
+        return self.inner.is_default(state.inner)
+
+    def trace(self, state: _GenState) -> dict:
+        return {"guess": self.inner.read(state.inner).id, **self.inner.trace(state.inner)}
 
 
 # ----------------------------------------------------------------------
@@ -548,7 +683,7 @@ def generator_breaker(
         return FailureWitness(NOVELTY_VIOLATION, output, None, "")
     survivors = edge_version_space(cls, hollow)
     victim = next((h for h in survivors if not h.contains(output)), None)
-    if victim is None and cls.family is not None and cls.family.kind == "punctured":
+    if victim is None and _is_punctured(cls):
         base = cls.by_id("h_inf").support
         if base.contains(output):
             # the puncture at the output survives any edge set avoiding it
@@ -571,7 +706,7 @@ class ConstantGenerator(_PairGenerator):
         self.value = value
         self.name = f"constant-gen({value})"
 
-    def read(self, state: _GenState) -> int:
+    def _answer(self, state: _GenState) -> int:
         return self.value
 
 
@@ -652,8 +787,7 @@ def run(
         except EmptySafeChoice as exc:
             output = None
             step_flags.append(f"empty-safe-choice: {exc}")
-        info = learner.trace(state)
-        if info.get("default"):
+        if learner.is_default(state):
             step_flags.append("default-output")
 
         if learner.role == GENERATOR:
@@ -672,9 +806,7 @@ def run(
         outputs.append(output)
         flags.append(tuple(step_flags))
         if collect_trace:
-            row = {"step": n, "output": _output_repr(output)}
-            row.update({k: v for k, v in info.items() if k != "default"})
-            trace_rows.append(row)
+            trace_rows.append({"step": n, "output": _output_repr(output), **learner.trace(state)})
 
     if learner.role == IDENTIFIER and target is None:
         # no designated target: a step is stable when it matches the final guess

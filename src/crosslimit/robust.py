@@ -175,12 +175,13 @@ class BlockTextIdentifier(Learner):
         self.budget = budget
         self.blocks = {f"h{i}": block_elements(budget, i) for i in range(1, count + 1)}
         self.name = f"block-text(budget={budget})"
+        self._elements = frozenset().union(*self.blocks.values())
 
     def initial(self) -> frozenset[int]:
-        return frozenset()
+        return frozenset()  # the block elements seen so far; no other matters
 
     def advance(self, state: frozenset[int], item: int) -> frozenset[int]:
-        return state | {item}
+        return state | {item} if item in self._elements else state
 
     def complete_blocks(self, state: frozenset[int]) -> list[str]:
         return [h.id for h in self.cls.members if self.blocks[h.id] <= state]
@@ -191,13 +192,11 @@ class BlockTextIdentifier(Learner):
             return self.cls.by_id(complete[0])
         return self.cls.members[0]
 
+    def is_default(self, state: frozenset[int]) -> bool:
+        return not self.complete_blocks(state)
+
     def trace(self, state: frozenset[int]) -> dict:
-        complete = self.complete_blocks(state)
-        return {"complete_blocks": complete, "default": not complete}
-
-
-def block_text_identifier(cls: HypothesisClass) -> BlockTextIdentifier:
-    return BlockTextIdentifier(cls)
+        return {"complete_blocks": self.complete_blocks(state)}
 
 
 # ----------------------------------------------------------------------

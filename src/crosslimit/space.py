@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Iterable, Iterator
@@ -278,13 +279,38 @@ class SymbolicSet:
                 yield x
 
     def nth_member(self, index: int) -> int:
-        """The member at `index` (0-based) of the ascending enumeration."""
+        """The member at `index` (0-based) of the ascending enumeration.
+
+        Binary search on the rank of x (the count of members below it),
+        (x // m)·k + #{residues < x mod m} + #{plus < x} − #{minus < x},
+        over the window of the residue part alone that the exceptions can
+        shift the answer across: O(log) instead of a walk over `index`.
+        """
         if index < 0:
             raise IndexError(index)
-        card = self.cardinality()
-        if card.is_finite and index >= card.count:
-            raise IndexError(f"set has only {card.count} elements, asked for index {index}")
-        return next(itertools.islice(self.members(), index, None))
+        if not self.residues:
+            if index >= len(self.plus):
+                raise IndexError(f"set has only {len(self.plus)} elements, asked for index {index}")
+            return sorted(self.plus)[index]
+        m, k = self.modulus, len(self.residues)
+        residues, plus, minus = sorted(self.residues), sorted(self.plus), sorted(self.minus)
+
+        def periodic(j: int) -> int:  # the j-th member of the residue part alone
+            return j // k * m + residues[j % k]
+
+        def rank(x: int) -> int:
+            extra = bisect_left(plus, x) - bisect_left(minus, x)
+            return x // m * k + bisect_left(residues, x % m) + extra
+
+        lo = periodic(index - len(plus)) if index >= len(plus) else 0
+        hi = periodic(index + len(minus))
+        while lo < hi:  # least x with more than `index` members at or below it
+            mid = (lo + hi) // 2
+            if rank(mid + 1) > index:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     # ------------------------------------------------------------------
     # rendering

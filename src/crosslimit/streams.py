@@ -360,10 +360,12 @@ def validate(prefix: Prefix, h: Hypothesis, horizon: int) -> ValidityReport:
 def synthetic_contrastive_from_text(prefix: Prefix) -> Prefix:
     """Pair every text term with the least example not seen yet.
 
-    The partner z_n is recomputed from the whole prefix on every call; once
-    the text has shown everything below the least non-positive z*, the
-    partner freezes at z* and the outputs become prefixes of the single fixed
-    stream pairing each positive with z*.
+    The partner z_n is the least example missing from the whole prefix, so
+    every term of one call gets the same partner.  Once the text has shown
+    everything below the least non-positive z*, the partner freezes at z*
+    and the outputs become prefixes of the single fixed stream pairing each
+    positive with z*.  The text-simulation learner keeps z_n as it goes and
+    calls this only to replay the text when z_n moves.
     """
     if prefix.kind != TEXT:
         raise ValueError(f"expected a text prefix, got {prefix.kind!r}")

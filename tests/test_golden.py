@@ -1,0 +1,99 @@
+"""Stored CLI run records replay byte for byte.
+
+Each case is a `crosslimit` command line whose exact stdout is kept under
+tests/golden/.  Regenerate the files with `python tests/test_golden.py`
+only when a change to the records is intended.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from crosslimit.classes import CoSingletonClass
+from crosslimit.cli import _record_payload, main
+from crosslimit.harness import Report, emit_report
+from crosslimit.learners import AbsenceCountIdentifier, IdentifyThenGenerate, run
+from crosslimit.streams import Pair, canonical_contrastive, corrupt
+
+GOLDEN = Path(__file__).parent / "golden"
+PINNED = str(GOLDEN / "pinned-core.json")  # pinned_core_class(4, (1, 6), (3,))
+
+CASES = {
+    "identify-absence-count-corrupt.json": [
+        "identify", "--witness", "co-singleton", "--learner", "absence-count",
+        "--target", "6", "--steps", "120", "--window", "10",
+        "--corrupt", "3:{1,2}", "--corrupt", "8:{0,9}", "--corrupt", "15:{2,5}"],
+    "corrupt-id.json": [
+        "corrupt-id", "--target", "5", "--budget", "3", "--steps", "150"],
+    "identify-synthetic-text-sampled.json": [
+        "identify", "--witness", "overlap-cover", "--learner", "synthetic-text",
+        "--target", "h2", "--stream", "sampled:7", "--steps", "100"],
+    "identify-eligibility-sampled.json": [
+        "identify", "--witness", "overlap-cover", "--learner", "eligibility",
+        "--target", "h1", "--stream", "sampled:3", "--steps", "100"],
+    "generate-closure-gen-pinned-canonical.json": [
+        "generate", "--class", PINNED, "--learner", "closure-gen",
+        "--target", "h2", "--steps", "120"],
+    "generate-closure-gen-pinned-sampled.json": [
+        "generate", "--class", PINNED, "--learner", "closure-gen",
+        "--target", "h4", "--stream", "sampled:5", "--steps", "120"],
+    "generate-safe-core-gen-augmented.json": [
+        "generate", "--witness", "augmented:6", "--learner", "safe-core-gen",
+        "--target", "h2", "--steps", "120"],
+    "generate-safe-core-gen-pinned-sampled.json": [
+        "generate", "--class", PINNED, "--learner", "safe-core-gen",
+        "--target", "h3", "--stream", "sampled:9", "--steps", "120"],
+    "generate-eventual-core-gen-punctured.json": [
+        "generate", "--witness", "punctured:8", "--learner", "eventual-core-gen",
+        "--target", "h3", "--stream", "sampled:5", "--steps", "120"],
+    "generate-identify-then-generate-overlap.json": [
+        "generate", "--witness", "overlap-cover", "--learner", "identify-then-generate",
+        "--target", "h3", "--stream", "sampled:11", "--steps", "120"],
+    "trace-absence-count.csv": [
+        "identify", "--witness", "co-singleton", "--learner", "absence-count",
+        "--target", "4", "--steps", "40", "--corrupt", "6:{1,3}", "--trace"],
+    "trace-identify-then-generate.csv": [
+        "generate", "--witness", "overlap-cover", "--learner", "identify-then-generate",
+        "--target", "h1", "--stream", "sampled:2", "--steps", "40", "--trace"],
+}
+
+
+
+
+def _identify_then_generate_cosingleton() -> str:
+    """The CLI builds this learner only for explicit classes, so run it here."""
+    target = CoSingletonClass().member(3)
+    stream = corrupt(canonical_contrastive(target), [(4, Pair.of(0, 1)), (9, Pair.of(5, 8))])
+    record = run(IdentifyThenGenerate(AbsenceCountIdentifier()), stream, 120, target=target)
+    return emit_report(Report("generator run", (), _record_payload(record)), "json")
+
+
+LIBRARY_CASES = {
+    "generate-identify-then-generate-cosingleton-corrupt.json":
+        _identify_then_generate_cosingleton,
+}
+
+
+def _output(name: str) -> bytes:
+    if name in LIBRARY_CASES:
+        return LIBRARY_CASES[name]().encode("utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(CASES[name]) == 0
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted([*CASES, *LIBRARY_CASES]))
+def test_golden_record(name):
+    assert _output(name) == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    for name in sorted([*CASES, *LIBRARY_CASES]):
+        (GOLDEN / name).write_bytes(_output(name))
+        print(f"wrote {GOLDEN / name}", file=sys.stderr)

@@ -1,0 +1,196 @@
+"""Learner run cost, counted in operations, and replay of reused learners.
+
+A run must do a bounded amount of work per step: one read, one closure per
+distinct version space, one inner advance per text item outside the few
+partner changes.  Learners and states keep caches, so these tests also check
+that reusing a learner object, or branching from an old state, gives the
+records and reads of a fresh computation.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import crosslimit.learners as learners
+from crosslimit.classes import (
+    augmented_class,
+    co_singleton_class,
+    overlapping_cover_class,
+    pinned_core_class,
+    punctured_class,
+    punctured_hole,
+)
+from crosslimit.closure import EdgeSet, closure_dimension, edge_version_space
+from crosslimit.learners import (
+    AbsenceCountIdentifier,
+    ChainGenerator,
+    ClosureGenerator,
+    ConstantGenerator,
+    EligibilityIdentifier,
+    EventualCoreGenerator,
+    IdentifyThenGenerate,
+    SafeCoreGenerator,
+    TextFromContrastiveIdentifier,
+    compute_telltales,
+    run,
+)
+from crosslimit.streams import (
+    Pair,
+    canonical_contrastive,
+    canonical_text,
+    corrupt,
+    sampled_contrastive,
+    sampled_text,
+    scripted_contrastive,
+)
+
+OVERLAP = overlapping_cover_class()
+PINNED = pinned_core_class(4, (1, 6), (3,))
+AUGMENTED = augmented_class(5)
+
+
+def eligibility() -> EligibilityIdentifier:
+    return EligibilityIdentifier(OVERLAP, compute_telltales(OVERLAP))
+
+
+def counting(base: type, *args):
+    """An instance of `base` that counts the calls to its public read."""
+
+    class Counting(base):
+        reads = 0
+
+        def read(self, state):
+            self.reads += 1
+            return super().read(state)
+
+    return Counting(*args)
+
+
+GENERATORS = {
+    "closure-gen": (lambda: counting(ClosureGenerator, PINNED, 2), PINNED.members[1]),
+    "chain-gen": (
+        lambda: counting(ChainGenerator, [OVERLAP], [closure_dimension(OVERLAP).dimension]),
+        OVERLAP.members[2],
+    ),
+    "safe-core-gen": (lambda: counting(SafeCoreGenerator, AUGMENTED), AUGMENTED.members[2]),
+    "eventual-core-gen": (
+        lambda: counting(EventualCoreGenerator, lambda m: punctured_hole(m)),
+        punctured_class(6).by_id("h3"),
+    ),
+    "identify-then-generate": (
+        lambda: counting(IdentifyThenGenerate, eligibility()), OVERLAP.members[0]),
+    "constant-gen": (lambda: counting(ConstantGenerator, 7), OVERLAP.members[2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_run_reads_each_state_once(name):
+    make, target = GENERATORS[name]
+    generator = make()
+    run(generator, sampled_contrastive(target, seed=2, horizon=30), steps=60, target=target)
+    assert generator.reads == 60
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ClosureGenerator(PINNED, 2),
+    lambda: SafeCoreGenerator(PINNED),
+])
+def test_one_closure_per_distinct_version_space(make, monkeypatch):
+    calls = []
+    for name in ("support_intersection", "contrastive_closure"):
+        real = getattr(learners, name)
+        monkeypatch.setattr(learners, name, lambda *a, real=real: calls.append(a) or real(*a))
+    target = PINNED.members[1]
+    script = list(sampled_contrastive(target, seed=4, horizon=30).prefix(12).items)
+    stream = scripted_contrastive(target, script, tail="repeat")
+    record = run(make(), stream, steps=200, target=target)
+    assert record.converged
+    spaces = {
+        tuple(h.id for h in edge_version_space(PINNED, EdgeSet.of(script[:n])))
+        for n in range(1, len(script) + 1)
+    }
+    assert 0 < len(calls) <= len(spaces)
+
+
+def test_text_simulation_replays_only_when_the_partner_moves():
+    class CountingEligibility(EligibilityIdentifier):
+        advances = 0
+
+        def advance(self, state, pair):
+            self.advances += 1
+            return super().advance(state, pair)
+
+    inner = CountingEligibility(OVERLAP, compute_telltales(OVERLAP))
+    target = OVERLAP.by_id("h2")
+    zstar = target.support.complement().min_element()
+    steps = 200
+    record = run(TextFromContrastiveIdentifier(inner), canonical_text(target), steps, target=target)
+    assert record.converged
+    assert inner.advances <= steps * (zstar + 2)
+
+
+def _cases():
+    """(name, factory, [(target, stream), ...]): two targets, two streams each."""
+    h1, h3 = OVERLAP.members[0], OVERLAP.members[2]
+    p2, p4 = PINNED.members[1], PINNED.members[3]
+    c3, c5 = co_singleton_class().member(3), co_singleton_class().member(5)
+    contrastive = lambda h, seed: [
+        (h, canonical_contrastive(h)), (h, sampled_contrastive(h, seed=seed, horizon=24))]
+    return [
+        ("closure-gen", lambda: ClosureGenerator(PINNED, 2), contrastive(p2, 1) + contrastive(p4, 2)),
+        ("safe-core-gen", lambda: SafeCoreGenerator(PINNED), contrastive(p4, 3) + contrastive(p2, 4)),
+        ("identify-then-generate", lambda: IdentifyThenGenerate(eligibility()),
+         contrastive(h1, 5) + contrastive(h3, 6)),
+        ("eligibility", eligibility, contrastive(h3, 7) + contrastive(h1, 8)),
+        ("absence-count", AbsenceCountIdentifier,
+         [(c3, corrupt(canonical_contrastive(c3), [(2, Pair.of(0, 1))])),
+          (c3, canonical_contrastive(c3)), (c5, canonical_contrastive(c5)),
+          (c5, corrupt(canonical_contrastive(c5), [(4, Pair.of(2, 7))]))]),
+        ("synthetic-text", lambda: TextFromContrastiveIdentifier(eligibility()),
+         [(h1, canonical_text(h1)), (h1, sampled_text(h1, seed=9)),
+          (h3, canonical_text(h3)), (h3, sampled_text(h3, seed=10))]),
+    ]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_reused_learners_replay_fresh_records(reverse):
+    cases = _cases()
+    shared = {name: make() for name, make, _ in cases}
+    first = {}
+    for position in range(4):  # interleave: one run of every learner per round
+        for name, make, plan in cases:
+            target, stream = plan[3 - position if reverse else position]
+            record = run(shared[name], stream, 40, target=target, collect_trace=True)
+            assert record == run(make(), stream, 40, target=target, collect_trace=True), name
+            first.setdefault(name, (record, target, stream))
+    for name, _, _ in cases:
+        record, target, stream = first[name]
+        assert run(shared[name], stream, 40, target=target, collect_trace=True) == record
+
+
+def _fold(learner, items, state=None):
+    state = learner.initial() if state is None else state
+    for item in items:
+        state = learner.advance(state, item)
+    return state
+
+
+@pytest.mark.parametrize("name", ["closure-gen", "safe-core-gen", "identify-then-generate",
+                                  "absence-count", "synthetic-text"])
+def test_states_branch_like_fresh_folds(name):
+    make, plan = next((make, plan) for n, make, plan in _cases() if n == name)
+    (_, first), (_, second) = plan[0], plan[1]
+    learner = make()
+    common = first.prefix(10).items
+    left, right = first.prefix(25).items[10:], second.prefix(25).items[10:]
+    base = _fold(learner, common)
+    # advance the same old state twice; the second branch must not see the first
+    a = _fold(learner, left, base)
+    b = _fold(learner, right, base)
+    fresh = make()
+    fresh_a, fresh_b = _fold(fresh, common + left), _fold(fresh, common + right)
+    assert a == fresh_a and b == fresh_b
+    assert hash(a) == hash(fresh_a)
+    assert learner.read(a) == fresh.read(fresh_a) and learner.read(b) == fresh.read(fresh_b)
+    assert learner.read(base) == fresh.read(_fold(fresh, common))
+    assert learner.trace(base) == fresh.trace(_fold(fresh, common))

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import time
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_symbolic_set
 from crosslimit.space import (
@@ -236,3 +240,41 @@ def test_subset_and_disjoint():
     assert not SymbolicSet.universe().is_subset(EVENS)
     assert EVENS.is_disjoint(ODDS)
     assert not EVENS.is_disjoint(SymbolicSet.finite({2}))
+
+
+@st.composite
+def exceptional_sets(draw) -> SymbolicSet:
+    m = draw(st.integers(1, 12))
+    residues = draw(st.frozensets(st.integers(0, m - 1)))
+    plus = draw(st.frozensets(st.integers(0, 59), max_size=8))
+    minus = draw(st.frozensets(st.integers(0, 59), max_size=8)) - plus
+    return SymbolicSet.build(m, residues, plus, minus)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exceptional_sets())
+def test_nth_member_matches_enumeration(s):
+    expected = list(itertools.islice(s.members(), 150))
+    assert [s.nth_member(i) for i in range(len(expected))] == expected
+    if s.is_finite():
+        with pytest.raises(IndexError):
+            s.nth_member(len(expected))
+
+
+@given(exceptional_sets(), st.integers(max_value=-1))
+def test_nth_member_rejects_negative_index(s, index):
+    with pytest.raises(IndexError):
+        s.nth_member(index)
+
+
+def test_nth_member_far_index_is_fast():
+    s = SymbolicSet.build(12, {1, 5, 7}, plus={2, 40}, minus={1, 55})
+    before, at = s.nth_member(10**6 - 1), s.nth_member(10**6)
+    assert s.contains(before) and s.contains(at)
+    assert not any(s.contains(x) for x in range(before + 1, at))
+    timings = []
+    for _ in range(5):
+        start = time.perf_counter()
+        s.nth_member(10**6)
+        timings.append(time.perf_counter() - start)
+    assert min(timings) < 1e-3

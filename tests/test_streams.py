@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from crosslimit.classes import Hypothesis, co_singleton_class
@@ -20,6 +23,7 @@ from crosslimit.streams import (
     parse_injection,
     parse_prefix,
     sampled_contrastive,
+    sampled_text,
     scripted_contrastive,
     synthetic_contrastive_from_text,
     validate,
@@ -199,3 +203,19 @@ def test_crosses_matches_membership_xor():
     assert crosses(EVENS_H, Pair.of(0, 1))
     assert not crosses(EVENS_H, Pair.of(0, 2))
     assert not crosses(EVENS_H, Pair.of(1, 3))
+
+
+def test_stream_items_do_not_depend_on_access_order():
+    streams = [
+        canonical_contrastive(H3),
+        sampled_contrastive(EVENS_H, seed=4),
+        sampled_text(H3, seed=9),
+        corrupt(canonical_text(EVENS_H), [(2, 7), (5, 9)]),
+        scripted_contrastive(H3, [Pair.of(0, 3), Pair.of(3, 8)], tail="repeat"),
+    ]
+    order = list(range(1, 61))
+    random.Random(3).shuffle(order)
+    for stream in streams:
+        forward = list(itertools.islice(stream.items(), 60))
+        assert {t: stream.item(t) for t in order} == dict(enumerate(forward, 1))
+        assert stream.prefix(60).items == tuple(forward)
