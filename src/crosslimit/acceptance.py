@@ -400,24 +400,17 @@ def criterion_8_corrupted_incomparability() -> CriterionResult:
                 )
                 break
 
+        family = [cls.members[0], cls.members[1]]
         learner = EligibilityIdentifier(cls, compute_telltales(cls))
-        demo = confusion_demo([cls.members[0], cls.members[1]], learner, steps=40)
+        demo = confusion_demo(family, learner, steps=40)
         result.check(
             len(demo.failed_members) >= 1,
             f"budget {budget}: confusion demo failed no member",
         )
-        clean = all(
-            validate_prefix_clean(demo, cls, member_id)
-            for member_id in demo.family
-        )
+        prefix = shared_presentation_family(family).prefix(30)
+        clean = all(validate(prefix, member, horizon=10).clean for member in family)
         result.check(clean, f"budget {budget}: shared stream is not clean for the family")
     return result
-
-
-def validate_prefix_clean(demo, cls, member_id: str) -> bool:
-    member = cls.by_id(member_id)
-    stream = shared_presentation_family([cls.by_id(i) for i in demo.family])
-    return validate(stream.prefix(30), member, horizon=10).clean
 
 
 # ----------------------------------------------------------------------

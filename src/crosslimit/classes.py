@@ -11,8 +11,11 @@ A hypothesis is a binary predicate given extensionally by its support, a
 
 Explicit classes built from one of the infinite witness families keep a
 `family` descriptor recording the construction rule and truncation level.
-The closure operations use that descriptor where the truncated member list
-alone would misrepresent the infinite family (see crosslimit.closure).
+The punctured family's descriptor, :class:`PuncturedFamily`, is the one
+place that knows its rule: the base set and which member removes which
+hole.  Closures, verdicts, learners and the CLI ask it for the infinite
+family wherever the truncated member list alone would misrepresent it (see
+crosslimit.closure).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable
 
-from .space import SymbolicSet, parse_set_literal
+from .space import SymbolicSet, intersection_of, parse_set_literal
 
 EVENS = SymbolicSet.residue_class(2, {0})
 ODDS = SymbolicSet.residue_class(2, {1})
@@ -55,9 +58,7 @@ class FamilyInfo:
     """Construction rule behind a truncated witness class.
 
     `kind` names the family; `params` are its integer parameters in
-    construction order (truncation level last where present).  For the
-    punctured family the descriptor is what lets closure computations follow
-    the infinite class instead of the truncation.
+    construction order (truncation level last where present).
     """
 
     kind: str
@@ -67,6 +68,27 @@ class FamilyInfo:
         if self.params:
             return f"{self.kind}({', '.join(map(str, self.params))})"
         return self.kind
+
+
+class PuncturedFamily(FamilyInfo):
+    """The infinite punctured family behind every truncation of it.
+
+    The limit hypothesis has support `base` (the evens); the puncture at a
+    hole a of the base has support base minus {a}, and it is member m when
+    a = a_m = 2(m-1).  Closure computations and verdicts ask this
+    descriptor for members beyond the truncation.
+    """
+
+    base = EVENS
+
+    def limit(self) -> Hypothesis:
+        return Hypothesis("h_inf", self.base)
+
+    def member(self, hole: int) -> Hypothesis:
+        """The puncture that removes `hole` from the base."""
+        if not self.base.contains(hole):
+            raise ValueError(f"{hole} is not an element of the punctured base")
+        return Hypothesis(f"h{hole // 2 + 1}", self.base.difference(SymbolicSet.finite({hole})))
 
 
 @dataclass(frozen=True)
@@ -112,10 +134,7 @@ class HypothesisClass:
         raise KeyError(h.id)
 
     def global_support_intersection(self) -> SymbolicSet:
-        out = SymbolicSet.universe()
-        for h in self.members:
-            out = out.intersect(h.support)
-        return out
+        return intersection_of(h.support for h in self.members)
 
     def describe(self) -> str:
         base = f"{len(self.members)} hypotheses"
@@ -171,18 +190,15 @@ def punctured_class(truncation: int) -> HypothesisClass:
     """The limit hypothesis with support A = evens, plus one-point punctures.
 
     Member m (1-based) removes the m-th element of A, a_m = 2(m-1).  The
-    enumeration is (h_inf, h1, ..., hM); the family descriptor records that
-    punctures continue beyond the truncation.
+    enumeration is (h_inf, h1, ..., hM); the family descriptor builds them
+    and records that punctures continue beyond the truncation.
     """
     if truncation < 2:
         raise ValueError("punctured family needs truncation >= 2")
-    members = [Hypothesis("h_inf", EVENS)]
-    for m in range(1, truncation + 1):
-        hole = 2 * (m - 1)
-        members.append(Hypothesis(f"h{m}", EVENS.difference(SymbolicSet.finite({hole}))))
-    return HypothesisClass(
-        tuple(members), uus_claimed=True, family=FamilyInfo("punctured", (truncation,))
-    )
+    family = PuncturedFamily("punctured", (truncation,))
+    members = [family.limit()]
+    members += [family.member(punctured_hole(m)) for m in range(1, truncation + 1)]
+    return HypothesisClass(tuple(members), uus_claimed=True, family=family)
 
 
 def punctured_hole(m: int) -> int:

@@ -16,6 +16,7 @@ import sys
 from .classes import (
     CoSingletonClass,
     HypothesisClass,
+    PuncturedFamily,
     WITNESS_BUILDERS,
     build_witness,
     load_class,
@@ -306,6 +307,8 @@ def _build_learner(name: str, cls, args) -> Learner:
         family = cls if isinstance(cls, CoSingletonClass) else CoSingletonClass()
         return AbsenceCountIdentifier(family)
     if isinstance(cls, CoSingletonClass):
+        if name == "identify-then-generate":
+            return IdentifyThenGenerate(AbsenceCountIdentifier(cls))
         raise ValueError(f"learner {name!r} needs an explicit class")
     if name == "eligibility":
         return EligibilityIdentifier(cls, compute_telltales(cls, args.horizon))
@@ -325,16 +328,14 @@ def _build_learner(name: str, cls, args) -> Learner:
     if name == "safe-core-gen":
         return SafeCoreGenerator(cls)
     if name == "eventual-core-gen":
-        if cls.family is not None and cls.family.kind == "punctured":
-            base = cls.by_id("h_inf").support
+        if isinstance(cls.family, PuncturedFamily):
+            base = cls.family.base
         else:
             base = cls.global_support_intersection()
             if base.cardinality().is_finite:
                 raise ValueError("no obvious eventual core: global intersection is finite")
         return EventualCoreGenerator(lambda m: base.nth_member(m - 1))
     if name == "identify-then-generate":
-        if cls.family is not None and cls.family.kind.startswith("co-singleton"):
-            return IdentifyThenGenerate(AbsenceCountIdentifier())
         return IdentifyThenGenerate(
             EligibilityIdentifier(cls, compute_telltales(cls, args.horizon))
         )

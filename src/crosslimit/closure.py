@@ -15,8 +15,11 @@ Two evaluation modes:
   one-point-puncture family.  A finite edge set only ever interacts with
   finitely many punctures (those whose hole is an edge vertex), so version
   spaces and closures over the full infinite family are computed in closed
-  form from the family descriptor.  Without this, every truncation would
-  report infinite closures where the infinite family has finite ones.
+  form from the class's :class:`~crosslimit.classes.PuncturedFamily`
+  descriptor, which supplies the base set and the puncture at each hole.
+  Without this, every truncation would report infinite closures where the
+  infinite family has finite ones.  `_is_punctured` is the one test for
+  this mode; other modules ask the descriptor directly.
 
 The dimension search is likewise two-layered.  For explicit classes of at
 most PATTERN_BOUND members, the membership-pattern cells reduce the
@@ -34,8 +37,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .classes import Hypothesis, HypothesisClass
-from .space import SymbolicSet
+from .classes import Hypothesis, HypothesisClass, PuncturedFamily
+from .crossing import PATTERN_BOUND, PatternCells
+from .space import SymbolicSet, intersection_of
 from .streams import CONTRASTIVE, Pair, Prefix, crosses
 
 EXACT = "exact"
@@ -114,10 +118,7 @@ def support_intersection(members: Iterable[Hypothesis]) -> ClosureResult:
     members = list(members)
     if not members:
         return ClosureResult.bottom()
-    out = SymbolicSet.universe()
-    for h in members:
-        out = out.intersect(h.support)
-    return ClosureResult(out)
+    return ClosureResult(intersection_of(h.support for h in members))
 
 
 # ----------------------------------------------------------------------
@@ -137,62 +138,31 @@ def edge_version_space(cls: HypothesisClass, edge_set: EdgeSet) -> list[Hypothes
 
 
 def _is_punctured(cls: HypothesisClass) -> bool:
-    return cls.family is not None and cls.family.kind == "punctured"
+    return isinstance(cls.family, PuncturedFamily)
 
 
-def _punctured_base(cls: HypothesisClass) -> SymbolicSet:
-    return cls.by_id("h_inf").support
+def _punctured_closure(family: PuncturedFamily, edge_set: EdgeSet) -> ClosureResult:
+    """Closed-form closure over the infinite punctured family.
 
-
-@dataclass(frozen=True)
-class _PuncturedState:
-    """Version-space summary for the infinite punctured family.
-
-    `limit_and_tail` covers the limit hypothesis and every puncture whose
-    hole avoids the edge vertices (they all satisfy the same crossing
-    constraints); `passing_holes` are the holes of edge-incident punctures
-    that do cross every edge, `failing_holes` the ones that do not.
+    The limit hypothesis and every puncture whose hole avoids the edge
+    vertices meet the same crossing constraints, so only the punctures at
+    edge vertices in the base need a test of their own.
     """
+    def fits(h: Hypothesis) -> bool:
+        return all(crosses(h, pair) for pair in edge_set.edges)
 
-    limit_and_tail: bool
-    passing_holes: frozenset[int]
-    failing_holes: frozenset[int]
-
-    @property
-    def nonempty(self) -> bool:
-        return self.limit_and_tail or bool(self.passing_holes)
-
-
-def _punctured_state(cls: HypothesisClass, edge_set: EdgeSet) -> _PuncturedState:
-    base = _punctured_base(cls)
-    edges = list(edge_set.edges)
-    limit_ok = all(
-        base.contains(p.lo) != base.contains(p.hi) for p in edges
-    )
     passing: set[int] = set()
     failing: set[int] = set()
     for hole in edge_set.vertices():
-        if not base.contains(hole):
-            continue  # not a puncture hole; only base elements get punctured
-        support = base.difference(SymbolicSet.finite({hole}))
-        if all(support.contains(p.lo) != support.contains(p.hi) for p in edges):
-            passing.add(hole)
-        else:
-            failing.add(hole)
-    return _PuncturedState(limit_ok, frozenset(passing), frozenset(failing))
-
-
-def _punctured_closure(cls: HypothesisClass, edge_set: EdgeSet) -> ClosureResult:
-    state = _punctured_state(cls, edge_set)
-    if not state.nonempty:
-        return ClosureResult.bottom()
-    base = _punctured_base(cls)
-    if state.limit_and_tail:
+        if family.base.contains(hole):  # only base elements get punctured
+            (passing if fits(family.member(hole)) else failing).add(hole)
+    if fits(family.limit()):
         # Every untouched puncture participates, removing all of the base
         # except the failing holes; only those failing holes survive.
-        return ClosureResult(SymbolicSet.finite(state.failing_holes))
-    out = base.difference(SymbolicSet.finite(state.passing_holes))
-    return ClosureResult(out)
+        return ClosureResult(SymbolicSet.finite(failing))
+    if not passing:
+        return ClosureResult.bottom()
+    return ClosureResult(family.base.difference(SymbolicSet.finite(passing)))
 
 
 def contrastive_closure(cls: HypothesisClass, edge_set: EdgeSet) -> ClosureResult:
@@ -202,7 +172,7 @@ def contrastive_closure(cls: HypothesisClass, edge_set: EdgeSet) -> ClosureResul
     (closed form); everything else over the explicit member tuple.
     """
     if _is_punctured(cls):
-        return _punctured_closure(cls, edge_set)
+        return _punctured_closure(cls.family, edge_set)
     return support_intersection(edge_version_space(cls, edge_set))
 
 
@@ -247,20 +217,6 @@ class DimensionReport:
         return f"infinite [{self.infinite_description}]"
 
 
-_CELL_BOUND = 6
-
-
-def _full_pattern_cells(members: tuple[Hypothesis, ...]) -> dict[tuple[int, ...], SymbolicSet]:
-    cells: dict[tuple[int, ...], SymbolicSet] = {}
-    for alpha in itertools.product((0, 1), repeat=len(members)):
-        cell = SymbolicSet.universe()
-        for bit, h in zip(alpha, members):
-            cell = cell.intersect(h.support if bit else h.support.complement())
-        if not cell.is_empty():
-            cells[alpha] = cell
-    return cells
-
-
 def _complementary_on(alpha: tuple[int, ...], beta: tuple[int, ...], indices) -> bool:
     return all(alpha[i] != beta[i] for i in indices)
 
@@ -277,28 +233,27 @@ def closure_dimension(
     classes get a bounded hollow-first search whose result is a verified
     lower bound (never a wrong exact claim).
     """
-    if not _is_punctured(cls) and 1 <= len(cls.members) <= _CELL_BOUND:
+    if not _is_punctured(cls) and 1 <= len(cls.members) <= PATTERN_BOUND:
         return _cell_dimension(cls, max_size, vertex_horizon)
     return _bounded_search_dimension(cls, max_size, vertex_horizon, search_budget)
 
 
 def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) -> DimensionReport:
     members = cls.members
-    cells = _full_pattern_cells(members)
+    cells = PatternCells.of(members)
+    realized = cells.realized()
     indices = range(len(members))
     best_size = None  # None: no hollow set at all
     best_edges: EdgeSet | None = None
 
     for r in range(1, len(members) + 1):
         for subset in itertools.combinations(indices, r):
-            closure = SymbolicSet.universe()
-            for i in subset:
-                closure = closure.intersect(members[i].support)
+            closure = intersection_of(members[i].support for i in subset)
             if closure.cardinality().is_infinite:
                 continue  # any edge set with this version space has infinite closure
             menu = [
                 (a, b)
-                for a, b in itertools.combinations(cells.keys(), 2)
+                for a, b in itertools.combinations(realized, 2)
                 if _complementary_on(a, b, subset)
             ]
             # every forced positive needs an incident menu edge
@@ -306,7 +261,7 @@ def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) ->
             coverable = all(
                 any(x_alpha in pair for pair in menu)
                 for x in core
-                for x_alpha in [_pattern_of(cells, x)]
+                for x_alpha in [cells.pattern_of(x)]
             )
             if not coverable:
                 continue
@@ -314,7 +269,8 @@ def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) ->
                 (
                     (a, b)
                     for a, b in menu
-                    if cells[a].cardinality().is_infinite or cells[b].cardinality().is_infinite
+                    if cells.cells[a].cardinality().is_infinite
+                    or cells.cells[b].cardinality().is_infinite
                 ),
                 None,
             )
@@ -331,7 +287,7 @@ def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) ->
                     infinite_description=desc,
                     notes=("certified by cell analysis",),
                 )
-            total = sum(len(cells[a].plus) * len(cells[b].plus) for a, b in menu)
+            total = sum(len(cells.cells[a].plus) * len(cells.cells[b].plus) for a, b in menu)
             if best_size is None or total > best_size:
                 best_size = total
                 best_edges = _all_menu_edges(cells, menu)
@@ -350,32 +306,25 @@ def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) ->
     return report
 
 
-def _pattern_of(cells: dict, x: int) -> tuple[int, ...]:
-    for alpha, cell in cells.items():
-        if cell.contains(x):
-            return alpha
-    raise AssertionError("cells partition X")
-
-
-def _all_menu_edges(cells: dict, menu: list) -> EdgeSet:
+def _all_menu_edges(cells: PatternCells, menu: list) -> EdgeSet:
     pairs = set()
     for a, b in menu:
-        for x in cells[a].plus:
-            for y in cells[b].plus:
+        for x in cells.cells[a].plus:
+            for y in cells.cells[b].plus:
                 pairs.add(Pair.of(x, y))
     return EdgeSet.of(pairs)
 
 
-def _cover_witness(cells: dict, closure: SymbolicSet, menu: list) -> EdgeSet:
+def _cover_witness(cells: PatternCells, closure: SymbolicSet, menu: list) -> EdgeSet:
     """A starter hollow set: one covering edge per forced positive."""
     pairs = set()
     for x in sorted(closure.plus):
-        alpha = _pattern_of(cells, x)
+        alpha = cells.pattern_of(x)
         for a, b in menu:
             other = b if a == alpha else (a if b == alpha else None)
             if other is None:
                 continue
-            partner = cells[other].min_element()
+            partner = cells.cells[other].min_element()
             if partner is not None and partner != x:
                 pairs.add(Pair.of(x, partner))
                 break

@@ -24,8 +24,8 @@ import itertools
 from dataclasses import dataclass
 
 from .classes import Hypothesis
-from .space import SymbolicSet
-from .streams import CONTRASTIVE, Pair, Stream, crosses
+from .space import SymbolicSet, intersection_of
+from .streams import Pair, Stream, crosses, paired_stream
 
 #: regimes in which the second hypothesis is NOT eliminable from the first
 SUPERSET = "superset"
@@ -176,26 +176,6 @@ def overlapping_cover(h: Hypothesis, g: Hypothesis) -> bool:
 # shared presentations
 # ----------------------------------------------------------------------
 
-def _coverage_stream(union: SymbolicSet, partner_of, provenance: str,
-                     targets: tuple[Hypothesis, ...]) -> Stream:
-    """Pair each element of `union` with its chosen partner, in order.
-
-    Enumerates the union ascending when infinite; lists-and-repeats the full
-    covering pair list when finite.
-    """
-    card = union.cardinality()
-    if card.is_finite:
-        elems = sorted(union.plus)
-        pairs = [Pair.of(x, partner_of(x)) for x in elems]
-        return Stream(CONTRASTIVE, provenance, lambda t: pairs[(t - 1) % len(pairs)], targets)
-    return Stream(
-        CONTRASTIVE,
-        provenance,
-        lambda t: Pair.of(union.nth_member(t - 1), partner_of(union.nth_member(t - 1))),
-        targets,
-    )
-
-
 def shared_presentation_pair(h: Hypothesis, g: Hypothesis) -> Stream | None:
     """A single contrastive stream valid for both targets, when one exists.
 
@@ -219,9 +199,7 @@ def shared_presentation_pair(h: Hypothesis, g: Hypothesis) -> Stream | None:
             return min_c
         return min_b
 
-    return _coverage_stream(
-        union, partner_of, f"shared-pair({h.id},{g.id})", (h, g)
-    )
+    return paired_stream(union, partner_of, f"shared-pair({h.id},{g.id})", (h, g))
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +217,17 @@ class PatternCells:
     hypothesis_ids: tuple[str, ...]
     cells: dict[tuple[int, ...], SymbolicSet]
 
+    @staticmethod
+    def of(family) -> "PatternCells":
+        """All 2^len(family) cells in product order, without a size check."""
+        cells = {
+            alpha: intersection_of(
+                h.support if bit else h.support.complement() for bit, h in zip(alpha, family)
+            )
+            for alpha in itertools.product((0, 1), repeat=len(family))
+        }
+        return PatternCells(tuple(h.id for h in family), cells)
+
     def realized(self) -> list[tuple[int, ...]]:
         return [alpha for alpha, cell in self.cells.items() if not cell.is_empty()]
 
@@ -254,13 +243,7 @@ def pattern_cells(family: list[Hypothesis]) -> PatternCells:
         raise ValueError(
             f"pattern cells support between 2 and {PATTERN_BOUND} hypotheses, got {len(family)}"
         )
-    cells: dict[tuple[int, ...], SymbolicSet] = {}
-    for alpha in itertools.product((0, 1), repeat=len(family)):
-        cell = SymbolicSet.universe()
-        for bit, h in zip(alpha, family):
-            cell = cell.intersect(h.support if bit else h.support.complement())
-        cells[alpha] = cell
-    return PatternCells(tuple(h.id for h in family), cells)
+    return PatternCells.of(family)
 
 
 def _complement_pattern(alpha: tuple[int, ...]) -> tuple[int, ...]:
@@ -294,4 +277,4 @@ def shared_presentation_family(family: list[Hypothesis]) -> Stream | None:
         return cells.cells[_complement_pattern(alpha)].min_element()
 
     ids = ",".join(h.id for h in family)
-    return _coverage_stream(union, partner_of, f"shared-family({ids})", tuple(family))
+    return paired_stream(union, partner_of, f"shared-family({ids})", tuple(family))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -33,6 +34,8 @@ from .classes import (
     CoSingletonClass,
     Hypothesis,
     HypothesisClass,
+    PuncturedFamily,
+    punctured_hole,
     six_cell_class,
 )
 from .closure import EXACT, closure_dimension
@@ -45,7 +48,7 @@ from .crossing import (
     shared_presentation_family,
 )
 from .learners import AbsenceCountIdentifier, compute_telltales, telltales_sound
-from .space import SymbolicSet
+from .space import SymbolicSet, intersection_of
 from .streams import Pair, corrupt, canonical_contrastive, validate
 
 YES = "yes"
@@ -109,18 +112,11 @@ class HierarchyVerdict:
         }
 
 
-def _is_punctured(cls: HypothesisClass) -> bool:
-    return cls.family is not None and cls.family.kind == "punctured"
-
-
 def _txt_id_verdict(cls: HypothesisClass, bounds: Bounds) -> Verdict:
-    if _is_punctured(cls):
-        base = cls.by_id("h_inf").support
-        below = base.enumerate_below(bounds.horizon)
-        swallow = Hypothesis(
-            "puncture-beyond-horizon",
-            base.difference(SymbolicSet.finite({2 * bounds.horizon})),
-        )
+    punctured = cls.family
+    if isinstance(punctured, PuncturedFamily):
+        below = punctured.base.enumerate_below(bounds.horizon)
+        swallow = punctured.member(punctured_hole(bounds.horizon + 1))
         candidates_covered = SymbolicSet.finite(below).is_subset(swallow.support)
         if not candidates_covered:
             raise AssertionError("puncture beyond the horizon must keep all candidates")
@@ -128,7 +124,7 @@ def _txt_id_verdict(cls: HypothesisClass, bounds: Bounds) -> Verdict:
             NO,
             mechanism="no-finite-telltale",
             witness={
-                "hypothesis": "h_inf",
+                "hypothesis": punctured.limit().id,
                 "rule": (
                     "any finite candidate tell-tale below the horizon is contained "
                     "in the support of the puncture at an element beyond it"
@@ -158,14 +154,6 @@ def _ctr_id_verdict(cls: HypothesisClass, txt_id: Verdict) -> Verdict:
             NO,
             mechanism="barrier-pair",
             witness={"pair": [first, second], "regime": regime},
-        )
-    if _is_punctured(cls):
-        # barriers exist among punctures beyond any truncation
-        m = cls.family.params[0]
-        return Verdict(
-            NO,
-            mechanism="barrier-pair",
-            witness={"pair": ["h1", "h2"], "regime": "non-covering"},
         )
     if txt_id.status == NO:
         return Verdict(NO, mechanism="txt-id-failure", witness=txt_id.witness)
@@ -207,10 +195,10 @@ def _ctr_gen_verdict(cls: HypothesisClass, ctr_id: Verdict, bounds: Bounds) -> V
 
 
 def _ctr_gen_positive(cls: HypothesisClass, ctr_id: Verdict, bounds: Bounds) -> Verdict | None:
-    if _is_punctured(cls):
+    if isinstance(cls.family, PuncturedFamily):
         # one-point punctures exhaust the base set, so the base enumeration
         # is an eventual core: each member misses at most its own hole
-        base = cls.by_id("h_inf").support
+        base = cls.family.base
         for h in cls.members:
             if not base.difference(h.support).cardinality().is_finite:
                 raise AssertionError("punctured member misses infinitely much core")
@@ -240,15 +228,11 @@ def _ctr_gen_positive(cls: HypothesisClass, ctr_id: Verdict, bounds: Bounds) -> 
 
 
 def _finite_intersection_obstruction(cls: HypothesisClass, bounds: Bounds) -> Verdict | None:
-    import itertools
-
     members = cls.members
     for size in range(2, min(bounds.family_bound, len(members)) + 1):
         for combo in itertools.combinations(members, size):
             family = list(combo)
-            intersection = SymbolicSet.universe()
-            for h in family:
-                intersection = intersection.intersect(h.support)
+            intersection = intersection_of(h.support for h in family)
             if not intersection.cardinality().is_finite:
                 continue
             stream = shared_presentation_family(family)
@@ -458,9 +442,7 @@ def _reproduce_three_cell_family() -> Report:
     family = list(cls.members)
     cells = pattern_cells(family)
     realized = sorted(cells.realized())
-    triple = SymbolicSet.universe()
-    for h in family:
-        triple = triple.intersect(h.support)
+    triple = intersection_of(h.support for h in family)
     pairwise_infinite = all(
         family[i].support.intersect(family[j].support).cardinality().is_infinite
         for i in range(3)

@@ -13,7 +13,9 @@ share their history through append-only logs instead of copying it, and a
 generator's read is memoised on its state for `advance` to reuse.  Explicit
 classes keep the version space as a member bitmask whose closure is
 memoised on the learner; punctured families recompute their closed form
-from the edge set.  Caches live in private fields left out of equality, so
+from the edge set, and the breaker asks the class's
+:class:`~crosslimit.classes.PuncturedFamily` for punctures beyond the
+truncation.  Caches live in private fields left out of equality, so
 they never change what compares equal or what a run records.
 
 The run harness executes a learner against a stream, detecting convergence
@@ -30,11 +32,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .classes import CoSingletonClass, Hypothesis, HypothesisClass
+from .classes import CoSingletonClass, Hypothesis, HypothesisClass, PuncturedFamily
 from .closure import (
     ClosureResult,
     EdgeSet,
-    _is_punctured,
     contrastive_closure,
     edge_version_space,
     is_hollow,
@@ -460,7 +461,7 @@ class _PairGenerator(Learner):
 
     def _closure(self, state: _GenState, level: int = 0) -> ClosureResult:
         cls = self.classes[level]
-        if _is_punctured(cls):
+        if isinstance(cls.family, PuncturedFamily):
             # closed form over the infinite family, which the mask of the
             # truncated members does not determine
             return contrastive_closure(cls, EdgeSet(frozenset(state.edges)))
@@ -683,13 +684,10 @@ def generator_breaker(
         return FailureWitness(NOVELTY_VIOLATION, output, None, "")
     survivors = edge_version_space(cls, hollow)
     victim = next((h for h in survivors if not h.contains(output)), None)
-    if victim is None and _is_punctured(cls):
-        base = cls.by_id("h_inf").support
-        if base.contains(output):
-            # the puncture at the output survives any edge set avoiding it
-            victim = Hypothesis(
-                f"h{output // 2 + 1}", base.difference(SymbolicSet.finite({output}))
-            )
+    family = cls.family
+    if victim is None and isinstance(family, PuncturedFamily) and family.base.contains(output):
+        # the puncture at the output survives any edge set avoiding it
+        victim = family.member(output)
     if victim is None:
         raise AssertionError("hollow closure must exclude the output for some survivor")
     zstar = victim.support.complement().min_element()

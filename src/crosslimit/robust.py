@@ -22,7 +22,7 @@ from .classes import Hypothesis, HypothesisClass, block_elements
 from .crossing import eliminable, four_regions, gamma_vertex_set
 from .learners import IDENTIFIER, Learner, RunRecord, run
 from .space import Cardinality, SymbolicSet
-from .streams import CONTRASTIVE, TEXT, Pair, Stream, crosses, validate
+from .streams import CONTRASTIVE, TEXT, Pair, Stream, crosses, paired_stream, validate
 
 
 @dataclass(frozen=True)
@@ -64,34 +64,14 @@ def _min_violation_stream(h: Hypothesis, g: Hypothesis, defect_set: SymbolicSet)
             return partner_d
         return partner_c
 
-    defects = sorted(defect_set.plus)
-    defect_pairs = [Pair.of(x, h_negative) for x in defects]
+    # cover each defect once, then the rest (cycled when finite) through
+    # harmless common-crossing pairs
+    defect_pairs = tuple(Pair.of(x, h_negative) for x in sorted(defect_set.plus))
     clean_part = h.support.difference(defect_set)
-    card = clean_part.cardinality()
-    if card.is_finite:
-        # cover everything once, then cycle harmless common-crossing pairs;
-        # a non-defect positive always exists for proper nontrivial pairs
-        if card.count == 0:
-            raise AssertionError("proper nontrivial pair must have a non-defect positive")
-        clean_pairs = [Pair.of(x, partner_of(x)) for x in sorted(clean_part.plus)]
-
-        def item(t: int) -> Pair:
-            if t <= len(defect_pairs):
-                return defect_pairs[t - 1]
-            rest = t - len(defect_pairs) - 1
-            return clean_pairs[rest % len(clean_pairs)]
-    else:
-        def item(t: int) -> Pair:
-            if t <= len(defect_pairs):
-                return defect_pairs[t - 1]
-            x = clean_part.nth_member(t - len(defect_pairs) - 1)
-            return Pair.of(x, partner_of(x))
-
-    return Stream(
-        CONTRASTIVE,
-        f"min-violation({h.id}->{g.id})",
-        item,
-        targets=(h,),
+    if clean_part.is_empty():
+        raise AssertionError("proper nontrivial pair must have a non-defect positive")
+    return paired_stream(
+        clean_part, partner_of, f"min-violation({h.id}->{g.id})", (h,), head=defect_pairs
     )
 
 

@@ -329,6 +329,14 @@ class SymbolicSet:
         return self.literal()
 
 
+def intersection_of(sets: Iterable[SymbolicSet]) -> SymbolicSet:
+    """The intersection of the given sets; the universe when there are none."""
+    out = SymbolicSet.universe()
+    for s in sets:
+        out = out.intersect(s)
+    return out
+
+
 def _render_elems(xs: frozenset[int]) -> str:
     if not xs:
         return " "

@@ -147,13 +147,25 @@ def canonical_contrastive(h: Hypothesis) -> Stream:
     if not h.is_proper_nontrivial():
         raise ValueError(f"{h.id} is not proper nontrivial")
     zstar = h.support.complement().min_element()
-    enum = _support_enumerator(h.support)
-    return Stream(
-        CONTRASTIVE,
-        f"canonical-contrastive({h.id})",
-        lambda t: Pair.of(enum(t - 1), zstar),
-        targets=(h,),
-    )
+    return paired_stream(h.support, lambda x: zstar, f"canonical-contrastive({h.id})", (h,))
+
+
+def paired_stream(elements: SymbolicSet, partner_of: Callable[[int], int], provenance: str,
+                  targets: tuple[Hypothesis, ...], head: tuple[Pair, ...] = ()) -> Stream:
+    """Play the `head` pairs, then pair each element with its partner.
+
+    The elements are enumerated ascending when infinite and cycled when
+    finite, so every element is covered.
+    """
+    enum = _support_enumerator(elements)
+
+    def item(t: int) -> Pair:
+        if t <= len(head):
+            return head[t - 1]
+        x = enum(t - len(head) - 1)
+        return Pair.of(x, partner_of(x))
+
+    return Stream(CONTRASTIVE, provenance, item, targets)
 
 
 def canonical_text(h: Hypothesis) -> Stream:

@@ -5,6 +5,9 @@ from __future__ import annotations
 import itertools
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import random_proper_support
 from crosslimit.classes import (
     Hypothesis,
@@ -30,6 +33,7 @@ from crosslimit.closure import (
     is_hollow,
     positive_closure,
     safe_set,
+    support_intersection,
 )
 from crosslimit.space import SymbolicSet
 from crosslimit.streams import Pair, canonical_contrastive, crosses, sampled_contrastive
@@ -73,6 +77,31 @@ def test_contrastive_closure_punctured_follows_infinite_family():
     for n in (1, 3, 10):
         out = contrastive_closure(cls, ladder_edges(n))
         assert out.value == SymbolicSet.finite(punctured_hole(i) for i in range(1, n + 1))
+
+
+TRUNCATION = 12
+
+
+@st.composite
+def low_edge_sets(draw) -> EdgeSet:
+    """0-5 edges whose vertices are holes of the first TRUNCATION punctures or odds between."""
+    vertex = st.integers(0, 2 * TRUNCATION - 2)
+    pairs = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]).map(lambda p: Pair.of(*p))
+    return EdgeSet.of(draw(st.lists(pairs, max_size=5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_edge_sets())
+def test_punctured_closed_form_matches_truncation_below_its_holes(edges):
+    # Below 2M the truncation's version space decides the same elements as
+    # the infinite family, since every edge-incident puncture is a member.
+    cls = punctured_class(TRUNCATION)
+    closed = contrastive_closure(cls, edges)
+    brute = support_intersection(edge_version_space(cls, edges))
+    assert closed.is_bottom == brute.is_bottom
+    if not closed.is_bottom:
+        horizon = 2 * TRUNCATION
+        assert closed.value.enumerate_below(horizon) == brute.value.enumerate_below(horizon)
 
 
 def test_contrastive_closure_bottom():

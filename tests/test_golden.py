@@ -14,11 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from crosslimit.classes import CoSingletonClass
-from crosslimit.cli import _record_payload, main
-from crosslimit.harness import Report, emit_report
-from crosslimit.learners import AbsenceCountIdentifier, IdentifyThenGenerate, run
-from crosslimit.streams import Pair, canonical_contrastive, corrupt
+from crosslimit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 PINNED = str(GOLDEN / "pinned-core.json")  # pinned_core_class(4, (1, 6), (3,))
@@ -51,6 +47,9 @@ CASES = {
     "generate-eventual-core-gen-punctured.json": [
         "generate", "--witness", "punctured:8", "--learner", "eventual-core-gen",
         "--target", "h3", "--stream", "sampled:5", "--steps", "120"],
+    "generate-identify-then-generate-cosingleton-corrupt.json": [
+        "generate", "--witness", "co-singleton", "--learner", "identify-then-generate",
+        "--target", "3", "--steps", "120", "--corrupt", "4:{0,1}", "--corrupt", "9:{5,8}"],
     "generate-identify-then-generate-overlap.json": [
         "generate", "--witness", "overlap-cover", "--learner", "identify-then-generate",
         "--target", "h3", "--stream", "sampled:11", "--steps", "120"],
@@ -63,37 +62,19 @@ CASES = {
 }
 
 
-
-
-def _identify_then_generate_cosingleton() -> str:
-    """The CLI builds this learner only for explicit classes, so run it here."""
-    target = CoSingletonClass().member(3)
-    stream = corrupt(canonical_contrastive(target), [(4, Pair.of(0, 1)), (9, Pair.of(5, 8))])
-    record = run(IdentifyThenGenerate(AbsenceCountIdentifier()), stream, 120, target=target)
-    return emit_report(Report("generator run", (), _record_payload(record)), "json")
-
-
-LIBRARY_CASES = {
-    "generate-identify-then-generate-cosingleton-corrupt.json":
-        _identify_then_generate_cosingleton,
-}
-
-
 def _output(name: str) -> bytes:
-    if name in LIBRARY_CASES:
-        return LIBRARY_CASES[name]().encode("utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(CASES[name]) == 0
     return out.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize("name", sorted([*CASES, *LIBRARY_CASES]))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_record(name):
     assert _output(name) == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":
-    for name in sorted([*CASES, *LIBRARY_CASES]):
+    for name in sorted(CASES):
         (GOLDEN / name).write_bytes(_output(name))
         print(f"wrote {GOLDEN / name}", file=sys.stderr)
