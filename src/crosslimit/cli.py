@@ -10,6 +10,7 @@ CSV for identify/generate runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -68,7 +69,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="crosslimit",
         description="contrastive identification and generation in the limit",

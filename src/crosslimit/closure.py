@@ -137,6 +137,11 @@ def edge_version_space(cls: HypothesisClass, edge_set: EdgeSet) -> list[Hypothes
     ]
 
 
+def crossing_mask(cls: HypothesisClass, pair: Pair) -> int:
+    """Bit i set iff `pair` crosses member i; an edge set's version space is the AND."""
+    return sum(1 << i for i, h in enumerate(cls.members) if crosses(h, pair))
+
+
 def _is_punctured(cls: HypothesisClass) -> bool:
     return isinstance(cls.family, PuncturedFamily)
 
@@ -184,7 +189,11 @@ def safe_set(cls: HypothesisClass, prefix: Prefix) -> ClosureResult:
 def is_hollow(cls: HypothesisClass, edge_set: EdgeSet) -> bool:
     """Nonempty version space whose closure stays inside the edge vertices."""
     closure = contrastive_closure(cls, edge_set)
-    return not closure.is_bottom and closure.value.difference(edge_set.vertex_set()).is_empty()
+    return not closure.is_bottom and _within_vertices(closure.value, edge_set)
+
+
+def _within_vertices(closure: SymbolicSet, edge_set: EdgeSet) -> bool:
+    return closure.is_finite() and closure.plus <= edge_set.vertices()
 
 
 # ----------------------------------------------------------------------
@@ -341,18 +350,33 @@ def _bounded_search_dimension(
     branches that can ever become hollow by covering forced positives), then
     the rest; branches with an empty version space are pruned.  The result
     is a lower bound: the largest verified hollow set found within bounds.
+
+    Explicit classes carry the version space as a member bitmask, the
+    parent's ANDed with the new edge's `crossing_mask`, and evaluate each
+    distinct one's closure once; punctured classes use the closed form.
     """
-    candidates = [
-        Pair.of(x, y)
-        for x, y in itertools.combinations(range(vertex_horizon), 2)
-    ]
-    candidates = [p for p in candidates if _closure_or_none(cls, EdgeSet.of([p])) is not None]
+    pairs = [Pair.of(x, y) for x, y in itertools.combinations(range(vertex_horizon), 2)]
+    explicit = not _is_punctured(cls)
+    crossing = {p: crossing_mask(cls, p) for p in pairs}
+    closures: dict[int, SymbolicSet | None] = {}
+
+    def closure_of(space: int, edge_set: EdgeSet) -> SymbolicSet | None:
+        if not explicit:  # no member mask determines the closed form
+            return _closure_or_none(cls, edge_set)
+        if space not in closures:
+            closures[space] = support_intersection(
+                h for i, h in enumerate(cls.members) if space >> i & 1).value
+        return closures[space]
+
+    everyone = (1 << len(cls.members)) - 1
+    candidates = [p for p in pairs if closure_of(crossing[p], EdgeSet.of([p])) is not None]
     empty = EdgeSet.of([])
-    best: tuple[int, EdgeSet | None] = (0, empty) if is_hollow(cls, empty) else (0, None)
+    root = closure_of(everyone, empty)
+    best: tuple[int, EdgeSet | None] = (0, empty if root is not None and root.is_empty() else None)
     spent = 0
     exhausted = False
 
-    def explore(edges: set[Pair], start: int) -> None:
+    def explore(space: int, edges: set[Pair], start: int) -> None:
         nonlocal best, spent, exhausted
         if len(edges) >= max_size or exhausted:
             return
@@ -366,29 +390,30 @@ def _bounded_search_dimension(
                 continue
             spent += 1
             trial = EdgeSet.of(edges | {pair})
-            closure = _closure_or_none(cls, trial)
+            trial_space = space & crossing[pair]
+            closure = closure_of(trial_space, trial)
             if closure is None:
                 continue
-            if closure.difference(trial.vertex_set()).is_empty():
-                hollow_ext.append((idx, trial))
-            elif closure.cardinality().is_finite:
-                finite_ext.append((idx, trial))
+            if _within_vertices(closure, trial):
+                hollow_ext.append((idx, trial_space, trial))
+            elif closure.is_finite():
+                finite_ext.append((idx, trial_space, trial))
             else:
-                other_ext.append((idx, trial))
-        for idx, trial in hollow_ext:
+                other_ext.append((idx, trial_space, trial))
+        for idx, trial_space, trial in hollow_ext:
             if len(trial) > best[0] or best[1] is None:
                 best = (len(trial), trial)
             if best[0] >= max_size:
                 return
-            explore(set(trial.edges), idx + 1)
+            explore(trial_space, set(trial.edges), idx + 1)
             if best[0] >= max_size:
                 return
-        for idx, trial in finite_ext + other_ext:
-            explore(set(trial.edges), idx + 1)
+        for idx, trial_space, trial in finite_ext + other_ext:
+            explore(trial_space, set(trial.edges), idx + 1)
             if best[0] >= max_size or exhausted:
                 return
 
-    explore(set(), 0)
+    explore(everyone, set(), 0)
     notes = ["bounded search; dimension is a lower bound"]
     if exhausted:
         notes.append(f"search budget {budget} exhausted")

@@ -37,6 +37,7 @@ from .closure import (
     ClosureResult,
     EdgeSet,
     contrastive_closure,
+    crossing_mask,
     edge_version_space,
     is_hollow,
     support_intersection,
@@ -405,10 +406,6 @@ class _GenState:
         return x in self.edges or x in self.outputs
 
 
-def _crossing_mask(cls: HypothesisClass, pair: Pair) -> int:
-    return sum(1 << i for i, h in enumerate(cls.members) if crosses(h, pair))
-
-
 class _PairGenerator(Learner):
     """Shared bookkeeping for contrastive generators: distinct edges, seen
     elements, and prior outputs (novelty discipline).
@@ -438,7 +435,7 @@ class _PairGenerator(Learner):
         edges, masks = state.edges, state._masks
         if pair not in edges:
             edges = edges.appended(pair)
-            masks = tuple(m & _crossing_mask(cls, pair) for cls, m in zip(self.classes, masks))
+            masks = tuple(m & crossing_mask(cls, pair) for cls, m in zip(self.classes, masks))
         outputs = state.outputs if output is None else state.outputs.appended(output)
         cursor = state._memo.get("cursor", state._cursor)
         return _GenState(state.count + 1, edges, outputs, state.inner, masks, cursor)

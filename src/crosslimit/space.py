@@ -14,16 +14,27 @@ test instead of a horizon-approximate one.
 Values are immutable and canonical: operations always return the unique
 smallest-modulus representation, so structural equality coincides with set
 equality.
+
+The residue part is kept as the frozenset `residues`, which membership and
+enumeration read, and as the derived int `mask`, bit r set iff r is a
+residue.  Set operations lift masks by doubling, combine them with `|`, `&`,
+`& ~` and `^`, and canonicalise by rotating the mask by each divisor: O(lcm
+/ word) in C plus O(residues + exceptions) Python steps.  No modulus, and no
+lcm an operation lifts to, may exceed `MAX_MODULUS`; the constructors, the
+literal parser, the operations and `normalize_pair` raise a `ValueError` first.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 from typing import Callable, Iterable, Iterator
+
+MAX_MODULUS = 1 << 20  # the largest modulus of a set, and lcm an operation may lift to
 
 
 @dataclass(frozen=True)
@@ -85,12 +96,13 @@ class SymbolicSet:
     residues: frozenset[int]
     plus: frozenset[int]
     minus: frozenset[int]
+    mask: int = field(init=False, compare=False, repr=False)  # bit r set iff r in residues
 
     def __post_init__(self) -> None:
         m = self.modulus
         if m < 1:
             raise ValueError(f"modulus must be >= 1, got {m}")
-        if any(r < 0 or r >= m for r in self.residues):
+        if self.residues and (min(self.residues) < 0 or max(self.residues) >= m):
             raise ValueError(f"residues must lie in [0, {m}): {sorted(self.residues)}")
         if any(x < 0 for x in self.plus | self.minus):
             raise ValueError("exception elements must be naturals")
@@ -102,6 +114,7 @@ class SymbolicSet:
             raise ValueError(f"minus elements not covered by residues: {sorted(bad_minus)}")
         if self.plus & self.minus:
             raise ValueError(f"plus and minus overlap: {sorted(self.plus & self.minus)}")
+        object.__setattr__(self, "mask", _mask_of(self.residues, m))
 
     # ------------------------------------------------------------------
     # construction
@@ -130,18 +143,7 @@ class SymbolicSet:
             raise ValueError(f"plus and minus overlap: {sorted(plus_set & minus_set)}")
         plus_set = frozenset(x for x in plus_set if x % modulus not in res)
         minus_set = frozenset(x for x in minus_set if x % modulus in res)
-
-        # Canonical modulus: smallest divisor d of m such that the residue
-        # part is a union of full classes mod d.
-        for d in _divisors(modulus):
-            width = modulus // d
-            classes = {c: 0 for c in range(d)}
-            for r in res:
-                classes[r % d] += 1
-            if all(k == 0 or k == width for k in classes.values()):
-                reduced = frozenset(c for c, k in classes.items() if k == width)
-                return SymbolicSet(d, reduced, plus_set, minus_set)
-        raise AssertionError("unreachable: modulus divides itself")
+        return _canonical(modulus, _mask_of(res, modulus), plus_set, minus_set)
 
     @staticmethod
     def empty() -> "SymbolicSet":
@@ -182,37 +184,35 @@ class SymbolicSet:
     # boolean algebra
     # ------------------------------------------------------------------
 
-    def _pointwise(self, other: "SymbolicSet", op: Callable[[bool, bool], bool]) -> "SymbolicSet":
-        big = lcm(self.modulus, other.modulus)
-        res = {
-            r
-            for r in range(big)
-            if op(r % self.modulus in self.residues, r % other.modulus in other.residues)
-        }
+    def _pointwise(self, other: "SymbolicSet", op: Callable[[int, int], int]) -> "SymbolicSet":
+        """Apply a bitwise `op` to both sets; it acts on masks and on bools alike."""
+        m, n = self.modulus, other.modulus
+        big = _common_modulus(m, n)
+        res = op(_lift_mask(self.mask, m, big), _lift_mask(other.mask, n, big))
         plus: set[int] = set()
         minus: set[int] = set()
         for x in self.plus | self.minus | other.plus | other.minus:
             actual = op(self.contains(x), other.contains(x))
-            base = x % big in res
+            base = op(x % m in self.residues, x % n in other.residues)
             if actual and not base:
                 plus.add(x)
             elif base and not actual:
                 minus.add(x)
-        return SymbolicSet.build(big, res, plus, minus)
+        return _canonical(big, res, frozenset(plus), frozenset(minus))
 
     def union(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self._pointwise(other, lambda a, b: a or b)
+        return self._pointwise(other, operator.or_)
 
     def intersect(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self._pointwise(other, lambda a, b: a and b)
+        return self._pointwise(other, operator.and_)
 
     def difference(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self._pointwise(other, lambda a, b: a and not b)
+        return self._pointwise(other, lambda a, b: a & ~b)
 
     def complement(self) -> "SymbolicSet":
-        res = frozenset(r for r in range(self.modulus) if r not in self.residues)
         # Added elements become removals of the complement and vice versa.
-        return SymbolicSet.build(self.modulus, res, plus=self.minus, minus=self.plus)
+        full = (1 << self.modulus) - 1
+        return _canonical(self.modulus, self.mask ^ full, self.minus, self.plus)
 
     def __or__(self, other: "SymbolicSet") -> "SymbolicSet":
         return self.union(other)
@@ -253,12 +253,12 @@ class SymbolicSet:
         if self.plus:
             candidates.append(min(self.plus))
         if self.residues:
-            # The least residue-part member appears within |minus|+1 periods.
-            limit = self.modulus * (len(self.minus) + 2)
-            for n in range(limit):
-                if n % self.modulus in self.residues and n not in self.minus:
-                    candidates.append(n)
-                    break
+            n = -1  # walk up the residue part's members, passing one removal per step
+            while n < 0 or n in self.minus:
+                q, r = divmod(n + 1, self.modulus)
+                above = self.mask >> r or self.mask << (self.modulus - r)  # or wrap around
+                n = q * self.modulus + r + (above & -above).bit_length() - 1
+            candidates.append(n)
         return min(candidates) if candidates else None
 
     # ------------------------------------------------------------------
@@ -350,7 +350,7 @@ def normalize_pair(a: SymbolicSet, b: SymbolicSet) -> tuple[SymbolicSet, Symboli
     not modulus-canonical (that is the point of the lift); feed them back
     through :meth:`SymbolicSet.build` or any operation to re-canonicalize.
     """
-    big = lcm(a.modulus, b.modulus)
+    big = _common_modulus(a.modulus, b.modulus)
     return _lift(a, big), _lift(b, big)
 
 
@@ -359,8 +359,64 @@ def _lift(s: SymbolicSet, big: int) -> SymbolicSet:
         return s
     if big % s.modulus != 0:
         raise ValueError(f"{big} is not a multiple of modulus {s.modulus}")
-    res = frozenset(r for r in range(big) if r % s.modulus in s.residues)
-    return SymbolicSet(big, res, s.plus, s.minus)
+    return SymbolicSet(big, _residues_of(_lift_mask(s.mask, s.modulus, big)), s.plus, s.minus)
+
+
+# ----------------------------------------------------------------------
+# residue masks
+# ----------------------------------------------------------------------
+
+def _common_modulus(m: int, n: int) -> int:
+    """lcm(m, n), checked against MAX_MODULUS before anything is lifted to it."""
+    big = m if m == n else lcm(m, n)
+    if big > MAX_MODULUS:
+        raise ValueError(f"lcm of moduli {m} and {n} is {big}, above MAX_MODULUS = {MAX_MODULUS}")
+    return big
+
+
+def _lift_mask(mask: int, width: int, big: int) -> int:
+    """The period-`width` mask repeated up to `big`, a multiple of `width`."""
+    while width < big:  # doubling: O(big / word) in all
+        mask |= mask << width
+        width *= 2
+    return mask & ((1 << big) - 1)
+
+
+def _mask_of(residues: frozenset[int], modulus: int) -> int:
+    if modulus > MAX_MODULUS:  # `build` and the raw constructor both come here first
+        raise ValueError(f"modulus {modulus} is above MAX_MODULUS = {MAX_MODULUS}")
+    if modulus > 64:  # one pass over a digit buffer, not one big shift per residue
+        digits = bytearray(b"0") * modulus
+        for r in residues:
+            digits[~r] = 49  # ord("1") as the r-th digit from the right
+        return int(digits, 2)  # linear for a power-of-two base
+    mask = 0
+    for r in residues:
+        mask |= 1 << r
+    return mask
+
+
+def _residues_of(mask: int) -> frozenset[int]:
+    """The set bits of `mask`: O(bits / word) in C, then one find per set bit."""
+    if mask < 2:
+        return frozenset((0,) if mask else ())
+    digits, out = bin(mask)[:1:-1], []
+    r = digits.find("1")
+    while r >= 0:
+        out.append(r)
+        r = digits.find("1", r + 1)
+    return frozenset(out)
+
+
+def _canonical(modulus: int, mask: int, plus: frozenset[int], minus: frozenset[int]) -> SymbolicSet:
+    """The set with residue part `mask` mod `modulus`, at its smallest period."""
+    count = mask.bit_count()
+    for d in _divisors(modulus):
+        low = mask & ((1 << d) - 1)
+        # a period-d mask repeats its bit count and is invariant under rotation by d
+        if count % (modulus // d) == 0 and (mask >> d) | (low << (modulus - d)) == mask:
+            return SymbolicSet(d, _residues_of(low), plus, minus)
+    raise AssertionError("unreachable: the modulus is a period")
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +481,11 @@ def parse_set_literal(text: str) -> SymbolicSet:
             elems.add(take_int())
 
     take("mod")
+    modulus_token = peek()
     modulus = take_int()
+    if modulus > MAX_MODULUS:
+        raise SetLiteralError(f"modulus {modulus} is above MAX_MODULUS = {MAX_MODULUS}",
+                              modulus_token[1], modulus_token[2])
     residues = take_braced()
     plus: set[int] = set()
     minus: set[int] = set()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from crosslimit.classes import overlapping_cover_class, save_class
-from crosslimit.cli import main
+from crosslimit.cli import build_parser, main
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -176,3 +176,23 @@ def test_usage_errors_return_2(capsys):
     code, _ = run_cli(capsys, "identify", "--witness", "disjoint",
                       "--learner", "nonsense", "--target", "hA")
     assert code == 2
+
+
+def test_parser_built_once_keeps_no_state_between_calls(capsys):
+    sequence = [
+        ["stream", "--target", "3", "--kind", "ctr", "--take", "6", "--corrupt", "3:{0,4}"],
+        ["stream", "--target", "3", "--kind", "ctr", "--take", "6"],
+        ["--horizon", "5", "dimension", "--witness", "disjoint", "--max-size", "2"],
+        ["dimension", "--witness", "disjoint", "--max-size", "2"],
+        ["regions", "--witness", "disjoint", "--pair", "hA"],
+        ["eliminable", "--witness", "disjoint", "--pair", "hA,hB"],
+    ]
+    alone = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        alone.append(run_cli(capsys, *argv))
+    parser = build_parser()
+    assert [run_cli(capsys, *argv) for argv in sequence] == alone
+    assert build_parser() is parser
+    assert alone[0] != alone[1] and alone[2] != alone[3]  # the flags do change the output
+    assert alone[4][0] == 2

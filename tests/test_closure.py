@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_proper_support
+from crosslimit import closure as closure_module
 from crosslimit.classes import (
     Hypothesis,
     HypothesisClass,
@@ -319,6 +320,23 @@ def test_dimension_cell_analysis_cross_validates_with_search():
             assert cell.outcome == INFINITE
             assert search.dimension == 4, (
                 [h.support.literal() for h in members], str(cell), str(search))
+
+
+def test_bounded_search_evaluates_each_version_space_once(monkeypatch):
+    cls = pinned_core_class(7, (0, 3), (1,))
+    evaluated = []
+    real = closure_module.support_intersection
+
+    def counting(members):
+        members = tuple(members)
+        evaluated.append(tuple(h.id for h in members))
+        return real(members)
+
+    monkeypatch.setattr(closure_module, "support_intersection", counting)
+    report = _bounded_search_dimension(cls, max_size=4, vertex_horizon=10, budget=3000)
+    assert "search budget 3000 exhausted" in report.notes  # 3000 trials were evaluated
+    assert 0 < len(evaluated) == len(set(evaluated)) <= 2 ** len(cls.members)
+    assert report.dimension == 2 and is_hollow(cls, report.witness)
 
 
 def test_dimension_witnesses_reverify():

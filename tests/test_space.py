@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import operator
+import os
 import random
+import subprocess
+import sys
 import time
 from math import lcm
 
@@ -11,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crosslimit.space
 from conftest import random_symbolic_set
 from crosslimit.space import (
+    MAX_MODULUS,
     Cardinality,
     SetLiteralError,
     SymbolicSet,
@@ -243,11 +249,11 @@ def test_subset_and_disjoint():
 
 
 @st.composite
-def exceptional_sets(draw) -> SymbolicSet:
+def exceptional_sets(draw, exception_bound: int = 60) -> SymbolicSet:
     m = draw(st.integers(1, 12))
     residues = draw(st.frozensets(st.integers(0, m - 1)))
-    plus = draw(st.frozensets(st.integers(0, 59), max_size=8))
-    minus = draw(st.frozensets(st.integers(0, 59), max_size=8)) - plus
+    plus = draw(st.frozensets(st.integers(0, exception_bound - 1), max_size=8))
+    minus = draw(st.frozensets(st.integers(0, exception_bound - 1), max_size=8)) - plus
     return SymbolicSet.build(m, residues, plus, minus)
 
 
@@ -256,6 +262,7 @@ def exceptional_sets(draw) -> SymbolicSet:
 def test_nth_member_matches_enumeration(s):
     expected = list(itertools.islice(s.members(), 150))
     assert [s.nth_member(i) for i in range(len(expected))] == expected
+    assert s.min_element() == (expected[0] if expected else None)
     if s.is_finite():
         with pytest.raises(IndexError):
             s.nth_member(len(expected))
@@ -278,3 +285,124 @@ def test_nth_member_far_index_is_fast():
         s.nth_member(10**6)
         timings.append(time.perf_counter() - start)
     assert min(timings) < 1e-3
+
+
+# ----------------------------------------------------------------------
+# the residue-mask kernel against brute-force membership
+# ----------------------------------------------------------------------
+
+def _horizon(*sets: SymbolicSet) -> int:
+    """Membership below this bound decides equality: 2·lcm past every exception."""
+    exceptions = [x for s in sets for x in s.plus | s.minus]
+    return 2 * lcm(*(s.modulus for s in sets)) + max(exceptions, default=0) + 1
+
+
+def _mask_agrees(s: SymbolicSet) -> bool:
+    return s.mask == sum(1 << r for r in s.residues)
+
+
+BINARY_OPS = [
+    (SymbolicSet.union, operator.or_),
+    (SymbolicSet.intersect, operator.and_),
+    (SymbolicSet.difference, lambda p, q: p and not q),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(exceptional_sets(40), exceptional_sets(40))
+def test_kernel_operations_match_membership(a, b):
+    horizon = _horizon(a, b)
+    for sym, point in BINARY_OPS:
+        out = sym(a, b)
+        assert _mask_agrees(out)
+        assert all(out.contains(x) == point(a.contains(x), b.contains(x)) for x in range(horizon))
+    comp = a.complement()
+    assert _mask_agrees(comp)
+    assert all(comp.contains(x) != a.contains(x) for x in range(horizon))
+    assert _mask_agrees(a) and _mask_agrees(b)
+
+
+@st.composite
+def redundant_forms(draw, s: SymbolicSet) -> tuple[int, set[int], set[int], set[int]]:
+    """Another representation of `s`: a multiple of its modulus, the lifted
+    residues, and extra exceptions that add or remove nothing."""
+    big = s.modulus * draw(st.integers(1, 4))
+    residues = {r for r in range(big) if r % s.modulus in s.residues}
+    extra = draw(st.frozensets(st.integers(0, 39)))
+    plus = set(s.plus) | {x for x in extra if s.contains(x)}
+    minus = (set(s.minus) | {x for x in extra if not s.contains(x)}) - plus
+    return big, residues, plus, minus
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_build_is_canonical_from_any_representation(data):
+    s = data.draw(exceptional_sets(40))
+    big, residues, plus, minus = data.draw(redundant_forms(s))
+    rebuilt = SymbolicSet.build(big, residues, plus, minus)
+    assert rebuilt == s and rebuilt.modulus == s.modulus and _mask_agrees(rebuilt)
+    assert parse_set_literal(s.literal()) == s
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_structural_equality_is_membership_equality(data):
+    a = data.draw(exceptional_sets(40))
+    kind = data.draw(st.sampled_from(["independent", "rebuilt", "one-flipped"]))
+    if kind == "independent":
+        b = data.draw(exceptional_sets(40))
+    else:
+        b = SymbolicSet.build(*data.draw(redundant_forms(a)))
+        if kind == "one-flipped":
+            x = SymbolicSet.finite({data.draw(st.integers(0, 2 * b.modulus + 40))})
+            b = b.difference(x) if x.is_subset(b) else b.union(x)
+    same = all(a.contains(x) == b.contains(x) for x in range(_horizon(a, b)))
+    assert (a == b) == same
+    if same:
+        assert hash(a) == hash(b) and a.literal() == b.literal()
+
+
+def test_modulus_bound_rejects_huge_lcm_quickly():
+    # Before the bound this intersection lifted to lcm ≈ 10⁸ and was killed
+    # for lack of memory; a subprocess with its own memory cap and a timeout
+    # keeps a regression from taking the suite down with it.
+    code = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from crosslimit.space import parse_set_literal\n"
+        "a, b = parse_set_literal('mod 9973 {0}'), parse_set_literal('mod 9967 {1}')\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    a.intersect(b)\n"
+        "except ValueError as exc:\n"
+        "    print(type(exc).__name__, str(exc).startswith('lcm'), time.perf_counter() - start)\n"
+    )
+    src = os.path.dirname(os.path.dirname(crosslimit.space.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    name, from_lcm_check, seconds = done.stdout.split()
+    assert (name, from_lcm_check) == ("ValueError", "True") and float(seconds) < 1.0
+
+
+def test_modulus_bound_in_parser_and_builders():
+    timings = []
+    for _ in range(3):
+        start = time.perf_counter()
+        s = parse_set_literal("mod 1000000 {0}")
+        timings.append(time.perf_counter() - start)
+    assert min(timings) < 0.05
+    assert s.modulus == 1_000_000 and s.min_element() == 0 and s.nth_member(2) == 2_000_000
+    with pytest.raises(SetLiteralError) as err:
+        parse_set_literal("mod 2000000 {0}")
+    assert (err.value.line, err.value.column) == (1, 5)
+    with pytest.raises(ValueError, match="MAX_MODULUS"):
+        SymbolicSet.build(MAX_MODULUS + 1, {0})
+    with pytest.raises(ValueError, match="MAX_MODULUS"):
+        SymbolicSet(MAX_MODULUS + 1, frozenset({0}), frozenset(), frozenset())
+    big = SymbolicSet.build(MAX_MODULUS, {0})
+    with pytest.raises(ValueError, match="^lcm .* MAX_MODULUS"):  # before lifting
+        normalize_pair(big, SymbolicSet.residue_class(3, {0}))
+    with pytest.raises(ValueError, match="^lcm .* MAX_MODULUS"):
+        big.union(SymbolicSet.residue_class(3, {0}))
