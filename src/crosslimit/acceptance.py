@@ -343,7 +343,7 @@ def criterion_7_defect_calculus() -> CriterionResult:
             sampled_contrastive(h, seed=finite_checked, horizon=horizon + 20),
         ]
         try:
-            ok = verify_forced_violations(h, g, trials, horizon=horizon)
+            ok = verify_forced_violations(d, h, g, trials, horizon=horizon)
         except ValueError as exc:
             result.check(False, f"verification error: {exc}")
             break

@@ -21,12 +21,16 @@ crosslimit.closure).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 from typing import Iterable
 
 from .space import SymbolicSet, intersection_of, parse_set_literal
 
+# Entries per memo of a class: all meets of up to three of 17 members, or the
+# inclusion table of 32, and a memory bound however long a command runs.
+MEMO_BOUND = 1024
 EVENS = SymbolicSet.residue_class(2, {0})
 ODDS = SymbolicSet.residue_class(2, {1})
 
@@ -79,7 +83,9 @@ class PuncturedFamily(FamilyInfo):
     descriptor for members beyond the truncation.
     """
 
-    base = EVENS
+    @cached_property
+    def base(self) -> SymbolicSet:  # one per descriptor, not shared between commands
+        return SymbolicSet.residue_class(2, {0})
 
     def limit(self) -> Hypothesis:
         return Hypothesis("h_inf", self.base)
@@ -98,6 +104,8 @@ class HypothesisClass:
     members: tuple[Hypothesis, ...]
     uus_claimed: bool = False
     family: FamilyInfo | None = None
+    _meets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _differences: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ids = [h.id for h in self.members]
@@ -133,14 +141,43 @@ class HypothesisClass:
                 return i
         raise KeyError(h.id)
 
+    def meet(self, indices: tuple[int, ...]) -> SymbolicSet:
+        """The intersection of the supports at `indices` (the universe for none),
+        memoised and built from the longest memoised prefix of `indices`."""
+        meets = self._meets
+        if indices in meets:
+            return meets[indices]
+        k = len(indices) - 1
+        while k > 0 and indices[:k] not in meets:
+            k -= 1
+        parts = [meets[indices[:k]]] if k > 0 else []
+        parts += [self.members[i].support for i in indices[k:]]
+        return _remember(meets, indices, intersection_of(parts))
+
+    def difference(self, i: int, j: int) -> SymbolicSet:
+        """supp(member i) minus supp(member j), memoised: the pairwise inclusion
+        table, since supp(i) is a subset of supp(j) iff it is empty."""
+        if (i, j) in self._differences:
+            return self._differences[i, j]
+        return _remember(self._differences, (i, j),
+                         self.members[i].support.difference(self.members[j].support))
+
     def global_support_intersection(self) -> SymbolicSet:
-        return intersection_of(h.support for h in self.members)
+        return self.meet(tuple(range(len(self.members))))
 
     def describe(self) -> str:
         base = f"{len(self.members)} hypotheses"
         if self.family is not None:
             return f"{self.family.describe()} [{base}]"
         return base
+
+
+def _remember(memo: dict, key, value):
+    """Store and return `value`; a memo past MEMO_BOUND entries forgets its oldest one."""
+    if len(memo) >= MEMO_BOUND:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 def check_uus(cls: HypothesisClass) -> bool:
@@ -180,7 +217,8 @@ class CoSingletonClass:
 def disjoint_support_class() -> HypothesisClass:
     """Two hypotheses with disjoint infinite supports (evens and odds)."""
     return HypothesisClass(
-        (Hypothesis("hA", EVENS), Hypothesis("hB", ODDS)),
+        (Hypothesis("hA", SymbolicSet.residue_class(2, {0})),
+         Hypothesis("hB", SymbolicSet.residue_class(2, {1}))),
         uus_claimed=True,
         family=FamilyInfo("disjoint"),
     )

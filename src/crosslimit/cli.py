@@ -432,7 +432,7 @@ def cmd_defect(args) -> int:
     checks: tuple = ()
     if args.verify:
         trials = [canonical_contrastive(h), sampled_contrastive(h, args.seed, args.horizon)]
-        ok = verify_forced_violations(h, g, trials, horizon=args.horizon)
+        ok = verify_forced_violations(report, h, g, trials, horizon=args.horizon)
         checks = (Check("forced-violation bound", True, ok),)
     code = _emit(args, f"defect({h.id}->{g.id})", payload, checks)
     if checks and not all(c.ok for c in checks):

@@ -257,7 +257,7 @@ def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) ->
 
     for r in range(1, len(members) + 1):
         for subset in itertools.combinations(indices, r):
-            closure = intersection_of(members[i].support for i in subset)
+            closure = cls.meet(subset)
             if closure.cardinality().is_infinite:
                 continue  # any edge set with this version space has infinite closure
             menu = [

@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .classes import Hypothesis
-from .space import SymbolicSet, intersection_of
+from .classes import Hypothesis, HypothesisClass
+from .space import SymbolicSet
 from .streams import Pair, Stream, crosses, paired_stream
 
 #: regimes in which the second hypothesis is NOT eliminable from the first
@@ -43,12 +43,14 @@ def delta_contains(h: Hypothesis, pair: Pair) -> bool:
     return crosses(h, pair)
 
 
-def _require_distinct_pair(h: Hypothesis, g: Hypothesis) -> None:
+def pair_regions(h: Hypothesis, g: Hypothesis) -> "Regions":
+    """The four regions of a proper nontrivial pair with distinct supports, else a ValueError."""
     for x in (h, g):
         if not x.is_proper_nontrivial():
             raise ValueError(f"{x.id} is not proper nontrivial")
     if h.support == g.support:
         raise ValueError(f"{h.id} and {g.id} have identical supports")
+    return four_regions(h, g)
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,40 @@ class Regions:
             "D": self.neither,
         }
 
+    def gamma(self) -> SymbolicSet:
+        """Vertices incident to some pair crossing both hypotheses.
+
+        Common-crossing edges run between A and D or between B and C, so a
+        region contributes its vertices exactly when its partner region is
+        nonempty.
+        """
+        out = SymbolicSet.empty()
+        if not self.neither.is_empty():
+            out = out.union(self.both)
+        if not self.second_only.is_empty():
+            out = out.union(self.first_only)
+        if not self.first_only.is_empty():
+            out = out.union(self.second_only)
+        if not self.both.is_empty():
+            out = out.union(self.neither)
+        return out
+
+    def eliminability(self) -> "EliminabilityVerdict":
+        """The eliminability rule on the regions; see :func:`eliminable`."""
+        if self.first_only.is_empty():
+            # supp(h) strictly below supp(g); D is nonempty because g is proper
+            return EliminabilityVerdict(False, SUPERSET)
+        if self.second_only.is_empty():
+            # supp(g) strictly below supp(h): B-positives have no partner
+            return EliminabilityVerdict(True, ELIMINABLE, witness=self.first_only.min_element())
+        # incomparable from here on
+        if self.both.is_empty():
+            return EliminabilityVerdict(False, DISJOINT)
+        if self.neither.is_empty():
+            # overlapping cover: A-positives have no partner
+            return EliminabilityVerdict(True, ELIMINABLE, witness=self.both.min_element())
+        return EliminabilityVerdict(False, NON_COVERING)
+
 
 def four_regions(h: Hypothesis, g: Hypothesis) -> Regions:
     a, b = h.support, g.support
@@ -79,25 +115,15 @@ def four_regions(h: Hypothesis, g: Hypothesis) -> Regions:
     )
 
 
-def gamma_vertex_set(h: Hypothesis, g: Hypothesis) -> SymbolicSet:
-    """Vertices incident to some pair crossing both hypotheses.
+def class_regions(cls: HypothesisClass, i: int, j: int) -> Regions:
+    """The four regions of members i < j, from the class's memoised meet and differences."""
+    union = cls.members[i].support.union(cls.members[j].support)
+    return Regions(cls.meet((i, j)), cls.difference(i, j), cls.difference(j, i), union.complement())
 
-    Common-crossing edges run between A and D or between B and C, so a
-    region contributes its vertices exactly when its partner region is
-    nonempty.
-    """
-    _require_distinct_pair(h, g)
-    r = four_regions(h, g)
-    out = SymbolicSet.empty()
-    if not r.neither.is_empty():
-        out = out.union(r.both)
-    if not r.second_only.is_empty():
-        out = out.union(r.first_only)
-    if not r.first_only.is_empty():
-        out = out.union(r.second_only)
-    if not r.both.is_empty():
-        out = out.union(r.neither)
-    return out
+
+def gamma_vertex_set(h: Hypothesis, g: Hypothesis) -> SymbolicSet:
+    """Vertices incident to some pair crossing both hypotheses (:meth:`Regions.gamma`)."""
+    return pair_regions(h, g).gamma()
 
 
 def common_crossing_edges(h: Hypothesis, g: Hypothesis, vertices) -> set[Pair]:
@@ -135,26 +161,7 @@ def eliminable(h: Hypothesis, g: Hypothesis) -> EliminabilityVerdict:
     (B nonempty implies C nonempty); equivalently iff supp(h) is contained in
     the common-crossing vertex set.
     """
-    _require_distinct_pair(h, g)
-    r = four_regions(h, g)
-    a_empty = r.both.is_empty()
-    b_empty = r.first_only.is_empty()
-    c_empty = r.second_only.is_empty()
-    d_empty = r.neither.is_empty()
-
-    if b_empty:
-        # supp(h) strictly below supp(g); D is nonempty because g is proper
-        return EliminabilityVerdict(False, SUPERSET)
-    if c_empty:
-        # supp(g) strictly below supp(h): B-positives have no partner
-        return EliminabilityVerdict(True, ELIMINABLE, witness=r.first_only.min_element())
-    # incomparable from here on
-    if a_empty:
-        return EliminabilityVerdict(False, DISJOINT)
-    if d_empty:
-        # overlapping cover: A-positives have no partner
-        return EliminabilityVerdict(True, ELIMINABLE, witness=r.both.min_element())
-    return EliminabilityVerdict(False, NON_COVERING)
+    return pair_regions(h, g).eliminability()
 
 
 def overlapping_cover(h: Hypothesis, g: Hypothesis) -> bool:
@@ -162,8 +169,7 @@ def overlapping_cover(h: Hypothesis, g: Hypothesis) -> bool:
 
     Undefined (raises) when one support contains the other.
     """
-    _require_distinct_pair(h, g)
-    r = four_regions(h, g)
+    r = pair_regions(h, g)
     if r.first_only.is_empty() or r.second_only.is_empty():
         raise ValueError(
             f"overlapping cover is defined for incomparable supports; "
@@ -183,11 +189,10 @@ def shared_presentation_pair(h: Hypothesis, g: Hypothesis) -> Stream | None:
     set.  The construction pairs each support element with the least partner
     in its complementary region (A with D, B with C and symmetrically).
     """
-    _require_distinct_pair(h, g)
+    r = pair_regions(h, g)
     union = h.support.union(g.support)
-    if not union.is_subset(gamma_vertex_set(h, g)):
+    if not union.is_subset(r.gamma()):
         return None
-    r = four_regions(h, g)
     min_d = r.neither.min_element()
     min_c = r.second_only.min_element()
     min_b = r.first_only.min_element()
@@ -219,13 +224,16 @@ class PatternCells:
 
     @staticmethod
     def of(family) -> "PatternCells":
-        """All 2^len(family) cells in product order, without a size check."""
-        cells = {
-            alpha: intersection_of(
-                h.support if bit else h.support.complement() for bit, h in zip(alpha, family)
-            )
-            for alpha in itertools.product((0, 1), repeat=len(family))
-        }
+        """All 2^len(family) cells in product order, without a size check.
+
+        By refinement: each cell of the first k-1 members splits by member k
+        into `cell - h` (bit 0) and `cell & h` (bit 1); empty cells stay empty.
+        """
+        cells = {(): SymbolicSet.universe()}
+        for h in family:
+            cells = {alpha + (bit,): (cell & h.support if bit else cell - h.support)
+                     if not cell.is_empty() else cell
+                     for alpha, cell in cells.items() for bit in (0, 1)}
         return PatternCells(tuple(h.id for h in family), cells)
 
     def realized(self) -> list[tuple[int, ...]]:

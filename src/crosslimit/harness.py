@@ -40,8 +40,8 @@ from .classes import (
 )
 from .closure import EXACT, closure_dimension
 from .crossing import (
+    class_regions,
     common_crossing_edges,
-    eliminable,
     four_regions,
     gamma_vertex_set,
     pattern_cells,
@@ -163,19 +163,14 @@ def _ctr_id_verdict(cls: HypothesisClass, txt_id: Verdict) -> Verdict:
 
 
 def _first_barrier_pair(cls: HypothesisClass) -> tuple[str, str, str] | None:
-    for i, h in enumerate(cls.members):
-        for g in cls.members[i + 1:]:
-            if h.support == g.support:
-                continue
-            regions = four_regions(h, g)
-            incomparable = (
-                not regions.first_only.is_empty() and not regions.second_only.is_empty()
-            )
-            if not incomparable:
-                continue
-            verdict = eliminable(h, g)
-            if not verdict.eliminable:
-                return (h.id, g.id, verdict.regime)
+    members = cls.members
+    for i, j in itertools.combinations(range(len(members)), 2):
+        if cls.difference(i, j).is_empty() or cls.difference(j, i).is_empty():
+            continue  # comparable supports
+        # incomparable supports are distinct, nonempty and not all of X
+        verdict = class_regions(cls, i, j).eliminability()
+        if not verdict.eliminable:
+            return (members[i].id, members[j].id, verdict.regime)
     return None
 
 
@@ -230,9 +225,9 @@ def _ctr_gen_positive(cls: HypothesisClass, ctr_id: Verdict, bounds: Bounds) -> 
 def _finite_intersection_obstruction(cls: HypothesisClass, bounds: Bounds) -> Verdict | None:
     members = cls.members
     for size in range(2, min(bounds.family_bound, len(members)) + 1):
-        for combo in itertools.combinations(members, size):
-            family = list(combo)
-            intersection = intersection_of(h.support for h in family)
+        for combo in itertools.combinations(range(len(members)), size):
+            family = [members[i] for i in combo]
+            intersection = cls.meet(combo)
             if not intersection.cardinality().is_finite:
                 continue
             stream = shared_presentation_family(family)

@@ -86,13 +86,6 @@ class Learner:
     def trace(self, state) -> dict:
         return {}
 
-    def run_on(self, prefix: Prefix):
-        """Fold the learner over a whole prefix and read once."""
-        state = self.initial()
-        for item in prefix.items:
-            state = self.advance(state, item)
-        return self.read(state)
-
 
 class _Log:
     """The first n entries of an append-only history shared along a run.
@@ -172,15 +165,12 @@ def compute_telltales(cls: HypothesisClass, horizon: int = 64) -> TellTaleFamily
     the horizon are reported as errors rather than silently accepted.
     """
     entries: dict[str, frozenset[int]] = {}
-    for g in cls.members:
+    for j, g in enumerate(cls.members):
         picks: set[int] = set()
-        for f in cls.members:
-            if f.id == g.id:
+        for i, f in enumerate(cls.members):
+            if i == j or not _strictly_below(cls, i, j):
                 continue
-            f_below_g = f.support.is_subset(g.support) and not g.support.is_subset(f.support)
-            if not f_below_g:
-                continue
-            witness = g.support.difference(f.support).min_element()
+            witness = cls.difference(j, i).min_element()
             if witness is None:
                 raise AssertionError("strict subset with empty difference")
             if witness >= horizon:
@@ -195,17 +185,19 @@ def compute_telltales(cls: HypothesisClass, horizon: int = 64) -> TellTaleFamily
 
 def telltales_sound(cls: HypothesisClass, family: TellTaleFamily) -> bool:
     """Exact check of the tell-tale conditions over the member tuple."""
-    for g in cls.members:
+    for j, g in enumerate(cls.members):
         telltale = SymbolicSet.finite(family.of(g.id))
         if not telltale.is_subset(g.support):
             return False
-        for f in cls.members:
-            if f.id == g.id:
-                continue
-            strict = f.support.is_subset(g.support) and not g.support.is_subset(f.support)
-            if strict and telltale.is_subset(f.support):
+        for i, f in enumerate(cls.members):
+            if i != j and _strictly_below(cls, i, j) and telltale.is_subset(f.support):
                 return False
     return True
+
+
+def _strictly_below(cls: HypothesisClass, i: int, j: int) -> bool:
+    """supp(member i) is a proper subset of supp(member j)."""
+    return cls.difference(i, j).is_empty() and not cls.difference(j, i).is_empty()
 
 
 # ----------------------------------------------------------------------
@@ -444,9 +436,15 @@ class _PairGenerator(Learner):
         return self._output(state)
 
     def _output(self, state: _GenState) -> int:
-        if "output" not in state._memo:
-            state._memo["output"] = self._answer(state)
-        return state._memo["output"]
+        memo = state._memo
+        if "output" not in memo:
+            try:
+                memo["output"] = self._answer(state)
+            except EmptySafeChoice as exc:  # memoised too, and raised on every read
+                memo["output"] = exc
+        if isinstance(memo["output"], EmptySafeChoice):
+            raise memo["output"]
+        return memo["output"]
 
     def _emitted(self, state: _GenState) -> int | None:
         if state.count == 0:

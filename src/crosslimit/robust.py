@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classes import Hypothesis, HypothesisClass, block_elements
-from .crossing import eliminable, four_regions, gamma_vertex_set
+from .crossing import Regions, eliminable, pair_regions
 from .learners import IDENTIFIER, Learner, RunRecord, run
 from .space import Cardinality, SymbolicSet
 from .streams import CONTRASTIVE, TEXT, Pair, Stream, crosses, paired_stream, validate
@@ -47,14 +47,15 @@ class DefectReport:
 
 
 def defect(h: Hypothesis, g: Hypothesis) -> DefectReport:
-    defect_set = h.support.difference(gamma_vertex_set(h, g))
+    regions = pair_regions(h, g)
+    defect_set = h.support.difference(regions.gamma())
     kappa = defect_set.cardinality()
-    stream = _min_violation_stream(h, g, defect_set) if kappa.is_finite else None
+    stream = _min_violation_stream(h, g, defect_set, regions) if kappa.is_finite else None
     return DefectReport(h.id, g.id, defect_set, kappa, stream)
 
 
-def _min_violation_stream(h: Hypothesis, g: Hypothesis, defect_set: SymbolicSet) -> Stream:
-    regions = four_regions(h, g)
+def _min_violation_stream(h: Hypothesis, g: Hypothesis, defect_set: SymbolicSet,
+                          regions: Regions) -> Stream:
     h_negative = h.support.complement().min_element()
     partner_d = regions.neither.min_element()
     partner_c = regions.second_only.min_element()
@@ -80,6 +81,7 @@ def count_violations(prefix_items, g: Hypothesis) -> int:
 
 
 def verify_forced_violations(
+    report: DefectReport,
     h: Hypothesis,
     g: Hypothesis,
     trial_streams: list[Stream],
@@ -91,9 +93,11 @@ def verify_forced_violations(
     Every clean valid presentation of h must violate g at least once per
     defect it covers, so any prefix covering all defects below the horizon
     shows at least that many violations; the constructed minimum-violation
-    stream must achieve the defect number exactly when finite.
+    stream must achieve the defect number exactly when finite.  `report` is
+    `defect(h, g)`, which the caller has already computed.
     """
-    report = defect(h, g)
+    if (report.first, report.second) != (h.id, g.id):
+        raise ValueError(f"report is for {report.first}->{report.second}, not {h.id}->{g.id}")
     forced = set(report.defect_set.enumerate_below(horizon))
     for stream in trial_streams:
         if stream.kind != CONTRASTIVE:

@@ -15,13 +15,15 @@ Values are immutable and canonical: operations always return the unique
 smallest-modulus representation, so structural equality coincides with set
 equality.
 
-The residue part is kept as the frozenset `residues`, which membership and
-enumeration read, and as the derived int `mask`, bit r set iff r is a
-residue.  Set operations lift masks by doubling, combine them with `|`, `&`,
+The residue part is the int `mask`, bit r set iff r is a residue; the
+frozenset `residues` is derived from it on first read and cached.  Equality
+and hashing go over (modulus, mask, plus, minus), and membership tests mask
+bits.  Set operations lift masks by doubling, combine them with `|`, `&`,
 `& ~` and `^`, and canonicalise by rotating the mask by each divisor: O(lcm
-/ word) in C plus O(residues + exceptions) Python steps.  No modulus, and no
-lcm an operation lifts to, may exceed `MAX_MODULUS`; the constructors, the
-literal parser, the operations and `normalize_pair` raise a `ValueError` first.
+/ word) in C plus O(exceptions) Python steps.  A complement is computed once
+per value and links back to its source.  No modulus, and no lcm an operation
+lifts to, may exceed `MAX_MODULUS`; the constructors, the literal parser, the
+operations and `normalize_pair` raise a `ValueError` first.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import itertools
 import operator
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
 from math import lcm
 from typing import Callable, Iterable, Iterator
 
@@ -65,7 +68,8 @@ class Cardinality:
         return "inf" if self.count is None else str(self.count)
 
 
-def _divisors(n: int) -> list[int]:
+@lru_cache(maxsize=256)  # a pure function of one integer
+def _divisors(n: int) -> tuple[int, ...]:
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -74,15 +78,15 @@ def _divisors(n: int) -> list[int]:
             if d != n // d:
                 large.append(n // d)
         d += 1
-    return small + large[::-1]
+    return tuple(small + large[::-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymbolicSet:
     """Subset of X given by residue classes mod m plus/minus finite exceptions.
 
-    Invariants (checked on construction):
-      * modulus >= 1 and residues is a subset of {0, ..., modulus-1};
+    Invariants (checked on every value, on the mask):
+      * modulus >= 1 and the mask has no bit at or above the modulus;
       * no element of `plus` is congruent to a residue (additions are real);
       * every element of `minus` is congruent to a residue (removals are real);
       * plus and minus are disjoint.
@@ -93,28 +97,42 @@ class SymbolicSet:
     """
 
     modulus: int
-    residues: frozenset[int]
+    mask: int  # bit r set iff r is a residue
     plus: frozenset[int]
     minus: frozenset[int]
-    mask: int = field(init=False, compare=False, repr=False)  # bit r set iff r in residues
 
-    def __post_init__(self) -> None:
-        m = self.modulus
-        if m < 1:
-            raise ValueError(f"modulus must be >= 1, got {m}")
-        if self.residues and (min(self.residues) < 0 or max(self.residues) >= m):
-            raise ValueError(f"residues must lie in [0, {m}): {sorted(self.residues)}")
-        if any(x < 0 for x in self.plus | self.minus):
+    def __init__(self, modulus: int, residues: frozenset[int],
+                 plus: frozenset[int], minus: frozenset[int]):
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        if residues and (min(residues) < 0 or max(residues) >= modulus):
+            raise ValueError(f"residues must lie in [0, {modulus}): {sorted(residues)}")
+        checked = SymbolicSet._of_mask(modulus, _mask_of(residues, modulus), plus, minus)
+        self.__dict__.update(vars(checked))
+
+    @classmethod
+    def _of_mask(cls, m: int, mask: int, plus: frozenset[int], minus: frozenset[int]):
+        """The value with these fields; invariants are checked on the mask, a bit
+        test per exception."""
+        if m < 1 or mask >> m:
+            raise ValueError(f"residues must lie in [0, {m}): {sorted(_residues_of(mask))}")
+        if any(x < 0 for x in plus) or any(x < 0 for x in minus):
             raise ValueError("exception elements must be naturals")
-        bad_plus = {x for x in self.plus if x % m in self.residues}
+        bad_plus = sorted(x for x in plus if mask >> x % m & 1)
         if bad_plus:
-            raise ValueError(f"plus elements already covered by residues: {sorted(bad_plus)}")
-        bad_minus = {x for x in self.minus if x % m not in self.residues}
+            raise ValueError(f"plus elements already covered by residues: {bad_plus}")
+        bad_minus = sorted(x for x in minus if not mask >> x % m & 1)
         if bad_minus:
-            raise ValueError(f"minus elements not covered by residues: {sorted(bad_minus)}")
-        if self.plus & self.minus:
-            raise ValueError(f"plus and minus overlap: {sorted(self.plus & self.minus)}")
-        object.__setattr__(self, "mask", _mask_of(self.residues, m))
+            raise ValueError(f"minus elements not covered by residues: {bad_minus}")
+        if not plus.isdisjoint(minus):
+            raise ValueError(f"plus and minus overlap: {sorted(plus & minus)}")
+        out = object.__new__(cls)
+        out.__dict__.update(modulus=m, mask=mask, plus=plus, minus=minus)
+        return out
+
+    @cached_property
+    def residues(self) -> frozenset[int]:
+        return _residues_of(self.mask)
 
     # ------------------------------------------------------------------
     # construction
@@ -175,7 +193,7 @@ class SymbolicSet:
             return False
         if x in self.plus:
             return True
-        return x % self.modulus in self.residues and x not in self.minus
+        return x not in self.minus if self.mask >> x % self.modulus & 1 else False
 
     def __contains__(self, x: int) -> bool:
         return self.contains(x)
@@ -193,7 +211,7 @@ class SymbolicSet:
         minus: set[int] = set()
         for x in self.plus | self.minus | other.plus | other.minus:
             actual = op(self.contains(x), other.contains(x))
-            base = op(x % m in self.residues, x % n in other.residues)
+            base = op(self.mask >> x % m & 1, other.mask >> x % n & 1)
             if actual and not base:
                 plus.add(x)
             elif base and not actual:
@@ -210,9 +228,16 @@ class SymbolicSet:
         return self._pointwise(other, lambda a, b: a & ~b)
 
     def complement(self) -> "SymbolicSet":
+        return self._complement
+
+    @cached_property
+    def _complement(self) -> "SymbolicSet":
         # Added elements become removals of the complement and vice versa.
         full = (1 << self.modulus) - 1
-        return _canonical(self.modulus, self.mask ^ full, self.minus, self.plus)
+        out = _canonical(self.modulus, self.mask ^ full, self.minus, self.plus)
+        if out.modulus == self.modulus:  # self is canonical, so it is out's complement
+            out.__dict__["_complement"] = self
+        return out
 
     def __or__(self, other: "SymbolicSet") -> "SymbolicSet":
         return self.union(other)
@@ -231,13 +256,13 @@ class SymbolicSet:
     # ------------------------------------------------------------------
 
     def cardinality(self) -> Cardinality:
-        if self.residues:
+        if self.mask:
             return Cardinality.infinite()
         # minus is empty by invariant when there is no residue part
         return Cardinality.finite(len(self.plus))
 
     def is_empty(self) -> bool:
-        return not self.residues and not self.plus
+        return not self.mask and not self.plus
 
     def is_finite(self) -> bool:
         return self.cardinality().is_finite
@@ -252,7 +277,7 @@ class SymbolicSet:
         candidates = []
         if self.plus:
             candidates.append(min(self.plus))
-        if self.residues:
+        if self.mask:
             n = -1  # walk up the residue part's members, passing one removal per step
             while n < 0 or n in self.minus:
                 q, r = divmod(n + 1, self.modulus)
@@ -288,12 +313,12 @@ class SymbolicSet:
         """
         if index < 0:
             raise IndexError(index)
-        if not self.residues:
+        if not self.mask:
             if index >= len(self.plus):
                 raise IndexError(f"set has only {len(self.plus)} elements, asked for index {index}")
             return sorted(self.plus)[index]
-        m, k = self.modulus, len(self.residues)
         residues, plus, minus = sorted(self.residues), sorted(self.plus), sorted(self.minus)
+        m, k = self.modulus, len(residues)
 
         def periodic(j: int) -> int:  # the j-th member of the residue part alone
             return j // k * m + residues[j % k]
@@ -331,10 +356,8 @@ class SymbolicSet:
 
 def intersection_of(sets: Iterable[SymbolicSet]) -> SymbolicSet:
     """The intersection of the given sets; the universe when there are none."""
-    out = SymbolicSet.universe()
-    for s in sets:
-        out = out.intersect(s)
-    return out
+    sets = list(sets)
+    return reduce(SymbolicSet.intersect, sets) if sets else SymbolicSet.universe()
 
 
 def _render_elems(xs: frozenset[int]) -> str:
@@ -359,7 +382,7 @@ def _lift(s: SymbolicSet, big: int) -> SymbolicSet:
         return s
     if big % s.modulus != 0:
         raise ValueError(f"{big} is not a multiple of modulus {s.modulus}")
-    return SymbolicSet(big, _residues_of(_lift_mask(s.mask, s.modulus, big)), s.plus, s.minus)
+    return SymbolicSet._of_mask(big, _lift_mask(s.mask, s.modulus, big), s.plus, s.minus)
 
 
 # ----------------------------------------------------------------------
@@ -415,7 +438,7 @@ def _canonical(modulus: int, mask: int, plus: frozenset[int], minus: frozenset[i
         low = mask & ((1 << d) - 1)
         # a period-d mask repeats its bit count and is invariant under rotation by d
         if count % (modulus // d) == 0 and (mask >> d) | (low << (modulus - d)) == mask:
-            return SymbolicSet(d, _residues_of(low), plus, minus)
+            return SymbolicSet._of_mask(d, low, plus, minus)
     raise AssertionError("unreachable: the modulus is a period")
 
 
@@ -462,7 +485,10 @@ def parse_set_literal(text: str) -> SymbolicSet:
         tok = take()
         if not tok[0].isdigit():
             raise SetLiteralError(f"expected a number, found {tok[0]!r}", tok[1], tok[2])
-        return int(tok[0])
+        try:
+            return int(tok[0])
+        except ValueError:  # above the interpreter's limit on integer string digits
+            raise SetLiteralError(f"{len(tok[0])}-digit number is too long", *tok[1:]) from None
 
     def take_braced() -> set[int]:
         take("{")

@@ -6,10 +6,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import crosslimit.classes as classes
 from conftest import random_proper_support
 from crosslimit.classes import (
     Hypothesis,
+    HypothesisClass,
     augmented_class,
     co_singleton_class,
     disjoint_support_class,
@@ -20,6 +24,8 @@ from crosslimit.crossing import (
     ELIMINABLE,
     NON_COVERING,
     SUPERSET,
+    PatternCells,
+    class_regions,
     common_crossing_edges,
     delta_contains,
     eliminable,
@@ -30,7 +36,8 @@ from crosslimit.crossing import (
     shared_presentation_family,
     shared_presentation_pair,
 )
-from crosslimit.space import SymbolicSet
+from crosslimit.harness import classify
+from crosslimit.space import SymbolicSet, intersection_of
 from crosslimit.streams import Pair, crosses, validate
 
 EVENS = SymbolicSet.residue_class(2, {0})
@@ -346,3 +353,78 @@ def test_family_sharing_downward_closed():
                 continue
             for sub in itertools.combinations(family, size):
                 assert shared_presentation_family(list(sub)) is not None
+
+
+# ----------------------------------------------------------------------
+# per-class region tables against their definitions
+# ----------------------------------------------------------------------
+
+@st.composite
+def supports(draw) -> SymbolicSet:
+    """Any set, empty and all of X included, with moduli up to 6."""
+    m = draw(st.integers(1, 6))
+    residues = draw(st.frozensets(st.integers(0, m - 1)))
+    plus = draw(st.frozensets(st.integers(0, 19), max_size=3))
+    minus = draw(st.frozensets(st.integers(0, 19), max_size=3)) - plus
+    return SymbolicSet.build(m, residues, plus, minus)
+
+
+@st.composite
+def families(draw, min_size: int = 1) -> HypothesisClass:
+    """1-6 members drawn from a pool of at most 4 supports, so that members
+    repeat and many pattern cells are empty."""
+    pool = draw(st.lists(supports(), min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=6))
+    return HypothesisClass(tuple(Hypothesis(f"h{i}", s) for i, s in enumerate(picks)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(families())
+def test_refined_pattern_cells_equal_the_product_definition(cls):
+    family = cls.members
+    expected = {
+        alpha: intersection_of(h.support if bit else h.support.complement()
+                               for bit, h in zip(alpha, family))
+        for alpha in itertools.product((0, 1), repeat=len(family))
+    }
+    cells = PatternCells.of(family)
+    assert list(cells.cells) == list(expected)
+    assert cells.cells == expected
+    assert cells.hypothesis_ids == tuple(h.id for h in family)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families(), st.data())
+def test_meet_equals_intersection_of(cls, data):
+    n = len(cls.members)
+    subsets = [c for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+    # ask in a drawn order, so that a meet is met both before and after its prefixes
+    for subset in data.draw(st.permutations(subsets)):
+        expected = intersection_of(cls.members[i].support for i in subset)
+        assert cls.meet(subset) == expected
+    assert cls.global_support_intersection() == intersection_of(h.support for h in cls.members)
+    for i, j in itertools.product(range(n), repeat=2):
+        assert cls.difference(i, j) == cls.members[i].support - cls.members[j].support
+
+
+@settings(max_examples=100, deadline=None)
+@given(families(min_size=2))
+def test_class_regions_equal_four_regions(cls):
+    for i, j in itertools.combinations(range(len(cls.members)), 2):
+        assert class_regions(cls, i, j) == four_regions(cls.members[i], cls.members[j])
+
+
+def test_class_memos_stay_bounded(monkeypatch):
+    # with a bound far below the tables a command fills, memos forget their
+    # oldest entries and every answer stays the same
+    expected = classify(augmented_class(6)).to_json()
+    monkeypatch.setattr(classes, "MEMO_BOUND", 5)
+    cls = augmented_class(6)
+    n = len(cls.members)
+    for subset in (c for r in range(n + 1) for c in itertools.combinations(range(n), r)):
+        assert cls.meet(subset) == intersection_of(cls.members[i].support for i in subset)
+        assert len(cls._meets) <= 5
+    for i, j in itertools.product(range(n), repeat=2):
+        assert cls.difference(i, j) == cls.members[i].support - cls.members[j].support
+        assert len(cls._differences) <= 5
+    assert classify(cls).to_json() == expected

@@ -13,6 +13,8 @@ import pytest
 
 import crosslimit.learners as learners
 from crosslimit.classes import (
+    Hypothesis,
+    HypothesisClass,
     augmented_class,
     co_singleton_class,
     overlapping_cover_class,
@@ -34,6 +36,7 @@ from crosslimit.learners import (
     compute_telltales,
     run,
 )
+from crosslimit.space import SymbolicSet
 from crosslimit.streams import (
     Pair,
     canonical_contrastive,
@@ -194,3 +197,24 @@ def test_states_branch_like_fresh_folds(name):
     assert learner.read(a) == fresh.read(fresh_a) and learner.read(b) == fresh.read(fresh_b)
     assert learner.read(base) == fresh.read(_fold(fresh, common))
     assert learner.trace(base) == fresh.trace(_fold(fresh, common))
+
+
+def test_empty_safe_choice_is_computed_once_per_step():
+    class CountingSafeCore(SafeCoreGenerator):
+        answers = 0
+
+        def _answer(self, state):
+            self.answers += 1
+            return super()._answer(state)
+
+    # finite supports: the safe set runs out after two outputs
+    cls = HypothesisClass((Hypothesis("a", SymbolicSet.finite({1, 2, 3, 5})),
+                           Hypothesis("b", SymbolicSet.finite({1, 2, 4}))))
+    target = cls.members[0]
+    generator = CountingSafeCore(cls)
+    record = run(generator, canonical_contrastive(target), steps=40, target=target)
+    raised = [step for step in record.flags if any(f.startswith("empty-safe-choice") for f in step)]
+    assert len(raised) >= 30
+    assert generator.answers == 40
+    assert record == run(SafeCoreGenerator(cls), canonical_contrastive(target), steps=40,
+                         target=target)

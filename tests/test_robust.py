@@ -81,13 +81,15 @@ def test_verify_forced_violations():
         canonical_contrastive(FINITE_KAPPA_H),
         sampled_contrastive(FINITE_KAPPA_H, seed=3, horizon=24),
     ]
-    assert verify_forced_violations(FINITE_KAPPA_H, FINITE_KAPPA_G, trials, horizon=12)
+    assert verify_forced_violations(
+        defect(FINITE_KAPPA_H, FINITE_KAPPA_G), FINITE_KAPPA_H, FINITE_KAPPA_G, trials, horizon=12)
 
 
 def test_verify_rejects_invalid_trial():
     bad = sampled_contrastive(FINITE_KAPPA_G, seed=1, horizon=24)  # valid for g, not h
     with pytest.raises(ValueError):
-        verify_forced_violations(FINITE_KAPPA_H, FINITE_KAPPA_G, [bad], horizon=12)
+        verify_forced_violations(
+            defect(FINITE_KAPPA_H, FINITE_KAPPA_G), FINITE_KAPPA_H, FINITE_KAPPA_G, [bad], horizon=12)
 
 
 def test_kappa_zero_iff_not_eliminable_random():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 import os
 import random
@@ -406,3 +407,89 @@ def test_modulus_bound_in_parser_and_builders():
         normalize_pair(big, SymbolicSet.residue_class(3, {0}))
     with pytest.raises(ValueError, match="^lcm .* MAX_MODULUS"):
         big.union(SymbolicSet.residue_class(3, {0}))
+
+
+@pytest.mark.parametrize("template, column", [
+    ("mod {n} {{ 0 }}", 5),          # the modulus
+    ("mod 3 {{ 1, {n} }}", 12),      # a residue
+    ("mod 3 {{ 1 }}\n- {{ 4, {n} }}", 8),  # an exception, on the second line
+])
+def test_overlong_number_is_a_located_literal_error(template, column, tmp_path, capsys):
+    # Python refuses to convert integer strings above 4300 digits
+    text = template.format(n="9" * 5000)
+    with pytest.raises(SetLiteralError) as err:
+        parse_set_literal(text)
+    assert (err.value.line, err.value.column) == (text.count("\n") + 1, column)
+    assert "5000-digit number" in str(err.value)
+    from crosslimit.cli import main
+
+    path = tmp_path / "class.json"
+    path.write_text('{"hypotheses": [{"id": "a", "support": %s}]}' % json.dumps(text))
+    assert main(["classify", "--class", str(path)]) == 2
+    assert "5000-digit number is too long" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# mask-native values
+# ----------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(exceptional_sets(40), exceptional_sets(40))
+def test_residues_are_derived_from_the_mask(a, b):
+    for s in (a, b, a | b, a & b, a - b, ~a):
+        assert 0 <= s.mask < 1 << s.modulus
+        assert s.residues == {r for r in range(s.modulus) if s.mask >> r & 1}
+        assert all(s.contains(x) == (x in s.plus or (x % s.modulus in s.residues
+                                                      and x not in s.minus))
+                   for x in range(2 * s.modulus + 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exceptional_sets(40))
+def test_raw_constructor_agrees_with_build(s):
+    raw = SymbolicSet(s.modulus, frozenset(s.residues), frozenset(s.plus), frozenset(s.minus))
+    built = SymbolicSet.build(s.modulus, s.residues, s.plus, s.minus)
+    assert raw == built == s and hash(raw) == hash(built) == hash(s)
+    assert raw.literal() == built.literal() == s.literal()
+    assert raw.mask == s.mask and raw.residues == s.residues
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_raw_constructor_keeps_a_lifted_form(data):
+    s = data.draw(exceptional_sets(40))
+    big, residues, plus, minus = data.draw(redundant_forms(s))
+    plus = frozenset(x for x in plus if x % big not in residues)
+    minus = frozenset(x for x in minus if x % big in residues)
+    raw = SymbolicSet(big, frozenset(residues), plus, minus)
+    assert raw.modulus == big and raw.residues == residues
+    assert (raw == s) == (big == s.modulus)
+    assert all(raw.contains(x) == s.contains(x) for x in range(2 * big + 40))
+    assert raw.union(SymbolicSet.empty()) == s  # any operation canonicalises
+
+
+@settings(max_examples=300, deadline=None)
+@given(exceptional_sets(40))
+def test_complement_links_back_to_its_source(s):
+    comp = s.complement()
+    assert s.complement() is comp and comp.complement() is s
+    assert comp == SymbolicSet.universe().difference(s)
+    lifted, _ = normalize_pair(s, SymbolicSet.residue_class(2 * s.modulus, {0}))
+    if lifted.modulus != s.modulus:  # a non-canonical value is not its complement's source
+        assert lifted.complement() == comp and comp.complement() is s
+        assert lifted.complement().complement().modulus == s.modulus
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, frozenset(), frozenset(), frozenset()), "modulus must be >= 1"),
+    ((3, frozenset({3}), frozenset(), frozenset()), "residues must lie in"),
+    ((3, frozenset({-1}), frozenset(), frozenset()), "residues must lie in"),
+    ((3, frozenset({0}), frozenset({-2}), frozenset()), "naturals"),
+    ((3, frozenset({0}), frozenset(), frozenset({-3})), "naturals"),
+    ((3, frozenset({0}), frozenset({6}), frozenset()), "plus elements already covered"),
+    ((3, frozenset({0}), frozenset(), frozenset({4})), "minus elements not covered"),
+    ((70, frozenset({69}), frozenset({139}), frozenset()), "plus elements already covered"),
+])
+def test_raw_constructor_checks_every_invariant(args, message):
+    with pytest.raises(ValueError, match=message):
+        SymbolicSet(*args)
