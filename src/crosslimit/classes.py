@@ -135,24 +135,20 @@ class HypothesisClass:
                 return h
         raise KeyError(f"no hypothesis {hid!r} in class {self.ids()}")
 
-    def index_of(self, h: Hypothesis) -> int:
-        for i, member in enumerate(self.members):
-            if member.id == h.id:
-                return i
-        raise KeyError(h.id)
-
-    def meet(self, indices: tuple[int, ...]) -> SymbolicSet:
-        """The intersection of the supports at `indices` (the universe for none),
-        memoised and built from the longest memoised prefix of `indices`."""
+    def meet(self, space: int) -> SymbolicSet:
+        """The intersection of the supports of the members in `space`, a bitmask
+        whose bit i stands for member i (0: the universe).  Memoised, and built
+        from the longest memoised prefix: the mask minus its highest members."""
         meets = self._meets
-        if indices in meets:
-            return meets[indices]
-        k = len(indices) - 1
-        while k > 0 and indices[:k] not in meets:
-            k -= 1
-        parts = [meets[indices[:k]]] if k > 0 else []
-        parts += [self.members[i].support for i in indices[k:]]
-        return _remember(meets, indices, intersection_of(parts))
+        if space in meets:
+            return meets[space]
+        prefix = space
+        while prefix and prefix not in meets:
+            prefix &= ~(1 << (prefix.bit_length() - 1))
+        parts = [meets[prefix]] if prefix else []
+        rest = space & ~prefix
+        parts += [h.support for i, h in enumerate(self.members) if rest >> i & 1]
+        return _remember(meets, space, intersection_of(parts))
 
     def difference(self, i: int, j: int) -> SymbolicSet:
         """supp(member i) minus supp(member j), memoised: the pairwise inclusion
@@ -163,7 +159,7 @@ class HypothesisClass:
                          self.members[i].support.difference(self.members[j].support))
 
     def global_support_intersection(self) -> SymbolicSet:
-        return self.meet(tuple(range(len(self.members))))
+        return self.meet((1 << len(self.members)) - 1)
 
     def describe(self) -> str:
         base = f"{len(self.members)} hypotheses"

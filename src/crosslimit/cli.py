@@ -177,11 +177,12 @@ def _run_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load(args) -> HypothesisClass | CoSingletonClass:
+    """The class named by --class or --witness; the co-singleton family when neither is given."""
     if getattr(args, "class_path", None):
         return load_class(args.class_path)
     witness = getattr(args, "witness", None)
     if witness is None:
-        raise ValueError("need --class or --witness")
+        return CoSingletonClass()
     if ":" not in witness:
         name = witness
         _, arity = WITNESS_BUILDERS.get(name, (None, 0))
@@ -278,23 +279,10 @@ def _resolve_target(args, cls):
 
 
 def cmd_stream(args) -> int:
-    cls = _load(args) if (args.class_path or args.witness) else CoSingletonClass()
+    cls = _load(args)
     target = _resolve_target(args, cls)
-    kind = KIND_ALIASES[args.kind]
-    if args.sampled:
-        stream = (
-            sampled_contrastive(target, args.seed, args.horizon)
-            if kind == CONTRASTIVE
-            else sampled_text(target, args.seed, args.horizon)
-        )
-    elif kind == CONTRASTIVE:
-        stream = canonical_contrastive(target)
-    elif kind == TEXT:
-        stream = canonical_text(target)
-    else:
-        stream = canonical_informant(target)
-    if args.corrupt:
-        stream = corrupt(stream, [parse_injection(spec, kind) for spec in args.corrupt])
+    spec = "sampled" if args.sampled else "canonical"
+    stream = _build_run_stream(args, cls, target, KIND_ALIASES[args.kind], spec)
     sys.stdout.write(format_prefix(stream.prefix(args.take)))
     return 0
 
@@ -345,8 +333,9 @@ def _build_learner(name: str, cls, args) -> Learner:
     raise ValueError(f"unknown learner {name!r}; choose from {LEARNER_CHOICES}")
 
 
-def _build_run_stream(args, cls, target, learner_kind: str):
-    spec = args.stream
+def _build_run_stream(args, cls, target, kind: str, spec: str):
+    """The stream `spec` names (shared | sampled[:seed] | canonical) of `kind`,
+    then the --corrupt injections."""
     if spec == "shared":
         members = cls.members if isinstance(cls, HypothesisClass) else ()
         stream = shared_presentation_family(list(members))
@@ -355,24 +344,23 @@ def _build_run_stream(args, cls, target, learner_kind: str):
     elif spec.startswith("sampled"):
         _, _, seed = spec.partition(":")
         seed_val = int(seed) if seed else args.seed
-        stream = (
-            sampled_contrastive(target, seed_val, args.horizon)
-            if learner_kind == CONTRASTIVE
-            else sampled_text(target, seed_val, args.horizon)
-        )
+        if kind == CONTRASTIVE:
+            stream = sampled_contrastive(target, seed_val, args.horizon)
+        elif kind == TEXT:
+            stream = sampled_text(target, seed_val, args.horizon)
+        else:
+            raise ValueError(f"no sampled {kind} stream; use the canonical one")
     elif spec == "canonical":
-        if learner_kind == CONTRASTIVE:
+        if kind == CONTRASTIVE:
             stream = canonical_contrastive(target)
-        elif learner_kind == TEXT:
+        elif kind == TEXT:
             stream = canonical_text(target)
         else:
             stream = canonical_informant(target)
     else:
         raise ValueError(f"unknown stream spec {spec!r}")
     if args.corrupt:
-        stream = corrupt(
-            stream, [parse_injection(item, learner_kind) for item in args.corrupt]
-        )
+        stream = corrupt(stream, [parse_injection(item, kind) for item in args.corrupt])
     return stream
 
 
@@ -391,12 +379,12 @@ def _record_payload(record: RunRecord) -> dict:
 
 
 def _cmd_run(args, role: str) -> int:
-    cls = _load(args) if (args.class_path or args.witness) else CoSingletonClass()
+    cls = _load(args)
     learner = _build_learner(args.learner, cls, args)
     if learner.role != role:
         raise ValueError(f"{args.learner} is a {learner.role}, not a {role}")
     target = _resolve_target(args, cls)
-    stream = _build_run_stream(args, cls, target, learner.kind)
+    stream = _build_run_stream(args, cls, target, learner.kind, args.stream)
     record = run(
         learner, stream, steps=args.steps, stability_window=args.window,
         target=target, collect_trace=args.trace,

@@ -7,19 +7,19 @@ version space is nonempty yet the closure adds nothing outside E's own
 vertices; the closure dimension is the supremum of hollow-set sizes, and its
 finiteness is exactly what uniform generation from pair data needs.
 
-Two evaluation modes:
-
-* explicit classes: the member tuple is the whole class and everything is an
-  exact finite computation over symbolic sets.
-* punctured family classes: the member list is a truncation of an infinite
-  one-point-puncture family.  A finite edge set only ever interacts with
-  finitely many punctures (those whose hole is an edge vertex), so version
-  spaces and closures over the full infinite family are computed in closed
-  form from the class's :class:`~crosslimit.classes.PuncturedFamily`
-  descriptor, which supplies the base set and the puncture at each hole.
-  Without this, every truncation would report infinite closures where the
-  infinite family has finite ones.  `_is_punctured` is the one test for
-  this mode; other modules ask the descriptor directly.
+One evaluator, :func:`closure_of`, turns a version space into its closure.
+A version space is a member bitmask (bit i for member i), the AND of its
+edges' `crossing_mask`s, and its closure is the class's memoised `meet`.
+The one exception is a punctured family class: its member list truncates an
+infinite one-point-puncture family, and the mask of the truncated members
+does not determine the closure over the whole family.  A finite edge set only
+ever interacts with finitely many punctures (those whose hole is an edge
+vertex), so that closure is computed in closed form from the edges and the
+class's :class:`~crosslimit.classes.PuncturedFamily` descriptor, which
+supplies the base set and the puncture at each hole.  Without this, every
+truncation would report infinite closures where the infinite family has
+finite ones.  `edge_version_space` and `support_intersection` stay as the
+literal definitions the mask path is checked against.
 
 The dimension search is likewise two-layered.  For explicit classes of at
 most PATTERN_BOUND members, the membership-pattern cells reduce the
@@ -146,19 +146,33 @@ def _is_punctured(cls: HypothesisClass) -> bool:
     return isinstance(cls.family, PuncturedFamily)
 
 
-def _punctured_closure(family: PuncturedFamily, edge_set: EdgeSet) -> ClosureResult:
+def closure_of(cls: HypothesisClass, space: int, edges: Iterable[Pair]) -> ClosureResult:
+    """The closure of the version space `space` (a member bitmask) that `edges` induce.
+
+    Bottom when the mask is empty.  A punctured class reads only the edges,
+    for its closed form over the infinite family; any other class reads
+    only the mask.
+    """
+    if _is_punctured(cls):
+        return _punctured_closure(cls.family, edges)
+    return ClosureResult(cls.meet(space)) if space else ClosureResult.bottom()
+
+
+def _punctured_closure(family: PuncturedFamily, edges: Iterable[Pair]) -> ClosureResult:
     """Closed-form closure over the infinite punctured family.
 
     The limit hypothesis and every puncture whose hole avoids the edge
     vertices meet the same crossing constraints, so only the punctures at
     edge vertices in the base need a test of their own.
     """
+    edges = tuple(edges)
+
     def fits(h: Hypothesis) -> bool:
-        return all(crosses(h, pair) for pair in edge_set.edges)
+        return all(crosses(h, pair) for pair in edges)
 
     passing: set[int] = set()
     failing: set[int] = set()
-    for hole in edge_set.vertices():
+    for hole in {x for pair in edges for x in pair.elements()}:
         if family.base.contains(hole):  # only base elements get punctured
             (passing if fits(family.member(hole)) else failing).add(hole)
     if fits(family.limit()):
@@ -171,14 +185,12 @@ def _punctured_closure(family: PuncturedFamily, edge_set: EdgeSet) -> ClosureRes
 
 
 def contrastive_closure(cls: HypothesisClass, edge_set: EdgeSet) -> ClosureResult:
-    """Intersection of supports over the edge-induced version space.
-
-    Family-backed punctured classes are evaluated over the infinite family
-    (closed form); everything else over the explicit member tuple.
-    """
-    if _is_punctured(cls):
-        return _punctured_closure(cls.family, edge_set)
-    return support_intersection(edge_version_space(cls, edge_set))
+    """Intersection of supports over the edge-induced version space (see
+    :func:`closure_of`)."""
+    space = (1 << len(cls.members)) - 1
+    for pair in edge_set.edges:
+        space &= crossing_mask(cls, pair)
+    return closure_of(cls, space, edge_set.edges)
 
 
 def safe_set(cls: HypothesisClass, prefix: Prefix) -> ClosureResult:
@@ -257,7 +269,7 @@ def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) ->
 
     for r in range(1, len(members) + 1):
         for subset in itertools.combinations(indices, r):
-            closure = cls.meet(subset)
+            closure = cls.meet(sum(1 << i for i in subset))
             if closure.cardinality().is_infinite:
                 continue  # any edge set with this version space has infinite closure
             menu = [
@@ -351,27 +363,15 @@ def _bounded_search_dimension(
     the rest; branches with an empty version space are pruned.  The result
     is a lower bound: the largest verified hollow set found within bounds.
 
-    Explicit classes carry the version space as a member bitmask, the
-    parent's ANDed with the new edge's `crossing_mask`, and evaluate each
-    distinct one's closure once; punctured classes use the closed form.
+    Each trial carries its version space as a member bitmask, the parent's
+    ANDed with the new edge's `crossing_mask`, and asks :func:`closure_of`.
     """
     pairs = [Pair.of(x, y) for x, y in itertools.combinations(range(vertex_horizon), 2)]
-    explicit = not _is_punctured(cls)
     crossing = {p: crossing_mask(cls, p) for p in pairs}
-    closures: dict[int, SymbolicSet | None] = {}
-
-    def closure_of(space: int, edge_set: EdgeSet) -> SymbolicSet | None:
-        if not explicit:  # no member mask determines the closed form
-            return _closure_or_none(cls, edge_set)
-        if space not in closures:
-            closures[space] = support_intersection(
-                h for i, h in enumerate(cls.members) if space >> i & 1).value
-        return closures[space]
-
+    candidates = [p for p in pairs if not closure_of(cls, crossing[p], (p,)).is_bottom]
     everyone = (1 << len(cls.members)) - 1
-    candidates = [p for p in pairs if closure_of(crossing[p], EdgeSet.of([p])) is not None]
+    root = closure_of(cls, everyone, ()).value
     empty = EdgeSet.of([])
-    root = closure_of(everyone, empty)
     best: tuple[int, EdgeSet | None] = (0, empty if root is not None and root.is_empty() else None)
     spent = 0
     exhausted = False
@@ -391,9 +391,10 @@ def _bounded_search_dimension(
             spent += 1
             trial = EdgeSet.of(edges | {pair})
             trial_space = space & crossing[pair]
-            closure = closure_of(trial_space, trial)
-            if closure is None:
+            result = closure_of(cls, trial_space, trial.edges)
+            if result.is_bottom:
                 continue
+            closure = result.value
             if _within_vertices(closure, trial):
                 hollow_ext.append((idx, trial_space, trial))
             elif closure.is_finite():
@@ -421,8 +422,3 @@ def _bounded_search_dimension(
         AT_LEAST, best[0], best[1], (max_size, vertex_horizon), notes=tuple(notes)
     )
 
-
-def _closure_or_none(cls: HypothesisClass, edge_set: EdgeSet) -> SymbolicSet | None:
-    """The closure when the version space is nonempty, else None."""
-    result = contrastive_closure(cls, edge_set)
-    return None if result.is_bottom else result.value

@@ -118,7 +118,8 @@ def four_regions(h: Hypothesis, g: Hypothesis) -> Regions:
 def class_regions(cls: HypothesisClass, i: int, j: int) -> Regions:
     """The four regions of members i < j, from the class's memoised meet and differences."""
     union = cls.members[i].support.union(cls.members[j].support)
-    return Regions(cls.meet((i, j)), cls.difference(i, j), cls.difference(j, i), union.complement())
+    both = cls.meet(1 << i | 1 << j)
+    return Regions(both, cls.difference(i, j), cls.difference(j, i), union.complement())
 
 
 def gamma_vertex_set(h: Hypothesis, g: Hypothesis) -> SymbolicSet:

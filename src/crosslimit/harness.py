@@ -227,7 +227,7 @@ def _finite_intersection_obstruction(cls: HypothesisClass, bounds: Bounds) -> Ve
     for size in range(2, min(bounds.family_bound, len(members)) + 1):
         for combo in itertools.combinations(range(len(members)), size):
             family = [members[i] for i in combo]
-            intersection = cls.meet(combo)
+            intersection = cls.meet(sum(1 << i for i in combo))
             if not intersection.cardinality().is_finite:
                 continue
             stream = shared_presentation_family(family)

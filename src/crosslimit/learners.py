@@ -10,13 +10,14 @@ every run record replays bit-for-bit.
 Per-step cost: `advance` and `read` cost O(1) amortised, growing with the
 class and the size of the answer but not with the steps before.  States
 share their history through append-only logs instead of copying it, and a
-generator's read is memoised on its state for `advance` to reuse.  Explicit
-classes keep the version space as a member bitmask whose closure is
-memoised on the learner; punctured families recompute their closed form
-from the edge set, and the breaker asks the class's
-:class:`~crosslimit.classes.PuncturedFamily` for punctures beyond the
-truncation.  Caches live in private fields left out of equality, so
-they never change what compares equal or what a run records.
+generator's read is memoised on its state for `advance` to reuse.  A
+generator keeps the version space as a member bitmask and asks
+:func:`~crosslimit.closure.closure_of` for its closure, which the class
+memoises (punctured families get their closed form from the edges), and
+the breaker asks the class's :class:`~crosslimit.classes.PuncturedFamily`
+for punctures beyond the truncation.  Caches live in private fields left
+out of equality, so they never change what compares equal or what a run
+records.
 
 The run harness executes a learner against a stream, detecting convergence
 with a stability window: limits are not finitely observable, so a run
@@ -36,11 +37,10 @@ from .classes import CoSingletonClass, Hypothesis, HypothesisClass, PuncturedFam
 from .closure import (
     ClosureResult,
     EdgeSet,
-    contrastive_closure,
+    closure_of,
     crossing_mask,
     edge_version_space,
     is_hollow,
-    support_intersection,
 )
 from .space import SymbolicSet
 from .streams import (
@@ -412,12 +412,6 @@ class _PairGenerator(Learner):
     kind = CONTRASTIVE
     classes: tuple[HypothesisClass, ...] = ()  # classes whose version spaces states track
 
-    def _track(self, *classes: HypothesisClass) -> None:
-        self.classes = classes
-        # (class index, member bitmask) -> closure: a pure function of the
-        # surviving members, so at most 2^|class| entries, shared by all runs
-        self._closures: dict[tuple[int, int], ClosureResult] = {}
-
     def initial(self) -> _GenState:
         masks = tuple((1 << len(cls.members)) - 1 for cls in self.classes)
         return _GenState(0, _Log(), _Log(), _masks=masks)
@@ -455,17 +449,7 @@ class _PairGenerator(Learner):
             return None
 
     def _closure(self, state: _GenState, level: int = 0) -> ClosureResult:
-        cls = self.classes[level]
-        if isinstance(cls.family, PuncturedFamily):
-            # closed form over the infinite family, which the mask of the
-            # truncated members does not determine
-            return contrastive_closure(cls, EdgeSet(frozenset(state.edges)))
-        key = (level, state._masks[level])
-        if key not in self._closures:
-            self._closures[key] = support_intersection(
-                h for i, h in enumerate(cls.members) if key[1] >> i & 1
-            )
-        return self._closures[key]
+        return closure_of(self.classes[level], state._masks[level], state.edges)
 
     def _fresh(self, state: _GenState, support: SymbolicSet,
                excluded: Callable[[int], bool]) -> int | None:
@@ -503,7 +487,7 @@ class ClosureGenerator(_PairGenerator):
         self.cls = cls
         self.dimension = dimension
         self.name = f"closure-gen(d={dimension})"
-        self._track(cls)
+        self.classes = (cls,)
 
     def _answer(self, state: _GenState) -> int:
         if len(state.edges) > self.dimension:
@@ -538,7 +522,7 @@ class ChainGenerator(_PairGenerator):
         self.chain = chain
         self.thresholds = [m + d + 1 for m, d in zip(itertools.count(1), dims)]
         self.name = f"chain-gen({len(chain)} levels)"
-        self._track(*chain)
+        self.classes = tuple(chain)
 
     def _answer(self, state: _GenState) -> int:
         usable = [
@@ -566,7 +550,7 @@ class SafeCoreGenerator(_PairGenerator):
     def __init__(self, cls: HypothesisClass):
         self.cls = cls
         self.name = "safe-core-gen"
-        self._track(cls)
+        self.classes = (cls,)
 
     def _answer(self, state: _GenState) -> int:
         closure = self._closure(state)

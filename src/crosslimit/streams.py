@@ -96,9 +96,6 @@ class Prefix:
                 out.add(item)
         return frozenset(out)
 
-    def extended(self, item) -> "Prefix":
-        return Prefix(self.kind, self.items + (item,))
-
 
 @dataclass(frozen=True)
 class Stream:

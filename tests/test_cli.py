@@ -79,6 +79,15 @@ def test_stream_text(capsys):
     assert out.splitlines() == ["0", "2", "4", "6"]
 
 
+def test_sampled_informant_stream_is_a_usage_error(capsys):
+    # there is no sampled informant stream; a text stream must not stand in for it
+    code, out = run_cli(capsys, "stream", "--target", "3", "--kind", "inf",
+                        "--sampled", "--take", "5")
+    assert (code, out) == (2, "")
+    code, out = run_cli(capsys, "stream", "--target", "3", "--kind", "inf", "--take", "2")
+    assert code == 0 and out.splitlines() == ["0,1", "1,1"]
+
+
 def test_identify(capsys):
     code, out = run_cli(
         capsys, "identify", "--witness", "overlap-cover", "--learner", "eligibility",

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_proper_support
-from crosslimit import closure as closure_module
+from crosslimit import classes as classes_module
 from crosslimit.classes import (
     Hypothesis,
     HypothesisClass,
@@ -36,6 +36,7 @@ from crosslimit.closure import (
     safe_set,
     support_intersection,
 )
+from crosslimit.learners import ClosureGenerator, SafeCoreGenerator
 from crosslimit.space import SymbolicSet
 from crosslimit.streams import Pair, canonical_contrastive, crosses, sampled_contrastive
 
@@ -103,6 +104,49 @@ def test_punctured_closed_form_matches_truncation_below_its_holes(edges):
     if not closed.is_bottom:
         horizon = 2 * TRUNCATION
         assert closed.value.enumerate_below(horizon) == brute.value.enumerate_below(horizon)
+
+
+VERTICES = 14
+
+
+@st.composite
+def explicit_classes(draw) -> HypothesisClass:
+    """1-8 members with supports of modulus up to 6 and exceptions below VERTICES."""
+    def support(m: int) -> SymbolicSet:
+        residues = draw(st.frozensets(st.integers(0, m - 1)))
+        plus = draw(st.frozensets(st.integers(0, VERTICES - 1), max_size=3))
+        minus = draw(st.frozensets(st.integers(0, VERTICES - 1), max_size=3)) - plus
+        return SymbolicSet.build(m, residues, plus, minus)
+
+    moduli = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    return HypothesisClass(tuple(Hypothesis(f"h{i}", support(m)) for i, m in enumerate(moduli)))
+
+
+PAIRS = st.tuples(st.integers(0, VERTICES - 1), st.integers(0, VERTICES - 1)).filter(
+    lambda p: p[0] != p[1]).map(lambda p: Pair.of(*p))
+
+
+def reference_closure(cls: HypothesisClass, edges) -> ClosureResult:
+    return support_intersection(edge_version_space(cls, EdgeSet.of(edges)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(explicit_classes(), st.lists(PAIRS, max_size=6))
+def test_mask_closure_equals_the_literal_definition(cls, pairs):
+    for n in range(len(pairs) + 1):  # the empty edge set first
+        edges = EdgeSet.of(pairs[:n])
+        assert contrastive_closure(cls, edges) == reference_closure(cls, pairs[:n])
+
+
+@settings(max_examples=100, deadline=None)
+@given(explicit_classes(), st.lists(PAIRS, max_size=10))
+def test_generator_closures_equal_the_literal_definition(cls, pairs):
+    for generator in (ClosureGenerator(cls, 0), SafeCoreGenerator(cls)):
+        state = generator.initial()
+        assert generator._closure(state) == reference_closure(cls, [])
+        for pair in pairs:  # repeated pairs included
+            state = generator.advance(state, pair)
+            assert generator._closure(state) == reference_closure(cls, state.edges)
 
 
 def test_contrastive_closure_bottom():
@@ -325,17 +369,17 @@ def test_dimension_cell_analysis_cross_validates_with_search():
 def test_bounded_search_evaluates_each_version_space_once(monkeypatch):
     cls = pinned_core_class(7, (0, 3), (1,))
     evaluated = []
-    real = closure_module.support_intersection
+    real = classes_module.intersection_of
 
-    def counting(members):
-        members = tuple(members)
-        evaluated.append(tuple(h.id for h in members))
-        return real(members)
+    def counting(sets):
+        evaluated.append(sets)
+        return real(sets)
 
-    monkeypatch.setattr(closure_module, "support_intersection", counting)
+    # the meet memo's miss path: one call per version space not yet memoised
+    monkeypatch.setattr(classes_module, "intersection_of", counting)
     report = _bounded_search_dimension(cls, max_size=4, vertex_horizon=10, budget=3000)
     assert "search budget 3000 exhausted" in report.notes  # 3000 trials were evaluated
-    assert 0 < len(evaluated) == len(set(evaluated)) <= 2 ** len(cls.members)
+    assert 0 < len(evaluated) == len(cls._meets) <= 2 ** len(cls.members)
     assert report.dimension == 2 and is_hollow(cls, report.witness)
 
 

@@ -401,7 +401,7 @@ def test_meet_equals_intersection_of(cls, data):
     # ask in a drawn order, so that a meet is met both before and after its prefixes
     for subset in data.draw(st.permutations(subsets)):
         expected = intersection_of(cls.members[i].support for i in subset)
-        assert cls.meet(subset) == expected
+        assert cls.meet(sum(1 << i for i in subset)) == expected
     assert cls.global_support_intersection() == intersection_of(h.support for h in cls.members)
     for i, j in itertools.product(range(n), repeat=2):
         assert cls.difference(i, j) == cls.members[i].support - cls.members[j].support
@@ -422,7 +422,8 @@ def test_class_memos_stay_bounded(monkeypatch):
     cls = augmented_class(6)
     n = len(cls.members)
     for subset in (c for r in range(n + 1) for c in itertools.combinations(range(n), r)):
-        assert cls.meet(subset) == intersection_of(cls.members[i].support for i in subset)
+        space = sum(1 << i for i in subset)
+        assert cls.meet(space) == intersection_of(cls.members[i].support for i in subset)
         assert len(cls._meets) <= 5
     for i, j in itertools.product(range(n), repeat=2):
         assert cls.difference(i, j) == cls.members[i].support - cls.members[j].support
