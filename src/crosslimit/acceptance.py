@@ -262,7 +262,7 @@ def criterion_5_uniform_generation_tightness() -> CriterionResult:
                 state = generator.advance(state, pair)
                 if len(state.edges) > report.dimension:
                     output = generator.read(state)
-                    if output in state.seen or not target.contains(output):
+                    if output in state.edges or not target.contains(output):
                         failures += 1
         result.check(failures == 0, f"{span}/{core}/{anchors}: {failures} generation failures")
 

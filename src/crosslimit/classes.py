@@ -276,12 +276,8 @@ def block_class(budget: int, count: int) -> HypothesisClass:
     if count < 2:
         raise ValueError("block family needs at least 2 blocks")
     base = SymbolicSet.residue_class(3, {0})
-    pool = SymbolicSet.residue_class(3, {1})
-    size = budget + 1
-    members = []
-    for i in range(1, count + 1):
-        block = {pool.nth_member(j) for j in range((i - 1) * size, i * size)}
-        members.append(Hypothesis(f"h{i}", base.union(SymbolicSet.finite(block))))
+    members = [Hypothesis(f"h{i}", base.union(SymbolicSet.finite(block_elements(budget, i))))
+               for i in range(1, count + 1)]
     return HypothesisClass(
         tuple(members), uus_claimed=True, family=FamilyInfo("block", (budget, count))
     )
@@ -410,19 +406,26 @@ def load_class(path: str) -> HypothesisClass:
             raise ClassSpecError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
-    if not isinstance(doc, dict) or "hypotheses" not in doc:
+        except RecursionError:
+            raise ClassSpecError(f"{path}: JSON nested too deeply") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("hypotheses"), list):
         raise ClassSpecError(f"{path}: expected an object with a 'hypotheses' list")
     members = []
     for entry in doc["hypotheses"]:
         if not isinstance(entry, dict) or "id" not in entry or "support" not in entry:
             raise ClassSpecError(f"{path}: each hypothesis needs 'id' and 'support'")
-        hid = str(entry["id"])
+        hid, literal = str(entry["id"]), entry["support"]
+        if not isinstance(literal, str):
+            raise ClassSpecError(f"{path}: hypothesis {hid!r}: support must be a string, "
+                                 f"got {type(literal).__name__}")
         try:
-            support = parse_set_literal(entry["support"])
+            support = parse_set_literal(literal)
         except ValueError as exc:
             raise ClassSpecError(f"{path}: hypothesis {hid!r}: {exc}") from exc
         members.append(Hypothesis(hid, support))
-    uus = bool(doc.get("uus", False))
+    uus = doc.get("uus", False)
+    if not isinstance(uus, bool):
+        raise ClassSpecError(f"{path}: 'uus' must be true or false, got {type(uus).__name__}")
     try:
         return HypothesisClass(tuple(members), uus_claimed=uus)
     except ValueError as exc:

@@ -62,6 +62,8 @@ KIND_ALIASES = {"ctr": CONTRASTIVE, "contrastive": CONTRASTIVE, "text": TEXT,
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format == "csv-trace":  # only `--trace` runs print CSV; reports print JSON
+        args.format = "json"
     try:
         return args.handler(args)
     except (ValueError, KeyError, OSError) as exc:
@@ -208,9 +210,7 @@ def _pair(args, cls: HypothesisClass):
 
 
 def _emit(args, title: str, payload: dict, checks: tuple = ()) -> int:
-    report = Report(title, checks, payload)
-    fmt = args.format if args.format != "csv-trace" else "json"
-    sys.stdout.write(emit_report(report, fmt))
+    sys.stdout.write(emit_report(Report(title, checks, payload), args.format))
     return 0
 
 
@@ -441,7 +441,7 @@ def cmd_corrupt_id(args) -> int:
         while lo in avoid:
             lo += 1
         hi = lo + 1
-        while hi in avoid or hi == lo:
+        while hi in avoid:
             hi += 1
         injections.append((5 + 6 * i, Pair.of(lo, hi)))
         value += 2
@@ -459,8 +459,7 @@ def cmd_classify(args) -> int:
     cls = _explicit(args)
     bounds = Bounds(horizon=args.horizon)
     verdict = classify(cls, bounds)
-    fmt = args.format if args.format != "csv-trace" else "json"
-    if fmt == "json":
+    if args.format == "json":
         sys.stdout.write(json.dumps(verdict.to_json(), indent=2, sort_keys=True) + "\n")
     else:
         lines = [f"class: {verdict.class_description}"]
@@ -474,8 +473,7 @@ def cmd_classify(args) -> int:
 
 def cmd_reproduce(args) -> int:
     report = reproduce(args.example)
-    fmt = args.format if args.format != "csv-trace" else "json"
-    sys.stdout.write(emit_report(report, fmt))
+    sys.stdout.write(emit_report(report, args.format))
     if not report.ok:
         for line in report.diff_lines():
             print(f"diff: {line}", file=sys.stderr)

@@ -19,6 +19,10 @@ for punctures beyond the truncation.  Caches live in private fields left
 out of equality, so they never change what compares equal or what a run
 records.
 
+Uniform generation is the one-class case of non-uniform generation: the
+closure generator is the one-level threshold-and-defer chain, armed once the
+distinct edges outnumber the closure dimension.
+
 The run harness executes a learner against a stream, detecting convergence
 with a stability window: limits are not finitely observable, so a run
 reports the start of the longest correct tail, provided the tail is at least
@@ -43,16 +47,7 @@ from .closure import (
     is_hollow,
 )
 from .space import SymbolicSet
-from .streams import (
-    CONTRASTIVE,
-    INFORMANT,
-    TEXT,
-    Pair,
-    Prefix,
-    Stream,
-    crosses,
-    synthetic_contrastive_from_text,
-)
+from .streams import CONTRASTIVE, INFORMANT, TEXT, Pair, Stream, crosses
 
 IDENTIFIER = "identifier"
 GENERATOR = "generator"
@@ -284,8 +279,8 @@ class TextFromContrastiveIdentifier(Learner):
         if z == state[1]:
             return (items, z, self.inner.advance(inner, Pair.of(item, z)))
         inner = self.inner.initial()
-        for pair in synthetic_contrastive_from_text(Prefix(TEXT, tuple(items))).items:
-            inner = self.inner.advance(inner, pair)
+        for x in items:
+            inner = self.inner.advance(inner, Pair.of(x, z))
         return (items, z, inner)
 
     def read(self, state: tuple):
@@ -388,11 +383,6 @@ class _GenState:
     _cursor: tuple = field(default=(None, 0), compare=False)  # (support, last least fresh member)
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @property
-    def seen(self) -> _Log:
-        """The edges, whose membership test `x in state.seen` finds vertices."""
-        return self.edges
-
     def excludes(self, x: int) -> bool:
         """x was seen or already output."""
         return x in self.edges or x in self.outputs
@@ -472,37 +462,6 @@ class _PairGenerator(Learner):
         return least
 
 
-class ClosureGenerator(_PairGenerator):
-    """Uniform generation: least closure element outside the seen vertices.
-
-    Sound once the distinct-edge count exceeds the class's closure
-    dimension: the edge set is then not hollow, so the closure escapes its
-    own vertex set and every escape is a certified novel positive.  Below
-    the threshold the output is an unconstrained placeholder (0).
-    """
-
-    def __init__(self, cls: HypothesisClass, dimension: int):
-        if dimension < 0:
-            raise ValueError("dimension must be nonnegative")
-        self.cls = cls
-        self.dimension = dimension
-        self.name = f"closure-gen(d={dimension})"
-        self.classes = (cls,)
-
-    def _answer(self, state: _GenState) -> int:
-        if len(state.edges) > self.dimension:
-            closure = self._closure(state)
-            if not closure.is_bottom:
-                least = self._fresh(state, closure.value, state.edges.__contains__)
-                if least is not None:
-                    return least
-        return 0
-
-    def trace(self, state: _GenState) -> dict:
-        return {"distinct_edges": len(state.edges),
-                "armed": len(state.edges) > self.dimension}
-
-
 class ChainGenerator(_PairGenerator):
     """Non-uniform generation by threshold-and-defer over a chain of classes.
 
@@ -537,6 +496,29 @@ class ChainGenerator(_PairGenerator):
             if least is not None:
                 return least
         return 0
+
+
+class ClosureGenerator(ChainGenerator):
+    """Uniform generation: the one-level chain, armed at d + 1 distinct edges.
+
+    It outputs the least closure element outside the seen vertices.  Sound
+    once the distinct-edge count exceeds the class's closure dimension d:
+    the edge set is then not hollow, so the closure escapes its own vertex
+    set and every escape is a certified novel positive.  Below the threshold
+    the output is an unconstrained placeholder (0).
+    """
+
+    def __init__(self, cls: HypothesisClass, dimension: int):
+        if dimension < 0:
+            raise ValueError("dimension must be nonnegative")
+        super().__init__([cls], [dimension - 1])  # level 1 arms at 1 + (d - 1) + 1 edges
+        self.cls = cls
+        self.dimension = dimension
+        self.name = f"closure-gen(d={dimension})"
+
+    def trace(self, state: _GenState) -> dict:
+        return {"distinct_edges": len(state.edges),
+                "armed": len(state.edges) >= self.thresholds[0]}
 
 
 class SafeCoreGenerator(_PairGenerator):
@@ -816,15 +798,7 @@ def _output_repr(output):
 
 
 def _stable_tail_start(step_ok: tuple[bool, ...], window: int) -> int | None:
+    """One past the last failing step, provided at least `window` steps follow."""
     n = len(step_ok)
-    start = n + 1
-    for i in range(n - 1, -1, -1):
-        if step_ok[i]:
-            start = i + 1
-        else:
-            break
-    if start > n:
-        return None
-    if n - start + 1 < window:
-        return None
-    return start
+    last_failure = next((i for i in range(n, 0, -1) if not step_ok[i - 1]), 0)
+    return last_failure + 1 if n - last_failure >= window else None

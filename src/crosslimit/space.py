@@ -455,40 +455,40 @@ class SetLiteralError(ValueError):
         self.column = column
 
 
-_TOKEN = re.compile(r"\s*(mod\b|\d+|[{}+,-])")
+_TOKEN = re.compile(r"(mod\b|\d+|[{}+,-])|\S")  # a token, or the first unrecognized character
 
 
 def parse_set_literal(text: str) -> SymbolicSet:
     """Parse `mod <m> { r1, r2 } [+ {a, ...}] [- {b, ...}]` into a set.
 
-    Round-trips with :meth:`SymbolicSet.literal` on canonical forms.
+    Round-trips with :meth:`SymbolicSet.literal` on canonical forms.  One
+    pass over the text: tokens keep their offsets, and only an error works
+    out its line and column.
     """
     tokens = _tokenize(text)
     pos = 0
 
-    def peek() -> tuple[str, int, int] | None:
+    def peek() -> tuple[str, int] | None:
         return tokens[pos] if pos < len(tokens) else None
 
-    def take(expected: str | None = None) -> tuple[str, int, int]:
+    def take(expected: str | None = None) -> tuple[str, int]:
         nonlocal pos
         if pos >= len(tokens):
-            line = text.count("\n") + 1
-            col = len(text) - (text.rfind("\n") + 1) + 1
-            raise SetLiteralError(f"unexpected end of input, expected {expected!r}", line, col)
+            raise _error(f"unexpected end of input, expected {expected!r}", text, len(text))
         tok = tokens[pos]
         if expected is not None and tok[0] != expected:
-            raise SetLiteralError(f"expected {expected!r}, found {tok[0]!r}", tok[1], tok[2])
+            raise _error(f"expected {expected!r}, found {tok[0]!r}", text, tok[1])
         pos += 1
         return tok
 
     def take_int() -> int:
         tok = take()
         if not tok[0].isdigit():
-            raise SetLiteralError(f"expected a number, found {tok[0]!r}", tok[1], tok[2])
+            raise _error(f"expected a number, found {tok[0]!r}", text, tok[1])
         try:
             return int(tok[0])
         except ValueError:  # above the interpreter's limit on integer string digits
-            raise SetLiteralError(f"{len(tok[0])}-digit number is too long", *tok[1:]) from None
+            raise _error(f"{len(tok[0])}-digit number is too long", text, tok[1]) from None
 
     def take_braced() -> set[int]:
         take("{")
@@ -503,15 +503,15 @@ def parse_set_literal(text: str) -> SymbolicSet:
             if tok[0] == "}":
                 return elems
             if tok[0] != ",":
-                raise SetLiteralError(f"expected ',' or '}}', found {tok[0]!r}", tok[1], tok[2])
+                raise _error(f"expected ',' or '}}', found {tok[0]!r}", text, tok[1])
             elems.add(take_int())
 
     take("mod")
     modulus_token = peek()
     modulus = take_int()
     if modulus > MAX_MODULUS:
-        raise SetLiteralError(f"modulus {modulus} is above MAX_MODULUS = {MAX_MODULUS}",
-                              modulus_token[1], modulus_token[2])
+        raise _error(f"modulus {modulus} is above MAX_MODULUS = {MAX_MODULUS}",
+                     text, modulus_token[1])
     residues = take_braced()
     plus: set[int] = set()
     minus: set[int] = set()
@@ -522,30 +522,25 @@ def parse_set_literal(text: str) -> SymbolicSet:
         elif tok[0] == "-":
             minus |= take_braced()
         else:
-            raise SetLiteralError(f"expected '+' or '-', found {tok[0]!r}", tok[1], tok[2])
+            raise _error(f"expected '+' or '-', found {tok[0]!r}", text, tok[1])
     try:
         return SymbolicSet.build(modulus, residues, plus, minus)
     except ValueError as exc:
         raise SetLiteralError(str(exc), 1, 1) from exc
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """The tokens of `text` with their offsets; whitespace separates them."""
     tokens = []
-    index = 0
-    while index < len(text):
-        match = _TOKEN.match(text, index)
-        if match is None:
-            while index < len(text) and text[index].isspace():
-                index += 1
-            rest = text[index:]
-            if rest == "":
-                break
-            line = text.count("\n", 0, index) + 1
-            col = index - (text.rfind("\n", 0, index) + 1) + 1
-            raise SetLiteralError(f"unrecognized input {rest[:10]!r}", line, col)
-        start = match.start(1)
-        line = text.count("\n", 0, start) + 1
-        col = start - (text.rfind("\n", 0, start) + 1) + 1
-        tokens.append((match.group(1), line, col))
-        index = match.end()
+    for match in _TOKEN.finditer(text):
+        if match.group(1) is None:
+            start = match.start()
+            raise _error(f"unrecognized input {text[start:start + 10]!r}", text, start)
+        tokens.append((match.group(1), match.start()))
     return tokens
+
+
+def _error(message: str, text: str, offset: int) -> SetLiteralError:
+    """The parse error at `offset`, located by its 1-based line and column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SetLiteralError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)

@@ -374,7 +374,7 @@ def synthetic_contrastive_from_text(prefix: Prefix) -> Prefix:
     everything below the least non-positive z*, the partner freezes at z*
     and the outputs become prefixes of the single fixed stream pairing each
     positive with z*.  The text-simulation learner keeps z_n as it goes and
-    calls this only to replay the text when z_n moves.
+    makes the same pairs itself.
     """
     if prefix.kind != TEXT:
         raise ValueError(f"expected a text prefix, got {prefix.kind!r}")
@@ -392,14 +392,8 @@ def synthetic_contrastive_from_text(prefix: Prefix) -> Prefix:
 # ----------------------------------------------------------------------
 
 def format_prefix(prefix: Prefix) -> str:
-    lines = []
-    for item in prefix.items:
-        if prefix.kind == CONTRASTIVE:
-            lines.append(str(item))
-        elif prefix.kind == INFORMANT:
-            lines.append(f"{item[0]},{item[1]}")
-        else:
-            lines.append(str(item))
+    lines = [f"{item[0]},{item[1]}" if prefix.kind == INFORMANT else str(item)
+             for item in prefix.items]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -194,3 +194,19 @@ def test_load_class_error_reporting(tmp_path):
     with pytest.raises(ClassSpecError) as err:
         load_class(str(notjson))
     assert "line" in str(err.value)
+
+    malformed = {  # file name -> (contents, what the message names)
+        "support-int": ('{"hypotheses": [{"id": "x", "support": 5}]}', "hypothesis 'x'"),
+        "support-list": ('{"hypotheses": [{"id": "x", "support": ["mod 2 { 0 }"]}]}',
+                         "hypothesis 'x'"),
+        "hypotheses-int": ('{"hypotheses": 7}', "'hypotheses' list"),
+        "uus-string": ('{"hypotheses": [{"id": "x", "support": "mod 1 { 0 }"}], "uus": "no"}',
+                       "'uus'"),
+        "nested": ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    }
+    for name, (contents, named) in malformed.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(contents)
+        with pytest.raises(ClassSpecError) as err:
+            load_class(str(path))
+        assert str(err.value).startswith(f"{path}: ") and named in str(err.value), name

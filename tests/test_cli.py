@@ -187,6 +187,14 @@ def test_usage_errors_return_2(capsys):
     assert code == 2
 
 
+def test_malformed_class_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"hypotheses": [{"id": "x", "support": 5}]}')
+    code = main(["classify", "--class", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: hypothesis 'x': ")
+
+
 def test_parser_built_once_keeps_no_state_between_calls(capsys):
     sequence = [
         ["stream", "--target", "3", "--kind", "ctr", "--take", "6", "--corrupt", "3:{0,4}"],

@@ -23,7 +23,10 @@ from crosslimit.harness import (
     YES,
     Bounds,
     Check,
+    HierarchyVerdict,
     Report,
+    Verdict,
+    _check_diamond,
     classify,
     emit_report,
     reproduce,
@@ -100,6 +103,18 @@ def test_classify_never_claims_both_sides():
     ):
         verdict = classify(cls)
         assert verdict.corner()  # diamond check ran inside classify
+
+
+def test_diamond_check_rejects_each_violated_lower_inclusion():
+    def verdict(ctr_id, txt_id, ctr_gen):
+        return HierarchyVerdict("hand-built", Verdict(txt_id), Verdict(ctr_id),
+                                Verdict(ctr_gen), Verdict(YES), Bounds())
+
+    _check_diamond(verdict(YES, YES, YES))
+    _check_diamond(verdict(NO, NO, NO))
+    for txt_id, ctr_gen in ((NO, YES), (UNKNOWN, YES), (YES, NO), (YES, UNKNOWN)):
+        with pytest.raises(AssertionError):
+            _check_diamond(verdict(YES, txt_id, ctr_gen))
 
 
 def test_classify_unknown_on_insufficient_horizon():

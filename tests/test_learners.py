@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crosslimit.classes import (
     Hypothesis,
@@ -30,6 +32,7 @@ from crosslimit.learners import (
     NOVELTY_VIOLATION,
     SafeCoreGenerator,
     TextFromContrastiveIdentifier,
+    _stable_tail_start,
     compute_telltales,
     generator_breaker,
     run,
@@ -234,7 +237,7 @@ def test_closure_generator_correct_past_dimension():
                 if len(state.edges) > report.dimension:
                     out = learner.read(state)
                     assert target.contains(out)
-                    assert out not in state.seen
+                    assert out not in state.edges
             assert record.converged
 
 
@@ -298,6 +301,22 @@ def test_single_level_chain_matches_thresholded_closure_generator():
         plain_state = plain.advance(plain_state, pair)
         if len(chain_state.edges) >= threshold:
             assert chain.read(chain_state) == plain.read(plain_state)
+
+    # ClosureGenerator(cls, d) is ChainGenerator([cls], [d - 1]): both arm at d + 1 edges
+    for level in (cls, pinned_core_class(4, (1, 6), (3,))):
+        items = sampled_contrastive(level.members[1], seed=5, horizon=21).prefix(20).items
+        for d in range(1, 5):
+            chain, plain = ChainGenerator([level], [d - 1]), ClosureGenerator(level, d)
+            chain_state, plain_state = chain.initial(), plain.initial()
+            for pair in items:
+                chain_state = chain.advance(chain_state, pair)
+                plain_state = plain.advance(plain_state, pair)
+                armed = len(plain_state.edges) >= d + 1
+                assert plain.trace(plain_state)["armed"] == armed
+                assert plain.read(plain_state) == chain.read(chain_state)
+                if not armed:
+                    assert plain.read(plain_state) == 0
+            assert armed
 
 
 def test_chain_generator_rejects_non_monotone_chain():
@@ -395,3 +414,14 @@ def test_run_trace_rows():
     assert len(record.trace_rows) == 6
     assert record.trace_rows[0]["step"] == 1
     assert "absence_counts" in record.trace_rows[0]
+
+
+@given(st.lists(st.booleans(), max_size=30), st.integers(min_value=1, max_value=8))
+def test_stable_tail_start_is_its_literal_definition(step_ok, window):
+    # the least N with every step from N on ok and at least `window` steps from N on
+    n = len(step_ok)
+    least = next(
+        (start for start in range(1, n + 1) if all(step_ok[start - 1:]) and n - start + 1 >= window),
+        None,
+    )
+    assert _stable_tail_start(tuple(step_ok), window) == least

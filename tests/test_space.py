@@ -242,6 +242,17 @@ def test_literal_errors_carry_position():
         parse_set_literal("mod 2 { 0")
 
 
+def test_long_literal_parses_in_one_pass():
+    # 40,000 residues, 274 KB: parsing time must stay linear in the text's length
+    text = f"mod 80000 {{ {', '.join(map(str, range(0, 80000, 2)))} }}"
+    started = time.perf_counter()
+    assert parse_set_literal(text) == EVENS
+    assert time.perf_counter() - started < 1.0
+    with pytest.raises(SetLiteralError) as err:
+        parse_set_literal(text + "\n + { 1 } *")
+    assert (err.value.line, err.value.column) == (2, 10)
+
+
 def test_subset_and_disjoint():
     assert EVENS.is_subset(SymbolicSet.universe())
     assert not SymbolicSet.universe().is_subset(EVENS)
