@@ -408,13 +408,18 @@ def load_class(path: str) -> HypothesisClass:
             ) from exc
         except RecursionError:
             raise ClassSpecError(f"{path}: JSON nested too deeply") from None
+        except UnicodeDecodeError as exc:
+            raise ClassSpecError(f"{path}: not UTF-8 text: byte {exc.start} is invalid") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("hypotheses"), list):
         raise ClassSpecError(f"{path}: expected an object with a 'hypotheses' list")
     members = []
     for entry in doc["hypotheses"]:
         if not isinstance(entry, dict) or "id" not in entry or "support" not in entry:
             raise ClassSpecError(f"{path}: each hypothesis needs 'id' and 'support'")
-        hid, literal = str(entry["id"]), entry["support"]
+        hid, literal = entry["id"], entry["support"]
+        if not isinstance(hid, str):
+            raise ClassSpecError(f"{path}: hypothesis id must be a string, "
+                                 f"got {type(hid).__name__}")
         if not isinstance(literal, str):
             raise ClassSpecError(f"{path}: hypothesis {hid!r}: support must be a string, "
                                  f"got {type(literal).__name__}")

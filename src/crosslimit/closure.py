@@ -23,7 +23,8 @@ literal definitions the mask path is checked against.
 
 The dimension search is likewise two-layered.  For explicit classes of at
 most PATTERN_BOUND members, the membership-pattern cells reduce the
-dimension to a finite computation: a hollow set with a vertex in an infinite
+dimension to a finite computation (patterns are member bitmasks too, and
+only realized cells are stored): a hollow set with a vertex in an infinite
 cell can be regrown edge by edge (fresh same-cell vertices never change the
 version space), so the dimension is infinite as soon as such a set exists;
 otherwise all hollow sets live inside the finitely many finite cells and can
@@ -238,10 +239,6 @@ class DimensionReport:
         return f"infinite [{self.infinite_description}]"
 
 
-def _complementary_on(alpha: tuple[int, ...], beta: tuple[int, ...], indices) -> bool:
-    return all(alpha[i] != beta[i] for i in indices)
-
-
 def closure_dimension(
     cls: HypothesisClass,
     max_size: int = 8,
@@ -269,13 +266,14 @@ def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) ->
 
     for r in range(1, len(members) + 1):
         for subset in itertools.combinations(indices, r):
-            closure = cls.meet(sum(1 << i for i in subset))
+            space = sum(1 << i for i in subset)
+            closure = cls.meet(space)
             if closure.cardinality().is_infinite:
                 continue  # any edge set with this version space has infinite closure
             menu = [
                 (a, b)
                 for a, b in itertools.combinations(realized, 2)
-                if _complementary_on(a, b, subset)
+                if (a ^ b) & space == space  # each version-space member crosses a-b edges
             ]
             # every forced positive needs an incident menu edge
             core = sorted(closure.plus)
@@ -301,7 +299,8 @@ def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) ->
                 desc = (
                     f"version space {{{', '.join(ids)}}} keeps closure "
                     f"{closure.literal()} while edges between cells "
-                    f"{infinite_pair[0]} and {infinite_pair[1]} can be added without bound"
+                    f"{cells.bits(infinite_pair[0])} and {cells.bits(infinite_pair[1])} "
+                    f"can be added without bound"
                 )
                 return DimensionReport(
                     INFINITE, None, witness, (max_size, vertex_horizon),

@@ -16,12 +16,16 @@ set algebra.  Non-eliminability happens in exactly three regimes: the first
 support is a proper subset of the second (superset), the supports are
 incomparable and disjoint, or incomparable, intersecting and jointly missing
 part of X (non-covering).
+
+A family's membership-pattern cells generalize the regions.  A pattern is a
+member bitmask (bit i for member i), as in `HypothesisClass.meet`, and only
+the realized (nonempty) cells are stored.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .classes import Hypothesis, HypothesisClass
 from .space import SymbolicSet
@@ -33,7 +37,7 @@ DISJOINT = "disjoint"
 NON_COVERING = "non-covering"
 ELIMINABLE = "eliminable"
 
-PATTERN_BOUND = 6  # 2^r cells are materialized symbolically
+PATTERN_BOUND = 6  # family size cap for pattern cells and the exact cell dimension
 
 
 def delta_contains(h: Hypothesis, pair: Pair) -> bool:
@@ -187,25 +191,14 @@ def shared_presentation_pair(h: Hypothesis, g: Hypothesis) -> Stream | None:
     """A single contrastive stream valid for both targets, when one exists.
 
     Exists iff supp(h) union supp(g) lies inside the common-crossing vertex
-    set.  The construction pairs each support element with the least partner
-    in its complementary region (A with D, B with C and symmetrically).
+    set.  The stream is the two-member family's: each support element is
+    paired with the least partner in its complementary region (A with D,
+    B with C and symmetrically).
     """
-    r = pair_regions(h, g)
-    union = h.support.union(g.support)
-    if not union.is_subset(r.gamma()):
-        return None
-    min_d = r.neither.min_element()
-    min_c = r.second_only.min_element()
-    min_b = r.first_only.min_element()
-
-    def partner_of(x: int) -> int:
-        if r.both.contains(x):
-            return min_d
-        if r.first_only.contains(x):
-            return min_c
-        return min_b
-
-    return paired_stream(union, partner_of, f"shared-pair({h.id},{g.id})", (h, g))
+    stream = shared_presentation_family([h, g])  # checks that both are proper nontrivial
+    if h.support == g.support:
+        raise ValueError(f"{h.id} and {g.id} have identical supports")
+    return None if stream is None else replace(stream, provenance=f"shared-pair({h.id},{g.id})")
 
 
 # ----------------------------------------------------------------------
@@ -216,35 +209,42 @@ def shared_presentation_pair(h: Hypothesis, g: Hypothesis) -> Stream | None:
 class PatternCells:
     """The partition of X by joint membership pattern across a family.
 
-    cells maps each bit vector (one bit per family member, 1 = positive) to
-    the symbolic set of examples realizing it; the cells partition X.
+    A pattern is a member bitmask (bit i set iff member i is positive), as in
+    :meth:`~crosslimit.classes.HypothesisClass.meet`.  cells maps each
+    realized pattern to the nonempty symbolic set of examples realizing it;
+    the cells partition X, and an unrealized pattern has no entry.
     """
 
     hypothesis_ids: tuple[str, ...]
-    cells: dict[tuple[int, ...], SymbolicSet]
+    cells: dict[int, SymbolicSet]
 
     @staticmethod
     def of(family) -> "PatternCells":
-        """All 2^len(family) cells in product order, without a size check.
+        """The realized cells in product order, without a size check.
 
-        By refinement: each cell of the first k-1 members splits by member k
-        into `cell - h` (bit 0) and `cell & h` (bit 1); empty cells stay empty.
+        By refinement: each cell of the first i members splits by member i
+        into `cell - h` (bit i clear) and `cell & h` (bit i set); empty parts
+        are dropped as they are made.
         """
-        cells = {(): SymbolicSet.universe()}
-        for h in family:
-            cells = {alpha + (bit,): (cell & h.support if bit else cell - h.support)
-                     if not cell.is_empty() else cell
-                     for alpha, cell in cells.items() for bit in (0, 1)}
+        cells = {0: SymbolicSet.universe()}
+        for i, h in enumerate(family):
+            parts = ((alpha | bit << i, cell & h.support if bit else cell - h.support)
+                     for alpha, cell in cells.items() for bit in (0, 1))
+            cells = {alpha: part for alpha, part in parts if not part.is_empty()}
         return PatternCells(tuple(h.id for h in family), cells)
 
-    def realized(self) -> list[tuple[int, ...]]:
-        return [alpha for alpha, cell in self.cells.items() if not cell.is_empty()]
+    def realized(self) -> list[int]:
+        return list(self.cells)
 
-    def pattern_of(self, x: int) -> tuple[int, ...]:
+    def pattern_of(self, x: int) -> int:
         for alpha, cell in self.cells.items():
             if cell.contains(x):
                 return alpha
         raise AssertionError("cells must partition X")
+
+    def bits(self, alpha: int) -> tuple[int, ...]:
+        """The pattern as a 0/1 tuple in member order, for reports."""
+        return tuple(alpha >> i & 1 for i in range(len(self.hypothesis_ids)))
 
 
 def pattern_cells(family: list[Hypothesis]) -> PatternCells:
@@ -255,35 +255,27 @@ def pattern_cells(family: list[Hypothesis]) -> PatternCells:
     return PatternCells.of(family)
 
 
-def _complement_pattern(alpha: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(1 - b for b in alpha)
-
-
 def shared_presentation_family(family: list[Hypothesis]) -> Stream | None:
     """A contrastive stream valid for every family member, when one exists.
 
-    Exists iff every realized nonzero membership pattern has a nonempty
-    complementary cell; each support element is then paired with the least
-    element of the cell complementary to its own pattern.
+    Exists iff every realized nonzero membership pattern has a realized
+    complementary pattern; each support element is then paired with the
+    least element of the cell complementary to its own pattern.
     """
     for h in family:
         if not h.is_proper_nontrivial():
             raise ValueError(f"{h.id} is not proper nontrivial")
     cells = pattern_cells(list(family))
-    zero = (0,) * len(family)
-    for alpha, cell in cells.cells.items():
-        if alpha == zero or cell.is_empty():
-            continue
-        if cells.cells[_complement_pattern(alpha)].is_empty():
-            return None
+    full = (1 << len(family)) - 1
+    if any(alpha and (full ^ alpha) not in cells.cells for alpha in cells.cells):
+        return None
 
     union = SymbolicSet.empty()
     for h in family:
         union = union.union(h.support)
 
     def partner_of(x: int) -> int:
-        alpha = cells.pattern_of(x)
-        return cells.cells[_complement_pattern(alpha)].min_element()
+        return cells.cells[full ^ cells.pattern_of(x)].min_element()
 
     ids = ",".join(h.id for h in family)
     return paired_stream(union, partner_of, f"shared-family({ids})", tuple(family))

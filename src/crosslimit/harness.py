@@ -435,7 +435,7 @@ def _reproduce_three_cell_family() -> Report:
     cls = six_cell_class()
     family = list(cls.members)
     cells = pattern_cells(family)
-    realized = sorted(cells.realized())
+    realized = sorted(map(cells.bits, cells.realized()))
     triple = intersection_of(h.support for h in family)
     pairwise_infinite = all(
         family[i].support.intersect(family[j].support).cardinality().is_infinite

@@ -47,7 +47,7 @@ from .closure import (
     is_hollow,
 )
 from .space import SymbolicSet
-from .streams import CONTRASTIVE, INFORMANT, TEXT, Pair, Stream, crosses
+from .streams import CONTRASTIVE, INFORMANT, TEXT, Pair, Stream
 
 IDENTIFIER = "identifier"
 GENERATOR = "generator"
@@ -190,6 +190,11 @@ def telltales_sound(cls: HypothesisClass, family: TellTaleFamily) -> bool:
     return True
 
 
+def _members_in(cls: HypothesisClass, space: int) -> list[Hypothesis]:
+    """The members whose bit is set in `space`, in class order."""
+    return [h for i, h in enumerate(cls.members) if space >> i & 1]
+
+
 def _strictly_below(cls: HypothesisClass, i: int, j: int) -> bool:
     """supp(member i) is a proper subset of supp(member j)."""
     return cls.difference(i, j).is_empty() and not cls.difference(j, i).is_empty()
@@ -202,8 +207,7 @@ def _strictly_below(cls: HypothesisClass, i: int, j: int) -> bool:
 @dataclass(frozen=True)
 class _EligState:
     seen: frozenset[int]  # the tell-tale elements seen so far; no other matters
-    crossed: tuple[bool, ...]
-    count: int
+    space: int  # members whose cut every pair crosses, as a member bitmask
 
 
 class EligibilityIdentifier(Learner):
@@ -220,21 +224,15 @@ class EligibilityIdentifier(Learner):
         self._marks = frozenset().union(*telltales.entries.values())
 
     def initial(self) -> _EligState:
-        return _EligState(frozenset(), tuple(True for _ in self.cls.members), 0)
+        return _EligState(frozenset(), (1 << len(self.cls.members)) - 1)
 
     def advance(self, state: _EligState, pair: Pair) -> _EligState:
-        crossed = tuple(
-            ok and crosses(h, pair) for ok, h in zip(state.crossed, self.cls.members)
-        )
         seen = state.seen | self._marks.intersection(pair.elements())
-        return _EligState(seen, crossed, state.count + 1)
+        return _EligState(seen, state.space & crossing_mask(self.cls, pair))
 
     def eligible(self, state: _EligState) -> list[Hypothesis]:
-        out = []
-        for h, ok in zip(self.cls.members, state.crossed):
-            if ok and self.telltales.of(h.id) <= state.seen:
-                out.append(h)
-        return out
+        return [h for h in _members_in(self.cls, state.space)
+                if self.telltales.of(h.id) <= state.seen]
 
     def read(self, state: _EligState) -> Hypothesis:
         eligible = self.eligible(state)
@@ -346,27 +344,24 @@ class GoldInformantIdentifier(Learner):
         self.cls = cls
         self.name = "gold-informant"
 
-    def initial(self) -> tuple[bool, ...]:
-        return tuple(True for _ in self.cls.members)
+    def initial(self) -> int:
+        """The members consistent with the labels so far, as a member bitmask."""
+        return (1 << len(self.cls.members)) - 1
 
-    def advance(self, state: tuple[bool, ...], item: tuple[int, int]) -> tuple[bool, ...]:
+    def advance(self, state: int, item: tuple[int, int]) -> int:
         x, label = item
-        return tuple(
-            ok and (h.contains(x) == bool(label))
-            for ok, h in zip(state, self.cls.members)
-        )
+        return state & sum(1 << i for i, h in enumerate(self.cls.members)
+                           if h.contains(x) == bool(label))
 
-    def read(self, state: tuple[bool, ...]) -> Hypothesis:
-        for h, ok in zip(self.cls.members, state):
-            if ok:
-                return h
-        return self.cls.members[0]
+    def read(self, state: int) -> Hypothesis:
+        consistent = _members_in(self.cls, state)
+        return consistent[0] if consistent else self.cls.members[0]
 
-    def is_default(self, state: tuple[bool, ...]) -> bool:
-        return not any(state)
+    def is_default(self, state: int) -> bool:
+        return not state
 
-    def trace(self, state: tuple[bool, ...]) -> dict:
-        return {"consistent": [h.id for h, ok in zip(self.cls.members, state) if ok]}
+    def trace(self, state: int) -> dict:
+        return {"consistent": [h.id for h in _members_in(self.cls, state)]}
 
 
 # ----------------------------------------------------------------------

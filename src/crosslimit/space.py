@@ -462,8 +462,9 @@ def parse_set_literal(text: str) -> SymbolicSet:
     """Parse `mod <m> { r1, r2 } [+ {a, ...}] [- {b, ...}]` into a set.
 
     Round-trips with :meth:`SymbolicSet.literal` on canonical forms.  One
-    pass over the text: tokens keep their offsets, and only an error works
-    out its line and column.
+    pass over the text: tokens keep their offsets, and an error (a zero
+    modulus, a residue not below it, or an element both added and removed
+    included) works out its token's line and column.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -481,52 +482,54 @@ def parse_set_literal(text: str) -> SymbolicSet:
         pos += 1
         return tok
 
-    def take_int() -> int:
+    def take_int() -> tuple[int, int]:
         tok = take()
         if not tok[0].isdigit():
             raise _error(f"expected a number, found {tok[0]!r}", text, tok[1])
         try:
-            return int(tok[0])
+            return int(tok[0]), tok[1]
         except ValueError:  # above the interpreter's limit on integer string digits
             raise _error(f"{len(tok[0])}-digit number is too long", text, tok[1]) from None
 
-    def take_braced() -> set[int]:
+    def take_braced() -> list[tuple[int, int]]:
         take("{")
-        elems: set[int] = set()
+        elems: list[tuple[int, int]] = []
         nxt = peek()
         if nxt is not None and nxt[0] == "}":
             take("}")
             return elems
-        elems.add(take_int())
+        elems.append(take_int())
         while True:
             tok = take()
             if tok[0] == "}":
                 return elems
             if tok[0] != ",":
                 raise _error(f"expected ',' or '}}', found {tok[0]!r}", text, tok[1])
-            elems.add(take_int())
+            elems.append(take_int())
 
     take("mod")
-    modulus_token = peek()
-    modulus = take_int()
+    modulus, at = take_int()
     if modulus > MAX_MODULUS:
-        raise _error(f"modulus {modulus} is above MAX_MODULUS = {MAX_MODULUS}",
-                     text, modulus_token[1])
-    residues = take_braced()
+        raise _error(f"modulus {modulus} is above MAX_MODULUS = {MAX_MODULUS}", text, at)
+    if modulus < 1:
+        raise _error(f"modulus must be >= 1, got {modulus}", text, at)
+    residues: set[int] = set()
+    for r, at in take_braced():
+        if r >= modulus:
+            raise _error(f"residue {r} must lie in [0, {modulus})", text, at)
+        residues.add(r)
     plus: set[int] = set()
     minus: set[int] = set()
     while peek() is not None:
         tok = take()
-        if tok[0] == "+":
-            plus |= take_braced()
-        elif tok[0] == "-":
-            minus |= take_braced()
-        else:
+        if tok[0] not in ("+", "-"):
             raise _error(f"expected '+' or '-', found {tok[0]!r}", text, tok[1])
-    try:
-        return SymbolicSet.build(modulus, residues, plus, minus)
-    except ValueError as exc:
-        raise SetLiteralError(str(exc), 1, 1) from exc
+        side, other = (plus, minus) if tok[0] == "+" else (minus, plus)
+        for x, at in take_braced():
+            if x in other:
+                raise _error(f"plus and minus overlap: [{x}]", text, at)
+            side.add(x)
+    return SymbolicSet.build(modulus, residues, plus, minus)
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:

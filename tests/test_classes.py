@@ -203,10 +203,17 @@ def test_load_class_error_reporting(tmp_path):
         "uus-string": ('{"hypotheses": [{"id": "x", "support": "mod 1 { 0 }"}], "uus": "no"}',
                        "'uus'"),
         "nested": ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+        "id-null": ('{"hypotheses": [{"id": null, "support": "mod 1 { 0 }"}]}',
+                    "id must be a string"),
+        "latin-1": ('{"hypotheses": [{"id": "caf\xe9", "support": "mod 1 { 0 }"}]}'
+                    .encode("latin-1"), "not UTF-8"),
     }
     for name, (contents, named) in malformed.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(contents)
+        if isinstance(contents, bytes):
+            path.write_bytes(contents)
+        else:
+            path.write_text(contents)
         with pytest.raises(ClassSpecError) as err:
             load_class(str(path))
         assert str(err.value).startswith(f"{path}: ") and named in str(err.value), name

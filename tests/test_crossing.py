@@ -172,11 +172,11 @@ def test_shared_pair_four_point_uses_common_edges_only():
 
 def test_pattern_cells_six_cell():
     cells = pattern_cells(list(six_cell_class().members))
-    realized = set(cells.realized())
-    assert (0, 0, 0) not in realized and (1, 1, 1) not in realized
-    assert len(realized) == 6
-    for alpha in realized:
+    # every pattern but none-of-three (0b000) and all-of-three (0b111)
+    assert set(cells.realized()) == {0b001, 0b010, 0b011, 0b100, 0b101, 0b110}
+    for alpha in cells.realized():
         assert cells.cells[alpha].cardinality().is_infinite
+    assert cells.bits(0b001) == (1, 0, 0)  # reports list member 0 first
 
 
 def test_pattern_cells_pair_matches_regions():
@@ -188,16 +188,15 @@ def test_pattern_cells_pair_matches_regions():
             continue
         cells = pattern_cells([h, g])
         r = four_regions(h, g)
-        assert cells.cells[(1, 1)] == r.both
-        assert cells.cells[(1, 0)] == r.first_only
-        assert cells.cells[(0, 1)] == r.second_only
-        assert cells.cells[(0, 0)] == r.neither
+        # bit 0 is h, bit 1 is g; an empty region has no cell
+        regions = {0b11: r.both, 0b01: r.first_only, 0b10: r.second_only, 0b00: r.neither}
+        assert cells.cells == {alpha: s for alpha, s in regions.items() if not s.is_empty()}
 
 
 def test_pattern_cells_identical_members():
     h = Hypothesis("h", EVENS)
     cells = pattern_cells([h, h])
-    assert set(cells.realized()) == {(1, 1), (0, 0)}
+    assert set(cells.realized()) == {0b11, 0b00}
 
 
 def test_pattern_cells_bounds():
@@ -246,9 +245,15 @@ def test_shared_family_pair_agrees_with_pair_criterion():
         if h.support == g.support:
             continue
         checked += 1
-        via_pair = shared_presentation_pair(h, g) is not None
-        via_family = shared_presentation_family([h, g]) is not None
-        assert via_pair == via_family, (h.support.literal(), g.support.literal())
+        via_pair = shared_presentation_pair(h, g)
+        via_family = shared_presentation_family([h, g])
+        # the pair criterion: the union of the supports lies inside gamma
+        exists = h.support.union(g.support).is_subset(four_regions(h, g).gamma())
+        assert (via_pair is not None) == (via_family is not None) == exists, (
+            h.support.literal(), g.support.literal())
+        if exists:
+            assert via_pair.prefix(30) == via_family.prefix(30)
+            assert via_pair.provenance == "shared-pair(h,g)"
 
 
 def _witness_complete_horizon(h: Hypothesis, g: Hypothesis) -> int:
@@ -382,11 +387,13 @@ def families(draw, min_size: int = 1) -> HypothesisClass:
 @given(families())
 def test_refined_pattern_cells_equal_the_product_definition(cls):
     family = cls.members
-    expected = {
-        alpha: intersection_of(h.support if bit else h.support.complement()
-                               for bit, h in zip(alpha, family))
-        for alpha in itertools.product((0, 1), repeat=len(family))
+    product = {
+        sum(bit << i for i, bit in enumerate(bits)):
+            intersection_of(h.support if bit else h.support.complement()
+                            for bit, h in zip(bits, family))
+        for bits in itertools.product((0, 1), repeat=len(family))
     }
+    expected = {alpha: cell for alpha, cell in product.items() if not cell.is_empty()}
     cells = PatternCells.of(family)
     assert list(cells.cells) == list(expected)
     assert cells.cells == expected

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
+from conftest import random_proper_support
 from crosslimit.classes import (
+    Hypothesis,
+    HypothesisClass,
     augmented_class,
     block_class,
     co_singleton_class,
@@ -31,7 +35,8 @@ from crosslimit.harness import (
     emit_report,
     reproduce,
 )
-from crosslimit.space import SymbolicSet
+from crosslimit.space import SymbolicSet, intersection_of
+from crosslimit.streams import validate
 
 
 def test_classify_disjoint_corner():
@@ -177,6 +182,30 @@ def test_no_verdicts_replay_through_their_witnesses():
             for h in family:
                 intersection = intersection.intersect(h.support)
             assert intersection.cardinality().is_finite
+
+
+def test_random_obstruction_witnesses_replay():
+    # every finite-intersection obstruction names a family whose shared
+    # stream rebuilds under the reported provenance and is valid for all
+    replayed = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        cls = HypothesisClass(tuple(Hypothesis(f"h{i}", random_proper_support(rng))
+                                    for i in range(rng.randint(2, 6))))
+        verdict = classify(cls).ctr_gen
+        if verdict.mechanism != "finite-intersection-obstruction":
+            continue
+        replayed += 1
+        family = [cls.by_id(i) for i in verdict.witness["family"]]
+        stream = shared_presentation_family(family)
+        assert stream.provenance == verdict.witness["shared_stream"]
+        meet = intersection_of(h.support for h in family)
+        assert meet.is_finite()
+        assert verdict.witness["intersection"] == meet.literal()
+        prefix = stream.prefix(40)
+        for h in family:
+            assert validate(prefix, h, horizon=40).clean, (seed, h.id)
+    assert replayed >= 10
 
 
 def test_emit_report_formats():

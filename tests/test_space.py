@@ -232,14 +232,18 @@ def test_literal_examples():
 
 
 def test_literal_errors_carry_position():
-    with pytest.raises(SetLiteralError) as err:
-        parse_set_literal("mod 2 { 0 } * { 1 }")
-    assert err.value.line == 1
-    assert err.value.column == 13
-    with pytest.raises(SetLiteralError):
-        parse_set_literal("mod x { 0 }")
-    with pytest.raises(SetLiteralError):
-        parse_set_literal("mod 2 { 0")
+    cases = {  # literal -> (line, column) of the offending token
+        "mod 2 { 0 } * { 1 }": (1, 13),
+        "mod x { 0 }": (1, 5),
+        "mod 2 { 0": (1, 10),
+        "mod 2 { 5 }": (1, 9),  # a residue at or above the modulus
+        "mod 0 { }": (1, 5),
+        "mod 2 { 0 }\n + { 3 }\n - { 3 }": (3, 6),  # the later of the overlapping 3s
+    }
+    for text, position in cases.items():
+        with pytest.raises(SetLiteralError) as err:
+            parse_set_literal(text)
+        assert (err.value.line, err.value.column) == position, text
 
 
 def test_long_literal_parses_in_one_pass():
