@@ -224,6 +224,8 @@ def _ctr_gen_positive(cls: HypothesisClass, ctr_id: Verdict, bounds: Bounds) -> 
 
 
 def _finite_intersection_obstruction(cls: HypothesisClass, bounds: Bounds) -> Verdict | None:
+    if cls.global_support_intersection().cardinality().is_infinite:
+        return None  # every family's meet contains this one, so none is finite
     members = cls.members
     for size in range(2, min(bounds.family_bound, len(members)) + 1):
         for combo in itertools.combinations(range(len(members)), size):

@@ -10,14 +10,16 @@ every run record replays bit-for-bit.
 Per-step cost: `advance` and `read` cost O(1) amortised, growing with the
 class and the size of the answer but not with the steps before.  States
 share their history through append-only logs instead of copying it, and a
-generator's read is memoised on its state for `advance` to reuse.  A
-generator keeps the version space as a member bitmask and asks
+state carries the values its reads need (the absence-count guess, the
+members whose tell-tale is seen), made with the state and passed on while
+they cannot change; a generator's read is memoised on its state for
+`advance` to reuse, and a set caches the sorted parts it is enumerated
+from.  A generator keeps the version space as a member bitmask and asks
 :func:`~crosslimit.closure.closure_of` for its closure, which the class
 memoises (punctured families get their closed form from the edges), and
 the breaker asks the class's :class:`~crosslimit.classes.PuncturedFamily`
-for punctures beyond the truncation.  Caches live in private fields left
-out of equality, so they never change what compares equal or what a run
-records.
+for punctures beyond the truncation.  Caches live in fields left out of
+equality, so they never change what compares equal or what a run records.
 
 Uniform generation is the one-class case of non-uniform generation: the
 closure generator is the one-level threshold-and-defer chain, armed once the
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -95,22 +98,23 @@ class _Log:
 
     __slots__ = ("_entries", "_steps", "_n")
 
-    def __init__(self, entries: list | None = None, steps: dict | None = None):
-        self._entries = [] if entries is None else entries
-        self._steps = {} if steps is None else steps  # key -> ascending entry numbers
-        self._n = len(self._entries)
+    def __init__(self):  # _steps files each key under its ascending entry numbers
+        self._entries, self._steps, self._n = [], defaultdict(list), 0
 
     def appended(self, entry) -> "_Log":
-        if self._n < len(self._entries):  # an older state branches off: fork
+        entries, steps = self._entries, self._steps
+        if self._n < len(entries):  # an older state branches off: fork
             fork = _Log()
             for old in self:
                 fork = fork.appended(old)
             return fork.appended(entry)
-        self._entries.append(entry)
-        keys = (entry, entry.lo, entry.hi) if isinstance(entry, Pair) else (entry,)
-        for key in keys:
-            self._steps.setdefault(key, []).append(len(self._entries))
-        return _Log(self._entries, self._steps)
+        entries.append(entry)
+        n = len(entries)
+        for key in (entry, entry.lo, entry.hi) if isinstance(entry, Pair) else (entry,):
+            steps[key].append(n)
+        out = object.__new__(_Log)  # the tip's successor: same store, one more entry
+        out._entries, out._steps, out._n = entries, steps, n
+        return out
 
     def __len__(self) -> int:
         return self._n
@@ -208,6 +212,7 @@ def _strictly_below(cls: HypothesisClass, i: int, j: int) -> bool:
 class _EligState:
     seen: frozenset[int]  # the tell-tale elements seen so far; no other matters
     space: int  # members whose cut every pair crosses, as a member bitmask
+    ready: int = field(compare=False)  # members whose tell-tale is in `seen`
 
 
 class EligibilityIdentifier(Learner):
@@ -222,24 +227,31 @@ class EligibilityIdentifier(Learner):
         self.telltales = telltales
         self.name = "eligibility"
         self._marks = frozenset().union(*telltales.entries.values())
+        full = (1 << len(cls.members)) - 1
+        self._initial = _EligState(frozenset(), full, self._ready(frozenset()))
+
+    def _ready(self, seen: frozenset[int]) -> int:
+        """The members whose tell-tale is contained in `seen`, as a member bitmask."""
+        return sum(1 << i for i, h in enumerate(self.cls.members)
+                   if self.telltales.of(h.id) <= seen)
 
     def initial(self) -> _EligState:
-        return _EligState(frozenset(), (1 << len(self.cls.members)) - 1)
+        return self._initial
 
     def advance(self, state: _EligState, pair: Pair) -> _EligState:
         seen = state.seen | self._marks.intersection(pair.elements())
-        return _EligState(seen, state.space & crossing_mask(self.cls, pair))
+        ready = state.ready if len(seen) == len(state.seen) else self._ready(seen)  # seen grew
+        return _EligState(seen, state.space & crossing_mask(self.cls, pair), ready)
 
     def eligible(self, state: _EligState) -> list[Hypothesis]:
-        return [h for h in _members_in(self.cls, state.space)
-                if self.telltales.of(h.id) <= state.seen]
+        return _members_in(self.cls, state.space & state.ready)
 
     def read(self, state: _EligState) -> Hypothesis:
-        eligible = self.eligible(state)
-        return eligible[0] if eligible else self.cls.members[0]
+        eligible = state.space & state.ready
+        return self.cls.members[(eligible & -eligible).bit_length() - 1 if eligible else 0]
 
     def is_default(self, state: _EligState) -> bool:
-        return not self.eligible(state)
+        return not state.space & state.ready
 
     def trace(self, state: _EligState) -> dict:
         return {"eligible": [h.id for h in self.eligible(state)]}
@@ -291,7 +303,8 @@ class TextFromContrastiveIdentifier(Learner):
 @dataclass(frozen=True)
 class _AbsenceState:
     pairs: _Log  # the pairs so far
-    best: int | None = None  # most frequent element so far, ties to the least
+    best: int | None  # most frequent element so far, ties to the least
+    guess: Hypothesis = field(compare=False)  # the member read gives
 
 
 class AbsenceCountIdentifier(Learner):
@@ -309,23 +322,26 @@ class AbsenceCountIdentifier(Learner):
     def __init__(self, family: CoSingletonClass | None = None):
         self.family = family or CoSingletonClass()
         self.name = "absence-count"
+        self._default = self.family.member(0)
 
     def initial(self) -> _AbsenceState:
-        return _AbsenceState(_Log())
+        return _AbsenceState(_Log(), None, self._default)
 
     def advance(self, state: _AbsenceState, pair: Pair) -> _AbsenceState:
         # only the pair's elements gained a count, so the least absence
         # count (ties to the least x) is theirs or stays where it was
         pairs = state.pairs.appended(pair)
         contenders = pair.elements() if state.best is None else (state.best, *pair.elements())
-        return _AbsenceState(pairs, min(contenders, key=lambda x: (-pairs.count(x), x)))
+        best = min(contenders, key=lambda x: (-pairs.count(x), x))
+        guess = state.guess if best == state.best else self.family.member(best)
+        return _AbsenceState(pairs, best, guess)
 
     def absence_counts(self, state: _AbsenceState) -> dict[int, int]:
         seen = {x for pair in state.pairs for x in pair.elements()}
         return {x: len(state.pairs) - state.pairs.count(x) for x in sorted(seen)}
 
     def read(self, state: _AbsenceState) -> Hypothesis:
-        return self.family.member(0 if state.best is None else state.best)
+        return state.guess
 
     def is_default(self, state: _AbsenceState) -> bool:
         return state.best is None
@@ -409,7 +425,12 @@ class _PairGenerator(Learner):
             masks = tuple(m & crossing_mask(cls, pair) for cls, m in zip(self.classes, masks))
         outputs = state.outputs if output is None else state.outputs.appended(output)
         cursor = state._memo.get("cursor", state._cursor)
-        return _GenState(state.count + 1, edges, outputs, state.inner, masks, cursor)
+        return _GenState(state.count + 1, edges, outputs, self._inner_after(state, pair),
+                         masks, cursor)
+
+    def _inner_after(self, state: _GenState, pair: Pair):
+        """The successor's wrapped state; only identify-then-generate wraps one."""
+        return state.inner
 
     def read(self, state: _GenState) -> int:
         return self._output(state)
@@ -448,7 +469,7 @@ class _PairGenerator(Learner):
         if last_support != support:
             start = 0
         if support.is_finite():
-            candidates = (x for x in sorted(support.plus) if x >= start)
+            candidates = (x for x in support.sorted_parts[1] if x >= start)
         else:
             candidates = filter(support.contains, itertools.count(start))
         least = next((x for x in candidates if not excluded(x)), None)
@@ -579,8 +600,8 @@ class IdentifyThenGenerate(_PairGenerator):
     def initial(self) -> _GenState:
         return replace(super().initial(), inner=self.inner.initial())
 
-    def advance(self, state: _GenState, pair: Pair) -> _GenState:
-        return replace(super().advance(state, pair), inner=self.inner.advance(state.inner, pair))
+    def _inner_after(self, state: _GenState, pair: Pair):
+        return self.inner.advance(state.inner, pair)
 
     def _answer(self, state: _GenState) -> int:
         guess = self.inner.read(state.inner)

@@ -20,8 +20,9 @@ frozenset `residues` is derived from it on first read and cached.  Equality
 and hashing go over (modulus, mask, plus, minus), and membership tests mask
 bits.  Set operations lift masks by doubling, combine them with `|`, `&`,
 `& ~` and `^`, and canonicalise by rotating the mask by each divisor: O(lcm
-/ word) in C plus O(exceptions) Python steps.  A complement is computed once
-per value and links back to its source.  No modulus, and no lcm an operation
+/ word) in C plus O(exceptions) Python steps.  A complement, and the sorted
+residues and exceptions that enumeration reads, are computed once per value;
+the complement links back to its source.  No modulus, and no lcm an operation
 lifts to, may exceed `MAX_MODULUS`; the constructors, the literal parser, the
 operations and `normalize_pair` raise a `ValueError` first.
 """
@@ -133,6 +134,11 @@ class SymbolicSet:
     @cached_property
     def residues(self) -> frozenset[int]:
         return _residues_of(self.mask)
+
+    @cached_property
+    def sorted_parts(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(residues, plus, minus), each ascending: what enumeration reads."""
+        return tuple(sorted(self.residues)), tuple(sorted(self.plus)), tuple(sorted(self.minus))
 
     # ------------------------------------------------------------------
     # construction
@@ -297,7 +303,7 @@ class SymbolicSet:
     def members(self) -> Iterator[int]:
         """Ascending enumeration of all members (infinite when the set is)."""
         if self.is_finite():
-            yield from sorted(self.plus)
+            yield from self.sorted_parts[1]
             return
         for x in itertools.count():
             if self.contains(x):
@@ -313,11 +319,11 @@ class SymbolicSet:
         """
         if index < 0:
             raise IndexError(index)
+        residues, plus, minus = self.sorted_parts
         if not self.mask:
-            if index >= len(self.plus):
-                raise IndexError(f"set has only {len(self.plus)} elements, asked for index {index}")
-            return sorted(self.plus)[index]
-        residues, plus, minus = sorted(self.residues), sorted(self.plus), sorted(self.minus)
+            if index >= len(plus):
+                raise IndexError(f"set has only {len(plus)} elements, asked for index {index}")
+            return plus[index]
         m, k = self.modulus, len(residues)
 
         def periodic(j: int) -> int:  # the j-th member of the residue part alone

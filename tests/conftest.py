@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from crosslimit.space import SymbolicSet
 
 
@@ -38,3 +40,13 @@ def random_proper_support(rng: random.Random, **kwargs) -> SymbolicSet:
         s = random_symbolic_set(rng, **kwargs)
         if not s.is_empty() and not s.complement().is_empty():
             return s
+
+
+@st.composite
+def small_sets(draw) -> SymbolicSet:
+    """A set mod 1 to 4 with up to three additions and removals below 16."""
+    m = draw(st.integers(1, 4))
+    residues = draw(st.frozensets(st.integers(0, m - 1)))
+    plus = draw(st.frozensets(st.integers(0, 15), max_size=3))
+    minus = draw(st.frozensets(st.integers(0, 15), max_size=3)) - plus
+    return SymbolicSet.build(m, residues, plus, minus)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_proper_support
+from conftest import random_proper_support, small_sets
 from crosslimit.classes import (
     Hypothesis,
     HypothesisClass,
@@ -31,10 +35,12 @@ from crosslimit.harness import (
     Report,
     Verdict,
     _check_diamond,
+    _finite_intersection_obstruction,
     classify,
     emit_report,
     reproduce,
 )
+from crosslimit.cli import main
 from crosslimit.space import SymbolicSet, intersection_of
 from crosslimit.streams import validate
 
@@ -226,3 +232,44 @@ def test_emit_report_formats():
         emit_report(report, "yaml")
     with pytest.raises(ValueError):
         emit_report(Report("no-trace", ()), "csv-trace")
+
+
+def test_classify_large_punctured_witness_is_fast(capsys):
+    # the meet of every family of up to three members would be cubic here
+    started = time.perf_counter()
+    code = main(["classify", "--witness", "punctured:300"])
+    elapsed = time.perf_counter() - started
+    verdict = json.loads(capsys.readouterr().out)
+    assert code == 0 and verdict["ctr_gen"]["mechanism"] == "eventual-core"
+    assert elapsed < 5.0
+
+
+def _obstruction_by_enumeration(cls: HypothesisClass, bounds: Bounds) -> Verdict | None:
+    """The first family of up to `family_bound` members, smallest first, with a
+    finite intersection and a shared presentation."""
+    for size in range(2, bounds.family_bound + 1):
+        for family in itertools.combinations(cls.members, size):
+            meet = intersection_of(h.support for h in family)
+            stream = shared_presentation_family(list(family)) if meet.is_finite() else None
+            if stream is not None:
+                return Verdict(NO, mechanism="finite-intersection-obstruction", witness={
+                    "family": [h.id for h in family],
+                    "intersection": meet.literal(),
+                    "shared_stream": stream.provenance,
+                })
+    return None
+
+
+proper_supports = small_sets().filter(lambda s: not s.is_empty() and not s.complement().is_empty())
+explicit_classes = st.lists(proper_supports, min_size=2, max_size=6).map(
+    lambda supports: HypothesisClass(
+        tuple(Hypothesis(f"h{i}", s) for i, s in enumerate(supports))))
+family_classes = st.integers(2, 12).flatmap(
+    lambda t: st.sampled_from([punctured_class(t), augmented_class(t)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(explicit_classes, family_classes), st.integers(2, 3))
+def test_obstruction_search_is_its_literal_enumeration(cls, family_bound):
+    bounds = Bounds(family_bound=family_bound)
+    assert _finite_intersection_obstruction(cls, bounds) == _obstruction_by_enumeration(cls, bounds)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import pytest
 
 import crosslimit.classes as classes
+import crosslimit.learners as learners
 from crosslimit.classes import (
+    CoSingletonClass,
     Hypothesis,
     HypothesisClass,
     augmented_class,
@@ -219,3 +221,60 @@ def test_empty_safe_choice_is_computed_once_per_step():
     assert generator.answers == 40
     assert record == run(SafeCoreGenerator(cls), canonical_contrastive(target), steps=40,
                          target=target)
+
+
+# ----------------------------------------------------------------------
+# values a state carries instead of rebuilding them
+# ----------------------------------------------------------------------
+
+def test_absence_count_builds_a_guess_only_when_it_moves(monkeypatch):
+    # the long-runs set-up: a co-singleton star with three early injections
+    family = CoSingletonClass()
+    target = family.member(17)
+    stream = corrupt(canonical_contrastive(target),
+                     [(4, Pair.of(2, 9)), (11, Pair.of(5, 30)), (23, Pair.of(1, 17))])
+    learner = AbsenceCountIdentifier(family)
+    steps, state, moves = 1600, learner.initial(), 0
+    for pair in stream.prefix(steps).items:
+        successor = learner.advance(state, pair)
+        moves += successor.best != state.best
+        state = successor
+    calls = []
+    real = CoSingletonClass.member
+    monkeypatch.setattr(CoSingletonClass, "member", lambda self, s: calls.append(s) or real(self, s))
+    record = run(learner, stream, steps, stability_window=20, target=target)
+    assert record.converged and record.final_output() == "h17"
+    assert 0 < len(calls) <= moves < 10
+
+
+def test_identify_then_generate_makes_one_state_per_step(monkeypatch):
+    generator = IdentifyThenGenerate(eligibility())
+    state = generator.initial()
+    made = []
+    real = learners._GenState.__init__
+    monkeypatch.setattr(learners._GenState, "__init__",
+                        lambda self, *args, **kwargs: made.append(1) or real(self, *args, **kwargs))
+    pairs = sampled_contrastive(OVERLAP.members[0], seed=3, horizon=30).prefix(50).items
+    for pair in pairs:
+        state = generator.advance(state, pair)
+        generator.read(state)
+    assert len(made) == len(pairs)
+
+
+def test_eligibility_recomputes_ready_only_when_seen_grows(monkeypatch):
+    learner = eligibility()
+    target = OVERLAP.members[2]
+    stream = sampled_contrastive(target, seed=5, horizon=30)
+    steps, state, growths = 200, learner.initial(), 0
+    for pair in stream.prefix(steps).items:
+        successor = learner.advance(state, pair)
+        growths += successor.seen != state.seen
+        state = successor
+    calls = []
+    real = EligibilityIdentifier._ready
+    monkeypatch.setattr(EligibilityIdentifier, "_ready",
+                        lambda self, seen: calls.append(seen) or real(self, seen))
+    for inner in (learner, IdentifyThenGenerate(learner)):
+        calls.clear()
+        run(inner, stream, steps, target=target)
+        assert 0 < len(calls) == growths < steps // 10

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_sets
 from crosslimit.classes import (
     Hypothesis,
     HypothesisClass,
@@ -17,7 +18,7 @@ from crosslimit.classes import (
     punctured_class,
     punctured_hole,
 )
-from crosslimit.closure import EdgeSet, closure_dimension
+from crosslimit.closure import EdgeSet, closure_dimension, edge_version_space
 from crosslimit.crossing import shared_presentation_pair
 from crosslimit.learners import (
     AbsenceCountIdentifier,
@@ -425,3 +426,57 @@ def test_stable_tail_start_is_its_literal_definition(step_ok, window):
         None,
     )
     assert _stable_tail_start(tuple(step_ok), window) == least
+
+
+# ----------------------------------------------------------------------
+# the eligibility rule against its literal definition
+# ----------------------------------------------------------------------
+
+small_classes = st.lists(small_sets(), min_size=1, max_size=6).map(
+    lambda supports: HypothesisClass(
+        tuple(Hypothesis(f"h{i}", s) for i, s in enumerate(supports))))
+pair_lists = st.lists(
+    st.tuples(st.integers(0, 20), st.integers(0, 20)).filter(lambda t: t[0] != t[1])
+    .map(lambda t: Pair.of(*t)), max_size=25)
+
+
+def _eligible_by_definition(cls, telltales, pairs) -> list[Hypothesis]:
+    """Members crossed by every pair whose tell-tale lies in the elements seen."""
+    seen = {x for pair in pairs for x in pair.elements()}
+    return [h for h in edge_version_space(cls, EdgeSet.of(pairs)) if telltales.of(h.id) <= seen]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_classes, pair_lists)
+def test_eligibility_reads_are_their_literal_definition(cls, pairs):
+    telltales = compute_telltales(cls)
+    learner = EligibilityIdentifier(cls, telltales)
+    wrapped = IdentifyThenGenerate(EligibilityIdentifier(cls, telltales))
+    state, outer = learner.initial(), wrapped.initial()
+    for n in range(len(pairs) + 1):
+        if n:
+            state = learner.advance(state, pairs[n - 1])
+            outer = wrapped.advance(outer, pairs[n - 1])
+        eligible = _eligible_by_definition(cls, telltales, pairs[:n])
+        guess = eligible[0] if eligible else cls.members[0]
+        trace = {"eligible": [h.id for h in eligible]}
+        assert learner.read(state) == guess
+        assert learner.is_default(state) == (not eligible)
+        assert learner.trace(state) == trace
+        assert wrapped.is_default(outer) == (not eligible)
+        assert wrapped.trace(outer) == {"guess": guess.id, **trace}
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_classes, st.lists(st.integers(0, 20), max_size=25))
+def test_text_simulation_reads_the_literal_eligibility(cls, items):
+    telltales = compute_telltales(cls)
+    learner = TextFromContrastiveIdentifier(EligibilityIdentifier(cls, telltales))
+    state = learner.initial()
+    for n, item in enumerate(items, 1):
+        state = learner.advance(state, item)
+        z = min(set(range(n + 1)) - set(items[:n]))  # the least example not in the text
+        eligible = _eligible_by_definition(cls, telltales, [Pair.of(x, z) for x in items[:n]])
+        assert learner.current_partner(state) == z
+        assert learner.read(state) == (eligible[0] if eligible else cls.members[0])
+        assert learner.inner.is_default(state[2]) == (not eligible)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import crosslimit.space
 from conftest import random_symbolic_set
+from crosslimit.learners import ConstantGenerator, _GenState, _Log
 from crosslimit.space import (
     MAX_MODULUS,
     Cardinality,
@@ -282,6 +283,32 @@ def test_nth_member_matches_enumeration(s):
     if s.is_finite():
         with pytest.raises(IndexError):
             s.nth_member(len(expected))
+        # a generator's least fresh member reads the same cached sorted parts,
+        # resuming from the answer its state carries
+        generator = ConstantGenerator(0)
+        cursor = (None, 0)
+        for k in range(len(expected) + 1):
+            state = _GenState(k, _Log(), _Log(), _cursor=cursor)
+            fresh = generator._fresh(state, s, set(expected[:k]).__contains__)
+            assert fresh == (expected[k] if k < len(expected) else None)
+            cursor = state._memo.get("cursor", cursor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exceptional_sets())
+def test_sorted_parts_cache_is_not_part_of_the_value(s):
+    fresh = SymbolicSet(s.modulus, s.residues, s.plus, s.minus)  # the same exception sets
+    printed = repr(s), s.literal()
+    if s.is_empty():
+        with pytest.raises(IndexError):
+            s.nth_member(0)
+    else:
+        assert s.nth_member(0) == s.min_element()
+    assert "sorted_parts" in vars(s) and "sorted_parts" not in vars(fresh)
+    assert s.sorted_parts == (tuple(sorted(s.residues)), tuple(sorted(s.plus)),
+                              tuple(sorted(s.minus)))
+    assert s == fresh and hash(s) == hash(fresh)
+    assert (repr(s), s.literal()) == printed == (repr(fresh), fresh.literal())
 
 
 @given(exceptional_sets(), st.integers(max_value=-1))
