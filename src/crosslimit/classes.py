@@ -106,6 +106,7 @@ class HypothesisClass:
     family: FamilyInfo | None = None
     _meets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _differences: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _patterns: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ids = [h.id for h in self.members]
@@ -157,6 +158,13 @@ class HypothesisClass:
             return self._differences[i, j]
         return _remember(self._differences, (i, j),
                          self.members[i].support.difference(self.members[j].support))
+
+    def pattern(self, x: int) -> int:
+        """The members whose support holds x, as a member bitmask (as in `meet`), memoised."""
+        if x in self._patterns:
+            return self._patterns[x]
+        return _remember(self._patterns, x,
+                         sum(h.contains(x) << i for i, h in enumerate(self.members)))
 
     def global_support_intersection(self) -> SymbolicSet:
         return self.meet((1 << len(self.members)) - 1)

@@ -71,6 +71,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _count(text: str) -> int:  # the argparse type of counts and bounds
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves no state in it."""
@@ -78,11 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="crosslimit",
         description="contrastive identification and generation in the limit",
     )
-    parser.add_argument("--horizon", type=int, default=64,
+    parser.add_argument("--horizon", type=_count, default=64,
                         help="witness/validation horizon (default 64)")
-    parser.add_argument("--truncation", type=int, default=8,
+    parser.add_argument("--truncation", type=_count, default=8,
                         help="default truncation for parametric witness families")
-    parser.add_argument("--budget", type=int, default=1,
+    parser.add_argument("--budget", type=_count, default=1,
                         help="default corruption budget where one is needed")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled streams")
     parser.add_argument("--format", choices=["json", "text-summary", "csv-trace"],
@@ -94,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         # accept the global flags after the subcommand too, without
         # clobbering values given before it
-        p.add_argument("--horizon", type=int, default=argparse.SUPPRESS)
-        p.add_argument("--truncation", type=int, default=argparse.SUPPRESS)
-        p.add_argument("--budget", type=int, default=argparse.SUPPRESS)
+        p.add_argument("--horizon", type=_count, default=argparse.SUPPRESS)
+        p.add_argument("--truncation", type=_count, default=argparse.SUPPRESS)
+        p.add_argument("--budget", type=_count, default=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         p.add_argument("--format", choices=["json", "text-summary", "csv-trace"],
                        default=argparse.SUPPRESS)
@@ -113,19 +119,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("shared", cmd_shared, "shared contrastive presentation for a family")
     _class_args(p)
     p.add_argument("--family", required=True, help="hypothesis ids, comma separated")
-    p.add_argument("--take", type=int, default=12, help="pairs to print when one exists")
+    p.add_argument("--take", type=_count, default=12, help="pairs to print when one exists")
 
     p = add("dimension", cmd_dimension, "closure dimension search")
     _class_args(p)
-    p.add_argument("--max-size", type=int, default=8)
-    p.add_argument("--vertex-horizon", type=int, default=None,
+    p.add_argument("--max-size", type=_count, default=8)
+    p.add_argument("--vertex-horizon", type=_count, default=None,
                    help="vertex bound for the edge search (defaults to --horizon)")
 
     p = add("stream", cmd_stream, "print a presentation prefix, one item per line")
     _class_args(p, required=False)
     p.add_argument("--target", required=True, help="hypothesis id (or hole for co-singleton)")
     p.add_argument("--kind", default="ctr", choices=sorted(KIND_ALIASES))
-    p.add_argument("--take", type=int, default=20)
+    p.add_argument("--take", type=_count, default=20)
     p.add_argument("--sampled", dest="sampled", action="store_true",
                    help="seeded pseudorandom valid stream instead of the canonical one")
     p.add_argument("--corrupt", action="append", default=[],
@@ -146,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("corrupt-id", cmd_corrupt_id, "absence-count run on a corrupted star")
     p.add_argument("--witness", default="co-singleton")
     p.add_argument("--target", type=int, required=True, help="the hidden hole")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--window", type=int, default=20)
+    p.add_argument("--steps", type=_count, default=200)
+    p.add_argument("--window", type=_count, default=20)
 
     p = add("classify", cmd_classify, "diamond-hierarchy verdicts with witnesses")
     _class_args(p)
@@ -171,8 +177,8 @@ def _run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", required=True)
     p.add_argument("--stream", default="canonical",
                    help="canonical | sampled[:seed] | shared")
-    p.add_argument("--steps", type=int, default=60)
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--steps", type=_count, default=60)
+    p.add_argument("--window", type=_count, default=5)
     p.add_argument("--corrupt", action="append", default=[],
                    help="injection index:item; repeatable")
     p.add_argument("--trace", action="store_true", help="emit a per-step CSV trace")

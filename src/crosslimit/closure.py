@@ -7,19 +7,19 @@ version space is nonempty yet the closure adds nothing outside E's own
 vertices; the closure dimension is the supremum of hollow-set sizes, and its
 finiteness is exactly what uniform generation from pair data needs.
 
-One evaluator, :func:`closure_of`, turns a version space into its closure.
-A version space is a member bitmask (bit i for member i), the AND of its
-edges' `crossing_mask`s, and its closure is the class's memoised `meet`.
-The one exception is a punctured family class: its member list truncates an
-infinite one-point-puncture family, and the mask of the truncated members
-does not determine the closure over the whole family.  A finite edge set only
-ever interacts with finitely many punctures (those whose hole is an edge
-vertex), so that closure is computed in closed form from the edges and the
-class's :class:`~crosslimit.classes.PuncturedFamily` descriptor, which
-supplies the base set and the puncture at each hole.  Without this, every
-truncation would report infinite closures where the infinite family has
-finite ones.  `edge_version_space` and `support_intersection` stay as the
-literal definitions the mask path is checked against.
+One evaluator, :func:`closure_of`, turns a version space into its closure.  A
+version space is a member bitmask (bit i for member i), the AND of its
+edges' `crossing_mask`s (XORs of memoised member patterns); its closure is
+the class's memoised `meet`.  The one exception is a punctured family class:
+its member list truncates an infinite one-point-puncture family, and the
+mask of the truncated members does not determine the closure over the whole
+family.  A finite edge set interacts with finitely many punctures (those
+whose hole is an edge vertex), so that closure is computed in closed form
+from the edges and the class's :class:`~crosslimit.classes.PuncturedFamily`
+descriptor, which supplies the base set and the puncture at each
+hole.  Without this, every truncation would report infinite closures where
+the infinite family has finite ones.  `support_intersection` stays as the
+literal definition the mask path is checked against.
 
 The dimension search is likewise two-layered.  For explicit classes of at
 most PATTERN_BOUND members, the membership-pattern cells reduce the
@@ -132,15 +132,21 @@ def edge_version_space(cls: HypothesisClass, edge_set: EdgeSet) -> list[Hypothes
     For family-backed classes this filters the explicit truncation; the
     closure operations below additionally account for the family tail.
     """
-    return [
-        h for h in cls.members
-        if all(crosses(h, pair) for pair in edge_set.edges)
-    ]
+    space = _edge_space(cls, edge_set.edges)
+    return [h for i, h in enumerate(cls.members) if space >> i & 1]
+
+
+def _edge_space(cls: HypothesisClass, edges: Iterable[Pair]) -> int:
+    """The members crossed by every edge: the AND of the edges' crossing masks."""
+    space = (1 << len(cls.members)) - 1
+    for pair in edges:
+        space &= crossing_mask(cls, pair)
+    return space
 
 
 def crossing_mask(cls: HypothesisClass, pair: Pair) -> int:
-    """Bit i set iff `pair` crosses member i; an edge set's version space is the AND."""
-    return sum(1 << i for i, h in enumerate(cls.members) if crosses(h, pair))
+    """Bit i set iff `pair` crosses member i: member i holds exactly one endpoint."""
+    return cls.pattern(pair.lo) ^ cls.pattern(pair.hi)
 
 
 def _is_punctured(cls: HypothesisClass) -> bool:
@@ -188,10 +194,7 @@ def _punctured_closure(family: PuncturedFamily, edges: Iterable[Pair]) -> Closur
 def contrastive_closure(cls: HypothesisClass, edge_set: EdgeSet) -> ClosureResult:
     """Intersection of supports over the edge-induced version space (see
     :func:`closure_of`)."""
-    space = (1 << len(cls.members)) - 1
-    for pair in edge_set.edges:
-        space &= crossing_mask(cls, pair)
-    return closure_of(cls, space, edge_set.edges)
+    return closure_of(cls, _edge_space(cls, edge_set.edges), edge_set.edges)
 
 
 def safe_set(cls: HypothesisClass, prefix: Prefix) -> ClosureResult:

@@ -8,18 +8,18 @@ never mutated, so identical prefixes always reproduce identical outputs and
 every run record replays bit-for-bit.
 
 Per-step cost: `advance` and `read` cost O(1) amortised, growing with the
-class and the size of the answer but not with the steps before.  States
-share their history through append-only logs instead of copying it, and a
-state carries the values its reads need (the absence-count guess, the
-members whose tell-tale is seen), made with the state and passed on while
-they cannot change; a generator's read is memoised on its state for
-`advance` to reuse, and a set caches the sorted parts it is enumerated
-from.  A generator keeps the version space as a member bitmask and asks
-:func:`~crosslimit.closure.closure_of` for its closure, which the class
-memoises (punctured families get their closed form from the edges), and
-the breaker asks the class's :class:`~crosslimit.classes.PuncturedFamily`
-for punctures beyond the truncation.  Caches live in fields left out of
-equality, so they never change what compares equal or what a run records.
+class and the size of the answer but not with the steps before; a stream
+item costs O(1) on a support without exceptions and O(log t) otherwise.
+States share their history through append-only logs and carry the values
+their reads need (the absence-count guess, the members whose tell-tale is
+seen), passed on while they cannot change; a generator's read is memoised
+on its state for `advance` to reuse.  A version space is a member bitmask,
+ANDed with each new edge's crossing mask (from the class's memoised member
+patterns); :func:`~crosslimit.closure.closure_of` gives its closure from
+the class's memoised meets, or from the edges in closed form for a
+punctured family, whose :class:`~crosslimit.classes.PuncturedFamily` the
+breaker asks for punctures beyond the truncation.  Caches live in fields
+left out of equality, so they never change what compares equal or is recorded.
 
 Uniform generation is the one-class case of non-uniform generation: the
 closure generator is the one-level threshold-and-defer chain, armed once the
@@ -366,8 +366,8 @@ class GoldInformantIdentifier(Learner):
 
     def advance(self, state: int, item: tuple[int, int]) -> int:
         x, label = item
-        return state & sum(1 << i for i, h in enumerate(self.cls.members)
-                           if h.contains(x) == bool(label))
+        pattern = self.cls.pattern(x)  # the members that label x positive
+        return state & (pattern if label else ~pattern)
 
     def read(self, state: int) -> Hypothesis:
         consistent = _members_in(self.cls, state)
@@ -745,33 +745,35 @@ def run(
     step_ok: list[bool] = []
     trace_rows: list[dict] = []
     seen: set[int] = set()
-    state = learner.initial()
-    items = stream.items()
+    advance, read, is_default = learner.advance, learner.read, learner.is_default  # fixed per run
+    kind, generating = stream.kind, learner.role == GENERATOR
+    holds = target.support.contains if target is not None else None
+    state, items = learner.initial(), stream.items()
     for n in range(1, steps + 1):
         item = next(items)
-        if stream.kind == CONTRASTIVE:
-            seen.update(item.elements())
-        elif stream.kind == INFORMANT:
+        if kind == CONTRASTIVE:
+            seen.update(item)  # a pair is a tuple of its two elements
+        elif kind == INFORMANT:
             seen.add(item[0])
         else:
             seen.add(item)
-        state = learner.advance(state, item)
-        step_flags: list[str] = []
+        state = advance(state, item)
+        step_flags: tuple[str, ...] = ()
         try:
-            output = learner.read(state)
+            output = read(state)
         except EmptySafeChoice as exc:
             output = None
-            step_flags.append(f"empty-safe-choice: {exc}")
-        if learner.is_default(state):
-            step_flags.append("default-output")
+            step_flags += (f"empty-safe-choice: {exc}",)
+        if is_default(state):
+            step_flags += ("default-output",)
 
-        if learner.role == GENERATOR:
+        if generating:
             novel = output is not None and output not in seen
-            member = output is not None and (target is None or target.contains(output))
+            member = output is not None and (holds is None or holds(output))
             if output is not None and not novel:
-                step_flags.append("novelty-violation")
-            if output is not None and target is not None and not member:
-                step_flags.append("misclassified")
+                step_flags += ("novelty-violation",)
+            if output is not None and holds is not None and not member:
+                step_flags += ("misclassified",)
             step_ok.append(novel and member)
         elif target is not None:
             step_ok.append(output is not None and output.id == target.id)
@@ -779,7 +781,7 @@ def run(
             step_ok.append(output is not None)  # patched to stability below
 
         outputs.append(output)
-        flags.append(tuple(step_flags))
+        flags.append(step_flags)
         if collect_trace:
             trace_rows.append({"step": n, "output": _output_repr(output), **learner.trace(state)})
 

@@ -312,10 +312,10 @@ class SymbolicSet:
     def nth_member(self, index: int) -> int:
         """The member at `index` (0-based) of the ascending enumeration.
 
-        Binary search on the rank of x (the count of members below it),
-        (x // m)·k + #{residues < x mod m} + #{plus < x} − #{minus < x},
-        over the window of the residue part alone that the exceptions can
-        shift the answer across: O(log) instead of a walk over `index`.
+        Closed form without exceptions, otherwise a binary search on the rank
+        of x (the count of members below it), (x // m)·k + #{residues < x mod
+        m} + #{plus < x} − #{minus < x}, over the window of the residue part
+        alone that the exceptions can shift the answer across: O(log) at most.
         """
         if index < 0:
             raise IndexError(index)
@@ -325,22 +325,19 @@ class SymbolicSet:
                 raise IndexError(f"set has only {len(plus)} elements, asked for index {index}")
             return plus[index]
         m, k = self.modulus, len(residues)
-
-        def periodic(j: int) -> int:  # the j-th member of the residue part alone
-            return j // k * m + residues[j % k]
-
-        def rank(x: int) -> int:
-            extra = bisect_left(plus, x) - bisect_left(minus, x)
-            return x // m * k + bisect_left(residues, x % m) + extra
-
-        lo = periodic(index - len(plus)) if index >= len(plus) else 0
-        hi = periodic(index + len(minus))
+        j = index + len(minus)  # the residue part's member at j bounds the answer above
+        hi = j // k * m + residues[j % k]
+        if not plus and not minus:
+            return hi
+        j = index - len(plus)  # and the one at j, if any, below
+        lo = j // k * m + residues[j % k] if j >= 0 else 0
         while lo < hi:  # least x with more than `index` members at or below it
-            mid = (lo + hi) // 2
-            if rank(mid + 1) > index:
-                hi = mid
+            x = (lo + hi) // 2 + 1
+            if (x // m * k + bisect_left(residues, x % m)
+                    + bisect_left(plus, x) - bisect_left(minus, x)) > index:
+                hi = x - 1
             else:
-                lo = mid + 1
+                lo = x
         return lo
 
     # ------------------------------------------------------------------

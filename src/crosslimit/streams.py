@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -31,22 +32,22 @@ CONTRASTIVE = "contrastive"
 KINDS = (TEXT, INFORMANT, CONTRASTIVE)
 
 
-@dataclass(frozen=True, order=True)
-class Pair:
-    """An unordered two-element observation, stored with lo < hi."""
+class Pair(namedtuple("Pair", "lo hi")):
+    """An unordered two-element observation, stored with lo < hi: a tuple, so
+    hashing and ordering run in C (never compared with a plain tuple)."""
 
-    lo: int
-    hi: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.lo < self.hi):
-            raise ValueError(f"pair needs two distinct naturals, got ({self.lo}, {self.hi})")
+    def __new__(cls, lo: int, hi: int) -> "Pair":
+        if not (0 <= lo < hi):
+            raise ValueError(f"pair needs two distinct naturals, got ({lo}, {hi})")
+        return tuple.__new__(cls, (lo, hi))
 
     @staticmethod
     def of(x: int, y: int) -> "Pair":
         if x == y:
             raise ValueError(f"pair needs two distinct elements, got {x} twice")
-        return Pair(min(x, y), max(x, y))
+        return Pair(x, y) if x < y else Pair(y, x)
 
     def elements(self) -> tuple[int, int]:
         return (self.lo, self.hi)
@@ -57,9 +58,6 @@ class Pair:
         if x == self.hi:
             return self.lo
         raise ValueError(f"{x} is not an endpoint of {self}")
-
-    def __contains__(self, x: int) -> bool:
-        return x == self.lo or x == self.hi
 
     def __str__(self) -> str:
         return f"{{{self.lo},{self.hi}}}"
@@ -307,7 +305,8 @@ def _check_item_kind(kind: str, item) -> None:
     if kind == TEXT and not isinstance(item, int):
         raise ValueError(f"text streams carry naturals, got {item!r}")
     if kind == INFORMANT:
-        ok = isinstance(item, tuple) and len(item) == 2 and item[1] in (0, 1)
+        ok = (isinstance(item, tuple) and not isinstance(item, Pair)
+              and len(item) == 2 and item[1] in (0, 1))
         if not ok:
             raise ValueError(f"informant streams carry (example, label), got {item!r}")
 

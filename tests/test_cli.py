@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from crosslimit.classes import overlapping_cover_class, save_class
 from crosslimit.cli import build_parser, main
 
@@ -185,6 +187,37 @@ def test_usage_errors_return_2(capsys):
     code, _ = run_cli(capsys, "identify", "--witness", "disjoint",
                       "--learner", "nonsense", "--target", "hA")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["classify", "--witness", "disjoint", "--horizon", "-5"], "--horizon"),
+    (["--horizon", "-1", "classify", "--witness", "disjoint"], "--horizon"),
+    (["classify", "--witness", "punctured", "--truncation", "-2"], "--truncation"),
+    (["classify", "--witness", "disjoint", "--budget", "-1"], "--budget"),
+    (["dimension", "--witness", "punctured:4", "--max-size", "-1"], "--max-size"),
+    (["dimension", "--witness", "punctured:4", "--vertex-horizon", "-1"], "--vertex-horizon"),
+    (["stream", "--witness", "co-singleton", "--target", "3", "--take", "-3"], "--take"),
+    (["shared", "--witness", "six-cell", "--family", "h1,h2", "--take", "-1"], "--take"),
+    (["defect", "--witness", "disjoint", "--pair", "hA,hB", "--verify", "--horizon", "-3"],
+     "--horizon"),
+    (["identify", "--witness", "disjoint", "--learner", "eligibility", "--target", "hA",
+      "--steps", "-4"], "--steps"),
+    (["identify", "--witness", "disjoint", "--learner", "eligibility", "--target", "hA",
+      "--window", "-1"], "--window"),
+    (["corrupt-id", "--target", "3", "--steps", "-1"], "--steps"),
+])
+def test_negative_counts_and_bounds_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert f"error: argument {flag}: must not be negative" in captured.err
+
+
+def test_seed_may_be_negative(capsys):
+    code, out = run_cli(capsys, "--seed", "-4", "stream", "--witness", "co-singleton",
+                        "--target", "3", "--take", "2", "--sampled")
+    assert code == 0 and len(out.splitlines()) == 2
 
 
 def test_malformed_class_file_is_a_usage_error(tmp_path, capsys):

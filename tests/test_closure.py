@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from crosslimit.classes import (
     augmented_class,
     co_singleton_class,
     disjoint_support_class,
+    overlapping_cover_class,
     pinned_core_class,
     punctured_class,
     punctured_hole,
@@ -30,13 +33,20 @@ from crosslimit.closure import (
     _bounded_search_dimension,
     closure_dimension,
     contrastive_closure,
+    crossing_mask,
     edge_version_space,
     is_hollow,
     positive_closure,
     safe_set,
     support_intersection,
 )
-from crosslimit.learners import ClosureGenerator, SafeCoreGenerator
+from crosslimit.learners import (
+    ClosureGenerator,
+    EligibilityIdentifier,
+    SafeCoreGenerator,
+    compute_telltales,
+    run,
+)
 from crosslimit.space import SymbolicSet
 from crosslimit.streams import Pair, canonical_contrastive, crosses, sampled_contrastive
 
@@ -127,7 +137,8 @@ PAIRS = st.tuples(st.integers(0, VERTICES - 1), st.integers(0, VERTICES - 1)).fi
 
 
 def reference_closure(cls: HypothesisClass, edges) -> ClosureResult:
-    return support_intersection(edge_version_space(cls, EdgeSet.of(edges)))
+    """The literal definition: the members every edge crosses, one by one."""
+    return support_intersection(h for h in cls.members if all(crosses(h, p) for p in edges))
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,6 +158,44 @@ def test_generator_closures_equal_the_literal_definition(cls, pairs):
         for pair in pairs:  # repeated pairs included
             state = generator.advance(state, pair)
             assert generator._closure(state) == reference_closure(cls, state.edges)
+
+
+def reference_crossing_mask(cls: HypothesisClass, pair: Pair) -> int:
+    return sum(1 << i for i, h in enumerate(cls.members) if crosses(h, pair))
+
+
+@pytest.mark.parametrize("memo_bound", [classes_module.MEMO_BOUND, 3])
+@settings(max_examples=150, deadline=None)
+@given(explicit_classes(), st.lists(
+    st.tuples(st.integers(0, 63), st.integers(0, 63)).filter(lambda p: p[0] != p[1]),
+    min_size=1, max_size=12))
+def test_crossing_mask_equals_the_per_member_definition(memo_bound, cls, ends):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classes_module, "MEMO_BOUND", memo_bound)  # 3: patterns get evicted
+        for pair in [Pair.of(*p) for p in ends] * 2:  # the second pass reads the memo
+            assert crossing_mask(cls, pair) == reference_crossing_mask(cls, pair)
+            assert len(cls._patterns) <= memo_bound
+        survivors = edge_version_space(cls, EdgeSet.of(Pair.of(*p) for p in ends))
+        assert survivors == [h for h in cls.members
+                             if all(crosses(h, Pair.of(*p)) for p in ends)]
+
+
+def test_eligibility_run_computes_each_pattern_once(monkeypatch):
+    cls = overlapping_cover_class()
+    learner = EligibilityIdentifier(cls, compute_telltales(cls))
+    stream = canonical_contrastive(cls.members[2])  # every item pairs x with z* = 5
+    tested = Counter()
+    real = Hypothesis.contains
+
+    def counting(h, x):
+        tested[x] += 1
+        return real(h, x)
+
+    monkeypatch.setattr(Hypothesis, "contains", counting)
+    record = run(learner, stream, steps=400)
+    assert record.converged and tested[5] > 0
+    # a pattern tests every member once; a second computation would test them again
+    assert max(tested.values()) <= len(cls.members)
 
 
 def test_contrastive_closure_bottom():

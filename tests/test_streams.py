@@ -40,6 +40,30 @@ def test_pair_is_unordered():
         Pair.of(2, 2)
 
 
+def test_pair_contract():
+    a, b = Pair.of(7, 2), Pair.of(2, 7)
+    assert a == b and hash(a) == hash(b)
+    assert (a.lo, a.hi) == (2, 7) and str(a) == "{2,7}"
+    for lo, hi in ((0, 0), (-1, 4), (5, 3)):
+        message = rf"^pair needs two distinct naturals, got \({lo}, {hi}\)$"
+        with pytest.raises(ValueError, match=message):
+            Pair(lo, hi)
+    with pytest.raises(ValueError, match="^pair needs two distinct elements, got 3 twice$"):
+        Pair.of(3, 3)
+    assert sorted([Pair.of(1, 9), Pair.of(0, 5), Pair.of(1, 2), Pair.of(0, 1)]) == [
+        Pair.of(0, 1), Pair.of(0, 5), Pair.of(1, 2), Pair.of(1, 9)]
+    with pytest.raises(AttributeError):
+        a.lo = 5
+    assert a.other(2) == 7 and a.other(7) == 2
+
+
+def test_informant_corruption_rejects_a_pair():
+    # a pair is a tuple of two naturals, but not an (example, label) item
+    with pytest.raises(ValueError, match="informant streams carry"):
+        corrupt(canonical_informant(H3), [(3, Pair.of(0, 1))])
+    assert corrupt(canonical_informant(H3), [(3, (0, 1))]).item(3) == (0, 1)
+
+
 def test_canonical_contrastive_cosingleton_is_star():
     stream = canonical_contrastive(H3)
     assert stream.prefix(4).items == (
