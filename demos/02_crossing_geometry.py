@@ -3,7 +3,8 @@
 A contrastive observation for a target h is a pair with exactly one
 endpoint in supp(h).  A rival g survives every observation for h exactly
 when each h-positive sits on an edge crossing both cuts; partitioning X into
-the four membership regions A/B/C/D makes that a pair of emptiness tests.
+the four membership regions A/B/C/D (a pair's pattern cells) makes that a
+pair of emptiness tests.
 """
 
 from crosslimit import (
@@ -12,21 +13,20 @@ from crosslimit import (
     co_singleton_class,
     disjoint_support_class,
     eliminable,
-    four_regions,
-    gamma_vertex_set,
     augmented_class,
     overlapping_cover,
+    pair_cells,
     shared_presentation_pair,
     validate,
 )
-from crosslimit.crossing import common_crossing_edges
+from crosslimit.crossing import REGIONS, common_crossing_edges
 
 # the four-point configuration: supports {1,2} and {1,3}
 h = Hypothesis("h", SymbolicSet.finite({1, 2}))
 g = Hypothesis("g", SymbolicSet.finite({1, 3}))
-regions = four_regions(h, g)
-for name, region in regions.as_dict().items():
-    print(f"region {name}: {region}")
+cells = pair_cells(h, g)
+for name, alpha in REGIONS.items():
+    print(f"region {name}: {cells.cell(alpha)}")
 print("common crossing edges on {1..4}:",
       sorted(str(e) for e in common_crossing_edges(h, g, range(1, 5))))
 
@@ -55,5 +55,5 @@ for target in (ha, hb):
 
 # the co-singleton family is the opposite extreme: one shared edge only
 fam = co_singleton_class()
-print("\nco-singleton pair vertex set:", gamma_vertex_set(fam.member(2), fam.member(5)))
+print("\nco-singleton pair vertex set:", pair_cells(fam.member(2), fam.member(5)).gamma())
 print("shared stream exists?", shared_presentation_pair(fam.member(2), fam.member(5)) is not None)

@@ -10,8 +10,8 @@ package implements the resulting theory over a decidable set algebra:
 * `classes` - hypotheses, explicit and parametric classes, the witness zoo;
 * `streams` - text/informant/contrastive presentations, corruption,
   validity checking;
-* `crossing` - common crossing graphs, the four-region eliminability
-  geometry, shared presentations for pairs and finite families;
+* `crossing` - common crossing graphs as membership-pattern cells:
+  eliminability, gamma and shared presentations for pairs and families;
 * `closure` - edge-induced version spaces, contrastive closure, hollow edge
   sets and the closure dimension;
 * `learners` - identifiers and generators with a uniform step interface and
@@ -60,12 +60,10 @@ from .streams import (
 from .crossing import (
     EliminabilityVerdict,
     PatternCells,
-    Regions,
     delta_contains,
     eliminable,
-    four_regions,
-    gamma_vertex_set,
     overlapping_cover,
+    pair_cells,
     pattern_cells,
     shared_presentation_family,
     shared_presentation_pair,

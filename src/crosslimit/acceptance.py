@@ -27,7 +27,7 @@ from .classes import (
     six_cell_class,
 )
 from .closure import AT_LEAST, EXACT, EdgeSet, closure_dimension, is_hollow
-from .crossing import eliminable, four_regions, gamma_vertex_set, shared_presentation_family
+from .crossing import eliminability, eliminable, pair_cells, shared_presentation_family
 from .harness import NO, YES, classify, reproduce
 from .learners import (
     AbsenceCountIdentifier,
@@ -139,11 +139,10 @@ def criterion_3_eliminability_oracles() -> CriterionResult:
         if h.support == g.support:
             continue
         checked += 1
-        region_verdict = eliminable(h, g).eliminable
-        coverage_verdict = not h.support.is_subset(gamma_vertex_set(h, g))
-        regions = four_regions(h, g)
-        mins = [r.min_element() for r in regions.as_dict().values() if not r.is_empty()]
-        horizon = max(mins) + 1
+        cells = pair_cells(h, g)
+        region_verdict = eliminability(cells).eliminable  # the lonely-cell rule
+        coverage_verdict = not h.support.is_subset(cells.gamma())
+        horizon = max(cell.min_element() for cell in cells.cells.values()) + 1
         brute = False
         for x in h.support.enumerate_below(horizon):
             if not any(

@@ -23,7 +23,8 @@ from .classes import (
     load_class,
 )
 from .closure import closure_dimension
-from .crossing import eliminable, four_regions, shared_presentation_family, shared_presentation_pair
+from .crossing import REGIONS, PatternCells, eliminable
+from .crossing import shared_presentation_family, shared_presentation_pair
 from .harness import Bounds, classify, emit_report, reproduce, Report, Check
 from .learners import (
     AbsenceCountIdentifier,
@@ -223,8 +224,8 @@ def _emit(args, title: str, payload: dict, checks: tuple = ()) -> int:
 def cmd_regions(args) -> int:
     cls = _explicit(args)
     h, g = _pair(args, cls)
-    regions = four_regions(h, g)
-    payload = {name: region.literal() for name, region in regions.as_dict().items()}
+    cells = PatternCells.of((h, g))
+    payload = {name: cells.cell(alpha).literal() for name, alpha in REGIONS.items()}
     return _emit(args, f"regions({h.id},{g.id})", payload)
 
 
@@ -308,12 +309,12 @@ def _build_learner(name: str, cls, args) -> Learner:
             return IdentifyThenGenerate(AbsenceCountIdentifier(cls))
         raise ValueError(f"learner {name!r} needs an explicit class")
     if name == "eligibility":
-        return EligibilityIdentifier(cls, compute_telltales(cls, args.horizon))
+        return EligibilityIdentifier(cls, compute_telltales(cls))
     if name == "gold-informant":
         return GoldInformantIdentifier(cls)
     if name == "synthetic-text":
         return TextFromContrastiveIdentifier(
-            EligibilityIdentifier(cls, compute_telltales(cls, args.horizon))
+            EligibilityIdentifier(cls, compute_telltales(cls))
         )
     if name == "block-text":
         return BlockTextIdentifier(cls)
@@ -334,7 +335,7 @@ def _build_learner(name: str, cls, args) -> Learner:
         return EventualCoreGenerator(lambda m: base.nth_member(m - 1))
     if name == "identify-then-generate":
         return IdentifyThenGenerate(
-            EligibilityIdentifier(cls, compute_telltales(cls, args.horizon))
+            EligibilityIdentifier(cls, compute_telltales(cls))
         )
     raise ValueError(f"unknown learner {name!r}; choose from {LEARNER_CHOICES}")
 

@@ -2,30 +2,36 @@
 
 For a hypothesis h, the crossing edges are the pairs with exactly one
 endpoint in supp(h); a contrastive observation for h is precisely such a
-pair.  For two hypotheses the pairs valid for both form the common crossing
-graph, and whether one hypothesis can be ruled out from data for the other
-reduces to a coverage question on that graph's vertex set.
+pair.  For a family of hypotheses the pairs valid for every member form the
+common crossing graph.
 
-Partitioning X by membership in the two supports into regions
+One model describes that graph: the partition of X into membership-pattern
+cells.  A pattern is a member bitmask (bit i for member i), as in
+`HypothesisClass.meet`, and only the realized (nonempty) cells are stored.
+A pair crosses every member iff its endpoints lie in complementary cells,
+so a cell is *paired* when its complementary pattern is realized and
+*lonely* otherwise, and every rule here reads that one test:
 
-    A = both,  B = first only,  C = second only,  D = neither,
+* gamma, the common-crossing vertex set, is the union of the paired cells;
+* a family shares a contrastive presentation iff every cell with a positive
+  member is paired, and the presentation pairs each element with the least
+  element of its complementary cell (:meth:`PatternCells.partner`);
+* a pair's regions are its 2-member cells A = both (0b11), B = first only
+  (0b01), C = second only (0b10) and D = neither (0b00); g is eliminable
+  from h iff A or B is lonely, that is iff supp(h) is not inside gamma.
+  Otherwise one of three barrier regimes holds: the first support is a
+  proper subset of the second (superset, B unrealized), the supports are
+  incomparable and disjoint (A unrealized), or they are incomparable,
+  intersecting and jointly miss part of X (non-covering).
 
-an A-vertex has a common-crossing partner iff D is nonempty and a B-vertex
-iff C is nonempty, which makes every verdict here exactly computable in the
-set algebra.  Non-eliminability happens in exactly three regimes: the first
-support is a proper subset of the second (superset), the supports are
-incomparable and disjoint, or incomparable, intersecting and jointly missing
-part of X (non-covering).
-
-A family's membership-pattern cells generalize the regions.  A pattern is a
-member bitmask (bit i for member i), as in `HypothesisClass.meet`, and only
-the realized (nonempty) cells are stored.
+Every verdict is therefore an emptiness test in the set algebra.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .classes import Hypothesis, HypothesisClass
 from .space import SymbolicSet
@@ -37,6 +43,10 @@ DISJOINT = "disjoint"
 NON_COVERING = "non-covering"
 ELIMINABLE = "eliminable"
 
+#: a pair's regions as 2-member patterns (bit 0 is the first hypothesis)
+A, B, C, D = 0b11, 0b01, 0b10, 0b00
+REGIONS = {"A": A, "B": B, "C": C, "D": D}
+
 PATTERN_BOUND = 6  # family size cap for pattern cells and the exact cell dimension
 
 
@@ -45,90 +55,6 @@ def delta_contains(h: Hypothesis, pair: Pair) -> bool:
     if not h.is_proper_nontrivial():
         raise ValueError(f"{h.id} is not proper nontrivial")
     return crosses(h, pair)
-
-
-def pair_regions(h: Hypothesis, g: Hypothesis) -> "Regions":
-    """The four regions of a proper nontrivial pair with distinct supports, else a ValueError."""
-    for x in (h, g):
-        if not x.is_proper_nontrivial():
-            raise ValueError(f"{x.id} is not proper nontrivial")
-    if h.support == g.support:
-        raise ValueError(f"{h.id} and {g.id} have identical supports")
-    return four_regions(h, g)
-
-
-@dataclass(frozen=True)
-class Regions:
-    """The four-way membership partition of X for a hypothesis pair."""
-
-    both: SymbolicSet        # A: in both supports
-    first_only: SymbolicSet  # B: first support only
-    second_only: SymbolicSet # C: second support only
-    neither: SymbolicSet     # D: outside both
-
-    def as_dict(self) -> dict[str, SymbolicSet]:
-        return {
-            "A": self.both,
-            "B": self.first_only,
-            "C": self.second_only,
-            "D": self.neither,
-        }
-
-    def gamma(self) -> SymbolicSet:
-        """Vertices incident to some pair crossing both hypotheses.
-
-        Common-crossing edges run between A and D or between B and C, so a
-        region contributes its vertices exactly when its partner region is
-        nonempty.
-        """
-        out = SymbolicSet.empty()
-        if not self.neither.is_empty():
-            out = out.union(self.both)
-        if not self.second_only.is_empty():
-            out = out.union(self.first_only)
-        if not self.first_only.is_empty():
-            out = out.union(self.second_only)
-        if not self.both.is_empty():
-            out = out.union(self.neither)
-        return out
-
-    def eliminability(self) -> "EliminabilityVerdict":
-        """The eliminability rule on the regions; see :func:`eliminable`."""
-        if self.first_only.is_empty():
-            # supp(h) strictly below supp(g); D is nonempty because g is proper
-            return EliminabilityVerdict(False, SUPERSET)
-        if self.second_only.is_empty():
-            # supp(g) strictly below supp(h): B-positives have no partner
-            return EliminabilityVerdict(True, ELIMINABLE, witness=self.first_only.min_element())
-        # incomparable from here on
-        if self.both.is_empty():
-            return EliminabilityVerdict(False, DISJOINT)
-        if self.neither.is_empty():
-            # overlapping cover: A-positives have no partner
-            return EliminabilityVerdict(True, ELIMINABLE, witness=self.both.min_element())
-        return EliminabilityVerdict(False, NON_COVERING)
-
-
-def four_regions(h: Hypothesis, g: Hypothesis) -> Regions:
-    a, b = h.support, g.support
-    return Regions(
-        both=a.intersect(b),
-        first_only=a.difference(b),
-        second_only=b.difference(a),
-        neither=a.union(b).complement(),
-    )
-
-
-def class_regions(cls: HypothesisClass, i: int, j: int) -> Regions:
-    """The four regions of members i < j, from the class's memoised meet and differences."""
-    union = cls.members[i].support.union(cls.members[j].support)
-    both = cls.meet(1 << i | 1 << j)
-    return Regions(both, cls.difference(i, j), cls.difference(j, i), union.complement())
-
-
-def gamma_vertex_set(h: Hypothesis, g: Hypothesis) -> SymbolicSet:
-    """Vertices incident to some pair crossing both hypotheses (:meth:`Regions.gamma`)."""
-    return pair_regions(h, g).gamma()
 
 
 def common_crossing_edges(h: Hypothesis, g: Hypothesis, vertices) -> set[Pair]:
@@ -141,68 +67,8 @@ def common_crossing_edges(h: Hypothesis, g: Hypothesis, vertices) -> set[Pair]:
     }
 
 
-@dataclass(frozen=True)
-class EliminabilityVerdict:
-    """Whether g can be ruled out from data for h, with the regime and witness.
-
-    When eliminable, `witness` is an h-positive with no common-crossing
-    partner (the element whose coverage forces a pair invalid for g).
-    """
-
-    eliminable: bool
-    regime: str
-    witness: int | None = None
-
-    def __post_init__(self) -> None:
-        barrier = self.regime in (SUPERSET, DISJOINT, NON_COVERING)
-        if barrier == self.eliminable:
-            raise ValueError(f"regime {self.regime!r} is inconsistent with eliminable={self.eliminable}")
-
-
-def eliminable(h: Hypothesis, g: Hypothesis) -> EliminabilityVerdict:
-    """Classify the pair into eliminable or one of the three barrier regimes.
-
-    g is not eliminable from h iff (A nonempty implies D nonempty) and
-    (B nonempty implies C nonempty); equivalently iff supp(h) is contained in
-    the common-crossing vertex set.
-    """
-    return pair_regions(h, g).eliminability()
-
-
-def overlapping_cover(h: Hypothesis, g: Hypothesis) -> bool:
-    """Incomparable supports that intersect and jointly cover X.
-
-    Undefined (raises) when one support contains the other.
-    """
-    r = pair_regions(h, g)
-    if r.first_only.is_empty() or r.second_only.is_empty():
-        raise ValueError(
-            f"overlapping cover is defined for incomparable supports; "
-            f"{h.id} and {g.id} are comparable"
-        )
-    return not r.both.is_empty() and r.neither.is_empty()
-
-
 # ----------------------------------------------------------------------
-# shared presentations
-# ----------------------------------------------------------------------
-
-def shared_presentation_pair(h: Hypothesis, g: Hypothesis) -> Stream | None:
-    """A single contrastive stream valid for both targets, when one exists.
-
-    Exists iff supp(h) union supp(g) lies inside the common-crossing vertex
-    set.  The stream is the two-member family's: each support element is
-    paired with the least partner in its complementary region (A with D,
-    B with C and symmetrically).
-    """
-    stream = shared_presentation_family([h, g])  # checks that both are proper nontrivial
-    if h.support == g.support:
-        raise ValueError(f"{h.id} and {g.id} have identical supports")
-    return None if stream is None else replace(stream, provenance=f"shared-pair({h.id},{g.id})")
-
-
-# ----------------------------------------------------------------------
-# membership-pattern cells and family sharing
+# membership-pattern cells
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -222,12 +88,14 @@ class PatternCells:
     def of(family) -> "PatternCells":
         """The realized cells in product order, without a size check.
 
-        By refinement: each cell of the first i members splits by member i
-        into `cell - h` (bit i clear) and `cell & h` (bit i set); empty parts
-        are dropped as they are made.
+        By refinement from the first member's split: each cell of the first
+        i members splits by member i into `cell - h` (bit i clear) and
+        `cell & h` (bit i set); empty parts are dropped as they are made.
         """
-        cells = {0: SymbolicSet.universe()}
-        for i, h in enumerate(family):
+        first, *rest = family
+        parts = ((0, first.support.complement()), (1, first.support))
+        cells = {alpha: part for alpha, part in parts if not part.is_empty()}
+        for i, h in enumerate(rest, 1):
             parts = ((alpha | bit << i, cell & h.support if bit else cell - h.support)
                      for alpha, cell in cells.items() for bit in (0, 1))
             cells = {alpha: part for alpha, part in parts if not part.is_empty()}
@@ -235,6 +103,35 @@ class PatternCells:
 
     def realized(self) -> list[int]:
         return list(self.cells)
+
+    def cell(self, alpha: int) -> SymbolicSet:
+        """The cell of a pattern; the empty set when it is not realized."""
+        return self.cells.get(alpha, SymbolicSet.empty())
+
+    def paired(self, alpha: int) -> bool:
+        """Whether the pattern complementary to `alpha` is realized."""
+        return self._full ^ alpha in self.cells
+
+    def gamma(self) -> SymbolicSet:
+        """The common-crossing vertex set: the union of the paired cells."""
+        out = SymbolicSet.empty()
+        for alpha, cell in self.cells.items():
+            if self.paired(alpha):
+                out = out.union(cell)
+        return out
+
+    @cached_property
+    def _full(self) -> int:  # the all-members pattern
+        return (1 << len(self.hypothesis_ids)) - 1
+
+    @cached_property
+    def _partners(self) -> dict[int, int]:  # each paired pattern's partner minimum
+        return {alpha: self.cells[self._full ^ alpha].min_element()
+                for alpha in self.cells if self.paired(alpha)}
+
+    def partner(self, x: int) -> int:
+        """The least element of the cell complementary to x's cell."""
+        return self._partners[self.pattern_of(x)]
 
     def pattern_of(self, x: int) -> int:
         for alpha, cell in self.cells.items():
@@ -255,27 +152,123 @@ def pattern_cells(family: list[Hypothesis]) -> PatternCells:
     return PatternCells.of(family)
 
 
+def pair_cells(h: Hypothesis, g: Hypothesis) -> PatternCells:
+    """The regions of a proper nontrivial pair with distinct supports, else a ValueError."""
+    for x in (h, g):
+        if not x.is_proper_nontrivial():
+            raise ValueError(f"{x.id} is not proper nontrivial")
+    if h.support == g.support:
+        raise ValueError(f"{h.id} and {g.id} have identical supports")
+    return PatternCells.of((h, g))
+
+
+def class_pair_cells(cls: HypothesisClass, i: int, j: int) -> PatternCells:
+    """The regions of members i and j, from the class's memoised meet and differences."""
+    union = cls.members[i].support.union(cls.members[j].support)
+    parts = ((D, union.complement()), (C, cls.difference(j, i)),
+             (B, cls.difference(i, j)), (A, cls.meet(1 << i | 1 << j)))  # product order
+    return PatternCells((cls.members[i].id, cls.members[j].id),
+                        {alpha: part for alpha, part in parts if not part.is_empty()})
+
+
+# ----------------------------------------------------------------------
+# eliminability
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EliminabilityVerdict:
+    """Whether g can be ruled out from data for h, with the regime and witness.
+
+    When eliminable, `witness` is an h-positive with no common-crossing
+    partner (the element whose coverage forces a pair invalid for g).
+    """
+
+    eliminable: bool
+    regime: str
+    witness: int | None = None
+
+    def __post_init__(self) -> None:
+        barrier = self.regime in (SUPERSET, DISJOINT, NON_COVERING)
+        if barrier == self.eliminable:
+            raise ValueError(f"regime {self.regime!r} is inconsistent with eliminable={self.eliminable}")
+
+
+def eliminability(cells: PatternCells) -> EliminabilityVerdict:
+    """The eliminability rule on a proper pair's regions.
+
+    A lonely h-positive cell (A without D, or B without C) makes g
+    eliminable, with that cell's least element as the witness; a proper pair
+    has at most one.  Otherwise the unrealized region names the barrier.
+    """
+    for alpha in (A, B):
+        if alpha in cells.cells and not cells.paired(alpha):
+            return EliminabilityVerdict(True, ELIMINABLE, witness=cells.cells[alpha].min_element())
+    if B not in cells.cells:
+        # supp(h) strictly below supp(g); D is realized because g is proper
+        return EliminabilityVerdict(False, SUPERSET)
+    if A not in cells.cells:
+        return EliminabilityVerdict(False, DISJOINT)
+    return EliminabilityVerdict(False, NON_COVERING)
+
+
+def eliminable(h: Hypothesis, g: Hypothesis) -> EliminabilityVerdict:
+    """Classify the pair into eliminable or one of the three barrier regimes.
+
+    g is not eliminable from h iff neither A nor B is lonely; equivalently
+    iff supp(h) is contained in the common-crossing vertex set.
+    """
+    return eliminability(pair_cells(h, g))
+
+
+def overlapping_cover(h: Hypothesis, g: Hypothesis) -> bool:
+    """Incomparable supports that intersect and jointly cover X.
+
+    Undefined (raises) when one support contains the other.
+    """
+    cells = pair_cells(h, g).cells
+    if B not in cells or C not in cells:
+        raise ValueError(
+            f"overlapping cover is defined for incomparable supports; "
+            f"{h.id} and {g.id} are comparable"
+        )
+    return A in cells and D not in cells
+
+
+# ----------------------------------------------------------------------
+# shared presentations
+# ----------------------------------------------------------------------
+
+def shared_presentation_pair(h: Hypothesis, g: Hypothesis) -> Stream | None:
+    """A single contrastive stream valid for both targets, when one exists.
+
+    Exists iff supp(h) union supp(g) lies inside the common-crossing vertex
+    set.  The stream is the two-member family's: each support element is
+    paired with the least partner in its complementary region (A with D,
+    B with C and symmetrically).
+    """
+    stream = shared_presentation_family([h, g])  # checks that both are proper nontrivial
+    if h.support == g.support:
+        raise ValueError(f"{h.id} and {g.id} have identical supports")
+    return None if stream is None else replace(stream, provenance=f"shared-pair({h.id},{g.id})")
+
+
 def shared_presentation_family(family: list[Hypothesis]) -> Stream | None:
     """A contrastive stream valid for every family member, when one exists.
 
-    Exists iff every realized nonzero membership pattern has a realized
-    complementary pattern; each support element is then paired with the
-    least element of the cell complementary to its own pattern.
+    Exists iff every realized nonzero membership pattern is paired; each
+    support element is then paired with the least element of the cell
+    complementary to its own pattern.
     """
     for h in family:
         if not h.is_proper_nontrivial():
             raise ValueError(f"{h.id} is not proper nontrivial")
     cells = pattern_cells(list(family))
-    full = (1 << len(family)) - 1
-    if any(alpha and (full ^ alpha) not in cells.cells for alpha in cells.cells):
+    if any(alpha and not cells.paired(alpha) for alpha in cells.cells):
         return None
 
     union = SymbolicSet.empty()
     for h in family:
         union = union.union(h.support)
 
-    def partner_of(x: int) -> int:
-        return cells.cells[full ^ cells.pattern_of(x)].min_element()
-
     ids = ",".join(h.id for h in family)
-    return paired_stream(union, partner_of, f"shared-family({ids})", tuple(family))
+    return paired_stream(union, cells.partner, f"shared-family({ids})", tuple(family))

@@ -2,9 +2,11 @@
 
 The four verdicts per class:
 
-* text identification: tell-tale computation over the member tuple, or, for
-  the punctured family, a certified failure (every finite candidate
-  tell-tale of the limit hypothesis sits inside some puncture's support);
+* text identification: exact tell-tales over the member tuple (least
+  elements of strict differences, so no horizon bounds them), or, for the
+  punctured family, a certified failure: every finite candidate tell-tale
+  of the limit hypothesis below the horizon sits inside the support of the
+  puncture beyond it, a set-algebra test that enumerates nothing;
 * contrastive identification: text identification plus every incomparable
   pair an overlapping cover, with the first barrier pair as the witness
   otherwise;
@@ -46,10 +48,13 @@ from .classes import (
 )
 from .closure import EXACT, closure_dimension
 from .crossing import (
-    class_regions,
+    A,
+    B,
+    C,
+    class_pair_cells,
     common_crossing_edges,
-    four_regions,
-    gamma_vertex_set,
+    eliminability,
+    pair_cells,
     pattern_cells,
     shared_presentation_family,
 )
@@ -116,10 +121,9 @@ class HierarchyVerdict:
 def _txt_id_verdict(cls: HypothesisClass, bounds: Bounds) -> Verdict:
     punctured = cls.family
     if isinstance(punctured, PuncturedFamily):
-        below = punctured.base.enumerate_below(bounds.horizon)
         swallow = punctured.member(punctured_hole(bounds.horizon + 1))
-        candidates_covered = SymbolicSet.finite(below).is_subset(swallow.support)
-        if not candidates_covered:
+        uncovered = punctured.base.difference(swallow.support).min_element()
+        if uncovered is not None and uncovered < bounds.horizon:
             raise AssertionError("puncture beyond the horizon must keep all candidates")
         return Verdict(
             NO,
@@ -134,10 +138,7 @@ def _txt_id_verdict(cls: HypothesisClass, bounds: Bounds) -> Verdict:
                 "horizon": bounds.horizon,
             },
         )
-    try:
-        family = compute_telltales(cls, bounds.horizon)
-    except ValueError as exc:
-        return Verdict(UNKNOWN, mechanism="horizon-insufficient", witness={"error": str(exc)})
+    family = compute_telltales(cls)
     if not telltales_sound(cls, family):
         raise AssertionError("computed tell-tales failed their own soundness check")
     return Verdict(
@@ -158,8 +159,6 @@ def _ctr_id_verdict(cls: HypothesisClass, txt_id: Verdict) -> Verdict:
         )
     if txt_id.status == NO:
         return Verdict(NO, mechanism="txt-id-failure", witness=txt_id.witness)
-    if txt_id.status == UNKNOWN:
-        return Verdict(UNKNOWN, mechanism="txt-id-unknown")
     return Verdict(YES, mechanism="overlapping-covers", witness=txt_id.witness)
 
 
@@ -169,7 +168,7 @@ def _first_barrier_pair(cls: HypothesisClass) -> tuple[str, str, str] | None:
         if cls.difference(i, j).is_empty() or cls.difference(j, i).is_empty():
             continue  # comparable supports
         # incomparable supports are distinct, nonempty and not all of X
-        verdict = class_regions(cls, i, j).eliminability()
+        verdict = eliminability(class_pair_cells(cls, i, j))
         if not verdict.eliminable:
             return (members[i].id, members[j].id, verdict.regime)
     return None
@@ -394,13 +393,13 @@ def reproduce(example_id: str) -> Report:
 def _reproduce_four_point() -> Report:
     h = Hypothesis("h", SymbolicSet.finite({1, 2}))
     g = Hypothesis("g", SymbolicSet.finite({1, 3}))
-    regions = four_regions(h, g)
+    cells = pair_cells(h, g)
     edges = common_crossing_edges(h, g, range(1, 5))
-    vertex_set = gamma_vertex_set(h, g)
+    vertex_set = cells.gamma()
     checks = (
-        Check("region A", "mod 1 { } + { 1 }", regions.both.literal()),
-        Check("region B", "mod 1 { } + { 2 }", regions.first_only.literal()),
-        Check("region C", "mod 1 { } + { 3 }", regions.second_only.literal()),
+        Check("region A", "mod 1 { } + { 1 }", cells.cell(A).literal()),
+        Check("region B", "mod 1 { } + { 2 }", cells.cell(B).literal()),
+        Check("region C", "mod 1 { } + { 3 }", cells.cell(C).literal()),
         Check("common crossing edges on the four points",
               ["{1,4}", "{2,3}"], sorted(str(e) for e in edges)),
         Check("all four points are coverable",

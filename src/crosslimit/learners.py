@@ -156,27 +156,22 @@ class TellTaleFamily:
         return self.entries[hid]
 
 
-def compute_telltales(cls: HypothesisClass, horizon: int = 64) -> TellTaleFamily:
+def compute_telltales(cls: HypothesisClass) -> TellTaleFamily:
     """Greedy tell-tales: least difference witness per strict sub-support.
 
     For each member pair with supp(f) strictly below supp(g), the least
-    element of supp(g) minus supp(f) joins g's tell-tale.  Witnesses beyond
-    the horizon are reported as errors rather than silently accepted.
+    element of supp(g) minus supp(f) joins g's tell-tale.  Each witness is
+    exact, so a finite class always gets finite tell-tales.
     """
     entries: dict[str, frozenset[int]] = {}
     for j, g in enumerate(cls.members):
         picks: set[int] = set()
-        for i, f in enumerate(cls.members):
+        for i in range(len(cls.members)):
             if i == j or not _strictly_below(cls, i, j):
                 continue
             witness = cls.difference(j, i).min_element()
             if witness is None:
                 raise AssertionError("strict subset with empty difference")
-            if witness >= horizon:
-                raise ValueError(
-                    f"tell-tale witness for {g.id} against {f.id} is {witness}, "
-                    f"beyond horizon {horizon}"
-                )
             picks.add(witness)
         entries[g.id] = frozenset(picks)
     return TellTaleFamily(entries)

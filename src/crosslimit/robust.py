@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classes import Hypothesis, HypothesisClass, block_elements
-from .crossing import Regions, eliminable, pair_regions
+from .crossing import PatternCells, eliminable, pair_cells
 from .learners import IDENTIFIER, Learner, RunRecord, run
 from .space import Cardinality, SymbolicSet
 from .streams import CONTRASTIVE, TEXT, Pair, Stream, crosses, paired_stream, validate
@@ -47,23 +47,16 @@ class DefectReport:
 
 
 def defect(h: Hypothesis, g: Hypothesis) -> DefectReport:
-    regions = pair_regions(h, g)
-    defect_set = h.support.difference(regions.gamma())
+    cells = pair_cells(h, g)
+    defect_set = h.support.difference(cells.gamma())
     kappa = defect_set.cardinality()
-    stream = _min_violation_stream(h, g, defect_set, regions) if kappa.is_finite else None
+    stream = _min_violation_stream(h, g, defect_set, cells) if kappa.is_finite else None
     return DefectReport(h.id, g.id, defect_set, kappa, stream)
 
 
 def _min_violation_stream(h: Hypothesis, g: Hypothesis, defect_set: SymbolicSet,
-                          regions: Regions) -> Stream:
+                          cells: PatternCells) -> Stream:
     h_negative = h.support.complement().min_element()
-    partner_d = regions.neither.min_element()
-    partner_c = regions.second_only.min_element()
-
-    def partner_of(x: int) -> int:
-        if regions.both.contains(x):
-            return partner_d
-        return partner_c
 
     # cover each defect once, then the rest (cycled when finite) through
     # harmless common-crossing pairs
@@ -72,7 +65,7 @@ def _min_violation_stream(h: Hypothesis, g: Hypothesis, defect_set: SymbolicSet,
     if clean_part.is_empty():
         raise AssertionError("proper nontrivial pair must have a non-defect positive")
     return paired_stream(
-        clean_part, partner_of, f"min-violation({h.id}->{g.id})", (h,), head=defect_pairs
+        clean_part, cells.partner, f"min-violation({h.id}->{g.id})", (h,), head=defect_pairs
     )
 
 

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +175,39 @@ def test_class_file_round_trip(tmp_path, capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["ctr_id"]["status"] == "yes"
+
+
+def test_telltales_past_the_default_horizon(tmp_path, capsys):
+    # the tell-tale of `all` against `most` is 100, past the horizon of 64
+    path = tmp_path / "all-most-evens.json"
+    path.write_text(json.dumps({"hypotheses": [
+        {"id": "all", "support": "mod 1 { 0 }"},
+        {"id": "most", "support": "mod 1 { 0 } - { 100 }"},
+        {"id": "evens", "support": "mod 2 { 0 }"},
+    ]}))
+    code, out = run_cli(capsys, "classify", "--class", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["bounds"]["horizon"] == 64
+    assert doc["txt_id"] == {"status": "yes", "mechanism": "telltales",
+                             "witness": {"all": [1, 100], "most": [], "evens": []}}
+    assert doc["ctr_id"]["status"] == "yes"
+    assert doc["ctr_id"]["mechanism"] == "overlapping-covers"
+    code, _ = run_cli(capsys, "identify", "--class", str(path), "--learner", "eligibility",
+                      "--target", "most")
+    assert code == 0
+
+
+def test_punctured_witness_at_a_huge_horizon_enumerates_nothing():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "crosslimit.cli", "classify", "--witness", "punctured:8",
+         "--horizon", "100000000"],
+        capture_output=True, text=True, env=env, timeout=10, check=True,
+    )
+    witness = json.loads(done.stdout)["txt_id"]["witness"]
+    assert witness["containing_support"] == "mod 2 { 0 } - { 200000000 }"
+    assert witness["horizon"] == 100000000
 
 
 def test_verify_runs_acceptance_suite(capsys):

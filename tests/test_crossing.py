@@ -1,9 +1,10 @@
-"""Crossing geometry: region formulas vs coverage vs brute-force oracles."""
+"""Crossing geometry: pattern cells vs the four-region reference, coverage and brute force."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -24,27 +25,119 @@ from crosslimit.crossing import (
     ELIMINABLE,
     NON_COVERING,
     SUPERSET,
+    A,
+    B,
+    C,
+    D,
+    EliminabilityVerdict,
     PatternCells,
-    class_regions,
+    class_pair_cells,
     common_crossing_edges,
     delta_contains,
+    eliminability,
     eliminable,
-    four_regions,
-    gamma_vertex_set,
     overlapping_cover,
+    pair_cells,
     pattern_cells,
     shared_presentation_family,
     shared_presentation_pair,
 )
 from crosslimit.harness import classify
+from crosslimit.robust import defect
 from crosslimit.space import SymbolicSet, intersection_of
-from crosslimit.streams import Pair, crosses, validate
+from crosslimit.streams import Pair, crosses, paired_stream, validate
 
 EVENS = SymbolicSet.residue_class(2, {0})
 ODDS = SymbolicSet.residue_class(2, {1})
 
 FIG_H = Hypothesis("h", SymbolicSet.finite({1, 2}))
 FIG_G = Hypothesis("g", SymbolicSet.finite({1, 3}))
+
+
+# ----------------------------------------------------------------------
+# the reference: the four-region model that the pattern cells replaced,
+# with its own gamma, eliminability rule and partner rules
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Regions:
+    """The four-way membership partition of X for a hypothesis pair."""
+
+    both: SymbolicSet        # A: in both supports
+    first_only: SymbolicSet  # B: first support only
+    second_only: SymbolicSet # C: second support only
+    neither: SymbolicSet     # D: outside both
+
+    def as_dict(self) -> dict[str, SymbolicSet]:
+        return {"A": self.both, "B": self.first_only, "C": self.second_only, "D": self.neither}
+
+    def gamma(self) -> SymbolicSet:
+        """A region contributes its vertices exactly when its partner region is nonempty."""
+        out = SymbolicSet.empty()
+        if not self.neither.is_empty():
+            out = out.union(self.both)
+        if not self.second_only.is_empty():
+            out = out.union(self.first_only)
+        if not self.first_only.is_empty():
+            out = out.union(self.second_only)
+        if not self.both.is_empty():
+            out = out.union(self.neither)
+        return out
+
+    def eliminability(self) -> EliminabilityVerdict:
+        if self.first_only.is_empty():
+            return EliminabilityVerdict(False, SUPERSET)
+        if self.second_only.is_empty():
+            return EliminabilityVerdict(True, ELIMINABLE, witness=self.first_only.min_element())
+        if self.both.is_empty():
+            return EliminabilityVerdict(False, DISJOINT)
+        if self.neither.is_empty():
+            return EliminabilityVerdict(True, ELIMINABLE, witness=self.both.min_element())
+        return EliminabilityVerdict(False, NON_COVERING)
+
+    def partner(self, x: int) -> int:
+        """The least element of the region complementary to x's region."""
+        for region, other in ((self.both, self.neither), (self.first_only, self.second_only),
+                              (self.second_only, self.first_only), (self.neither, self.both)):
+            if region.contains(x):
+                return other.min_element()
+        raise AssertionError("regions must partition X")
+
+
+def four_regions(h: Hypothesis, g: Hypothesis) -> Regions:
+    a, b = h.support, g.support
+    return Regions(a.intersect(b), a.difference(b), b.difference(a), a.union(b).complement())
+
+
+def reference_cells(r: Regions) -> dict[int, SymbolicSet]:
+    """The regions as realized 2-member cells (bit 0 is the first hypothesis)."""
+    regions = {D: r.neither, C: r.second_only, B: r.first_only, A: r.both}
+    return {alpha: s for alpha, s in regions.items() if not s.is_empty()}
+
+
+def reference_min_violation_prefix(h: Hypothesis, g: Hypothesis, n: int) -> list[Pair]:
+    """The minimum-violation stream's rule: A-positives go to min D, the rest to min C."""
+    r = four_regions(h, g)
+    defect_set = h.support.difference(r.gamma())
+    h_negative = h.support.complement().min_element()
+    partner_d, partner_c = r.neither.min_element(), r.second_only.min_element()
+    head = tuple(Pair.of(x, h_negative) for x in sorted(defect_set.plus))
+    stream = paired_stream(
+        h.support.difference(defect_set),
+        lambda x: partner_d if r.both.contains(x) else partner_c,
+        f"min-violation({h.id}->{g.id})", (h,), head=head,
+    )
+    return list(stream.prefix(n).items)
+
+
+def reference_overlapping_cover(h: Hypothesis, g: Hypothesis) -> bool:
+    r = four_regions(h, g)
+    if r.first_only.is_empty() or r.second_only.is_empty():
+        raise ValueError(
+            f"overlapping cover is defined for incomparable supports; "
+            f"{h.id} and {g.id} are comparable"
+        )
+    return not r.both.is_empty() and r.neither.is_empty()
 
 
 def test_delta_contains_star_and_non_crossing():
@@ -56,40 +149,41 @@ def test_delta_contains_star_and_non_crossing():
 
 
 def test_four_regions_four_point_configuration():
-    r = four_regions(FIG_H, FIG_G)
-    assert r.both == SymbolicSet.finite({1})
-    assert r.first_only == SymbolicSet.finite({2})
-    assert r.second_only == SymbolicSet.finite({3})
-    assert r.neither == SymbolicSet.cofinite({1, 2, 3})
+    cells = pair_cells(FIG_H, FIG_G)
+    assert cells.cell(A) == SymbolicSet.finite({1})
+    assert cells.cell(B) == SymbolicSet.finite({2})
+    assert cells.cell(C) == SymbolicSet.finite({3})
+    assert cells.cell(D) == SymbolicSet.cofinite({1, 2, 3})
+    assert list(cells.cells) == [D, C, B, A]  # product order: bit 0 varies slowest
 
 
 def test_four_regions_disjoint_pair():
     ha, hb = disjoint_support_class().members
-    r = four_regions(ha, hb)
-    assert r.both.is_empty()
-    assert r.first_only == EVENS
-    assert r.second_only == ODDS
-    assert r.neither.is_empty()
+    cells = pair_cells(ha, hb)
+    assert cells.cell(A).is_empty() and A not in cells.cells
+    assert cells.cell(B) == EVENS
+    assert cells.cell(C) == ODDS
+    assert cells.cell(D).is_empty() and D not in cells.cells
 
 
 def test_equal_supports_rejected():
     a = Hypothesis("a", EVENS)
     b = Hypothesis("b", EVENS)
     with pytest.raises(ValueError):
-        four = gamma_vertex_set(a, b)
+        pair_cells(a, b)
     with pytest.raises(ValueError):
         eliminable(a, b)
 
 
 def test_gamma_vertex_set_examples():
     # four-point configuration: all regions nonempty, so V covers X
-    assert gamma_vertex_set(FIG_H, FIG_G) == SymbolicSet.universe()
+    assert pair_cells(FIG_H, FIG_G).gamma() == SymbolicSet.universe()
     # co-singleton pair: the only common-crossing edge is {s, t}
     fam = co_singleton_class()
-    assert gamma_vertex_set(fam.member(2), fam.member(7)) == SymbolicSet.finite({2, 7})
+    assert pair_cells(fam.member(2), fam.member(7)).gamma() == SymbolicSet.finite({2, 7})
     # disjoint supports: B and C cover each other, A and D are empty
     ha, hb = disjoint_support_class().members
-    assert gamma_vertex_set(ha, hb) == SymbolicSet.universe()
+    assert pair_cells(ha, hb).gamma() == SymbolicSet.universe()
 
 
 def test_common_crossing_edges_four_point():
@@ -187,10 +281,8 @@ def test_pattern_cells_pair_matches_regions():
         if h.support == g.support:
             continue
         cells = pattern_cells([h, g])
-        r = four_regions(h, g)
         # bit 0 is h, bit 1 is g; an empty region has no cell
-        regions = {0b11: r.both, 0b01: r.first_only, 0b10: r.second_only, 0b00: r.neither}
-        assert cells.cells == {alpha: s for alpha, s in regions.items() if not s.is_empty()}
+        assert cells.cells == reference_cells(four_regions(h, g))
 
 
 def test_pattern_cells_identical_members():
@@ -286,7 +378,7 @@ def test_eliminability_three_verdict_oracle_equivalence():
             continue
         checked += 1
         region_verdict = eliminable(h, g)
-        coverage_verdict = not h.support.is_subset(gamma_vertex_set(h, g))
+        coverage_verdict = not h.support.is_subset(pair_cells(h, g).gamma())
         horizon = _witness_complete_horizon(h, g)
         brute_verdict = not _brute_force_not_eliminable(h, g, horizon)
         assert region_verdict.eliminable == coverage_verdict == brute_verdict, (
@@ -418,7 +510,81 @@ def test_meet_equals_intersection_of(cls, data):
 @given(families(min_size=2))
 def test_class_regions_equal_four_regions(cls):
     for i, j in itertools.combinations(range(len(cls.members)), 2):
-        assert class_regions(cls, i, j) == four_regions(cls.members[i], cls.members[j])
+        h, g = cls.members[i], cls.members[j]
+        cells = class_pair_cells(cls, i, j)
+        assert cells == PatternCells.of((h, g))
+        assert list(cells.cells) == list(PatternCells.of((h, g)).cells)
+        assert cells.cells == reference_cells(four_regions(h, g))
+
+
+proper_supports = supports().filter(lambda s: not s.is_empty() and not s.complement().is_empty())
+
+
+@settings(max_examples=300, deadline=None)
+@given(proper_supports, proper_supports)
+def test_pattern_cell_rules_equal_the_four_region_reference(a, b):
+    h, g = Hypothesis("h", a), Hypothesis("g", b)
+    if a == b:
+        with pytest.raises(ValueError):
+            pair_cells(h, g)
+        return
+    r, cells = four_regions(h, g), pair_cells(h, g)
+    assert cells.cells == reference_cells(r)
+    assert eliminable(h, g) == eliminability(cells) == r.eliminability()
+    assert cells.gamma() == r.gamma()
+
+    report = defect(h, g)
+    assert report.defect_set == h.support - r.gamma()
+    assert report.kappa == report.defect_set.cardinality()
+    if report.kappa.is_finite:
+        assert list(report.min_violation_stream.prefix(30).items) == (
+            reference_min_violation_prefix(h, g, 30))
+    else:
+        assert report.min_violation_stream is None
+
+    union = h.support | g.support
+    stream = shared_presentation_pair(h, g)
+    assert (stream is not None) == union.is_subset(r.gamma())
+    if stream is not None:
+        expected = paired_stream(union, r.partner, "shared-pair(h,g)", (h, g))
+        assert stream.provenance == expected.provenance
+        assert stream.prefix(30).items == expected.prefix(30).items
+
+    try:
+        expected_cover = reference_overlapping_cover(h, g)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            overlapping_cover(h, g)
+    else:
+        assert overlapping_cover(h, g) == expected_cover
+
+
+def test_partner_minima_are_computed_once_per_cells_object(monkeypatch):
+    family = list(six_cell_class().members)
+    stream = shared_presentation_family(family)
+    calls = []
+    original = SymbolicSet.min_element
+    monkeypatch.setattr(SymbolicSet, "min_element",
+                        lambda self: calls.append(self) or original(self))
+    prefix = stream.prefix(60)
+    # one minimum per paired cell, however many items are drawn
+    assert len(calls) <= 6
+    for pair in prefix.items:
+        assert all(crosses(h, pair) for h in family)
+
+
+def test_cell_and_lonely_cells():
+    h1 = Hypothesis("h1", EVENS)
+    h2 = Hypothesis("h2", EVENS.union(SymbolicSet.finite({1})))
+    cells = pair_cells(h1, h2)
+    assert cells.cell(B).is_empty() and B not in cells.cells
+    assert cells.paired(A) and cells.paired(D)
+    assert cells.cell(C) == SymbolicSet.finite({1}) and not cells.paired(C)
+    # gamma leaves out the lonely C cell
+    assert cells.gamma() == SymbolicSet.universe() - SymbolicSet.finite({1})
+    assert cells.partner(4) == 3 and cells.partner(3) == 0  # A with D, D with A
+    with pytest.raises(KeyError):
+        cells.partner(1)  # the lonely cell has no partner
 
 
 def test_class_memos_stay_bounded(monkeypatch):

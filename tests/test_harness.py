@@ -41,6 +41,7 @@ from crosslimit.harness import (
     reproduce,
 )
 from crosslimit.cli import main
+from crosslimit.learners import compute_telltales, telltales_sound
 from crosslimit.space import SymbolicSet, intersection_of
 from crosslimit.streams import validate
 
@@ -128,9 +129,12 @@ def test_diamond_check_rejects_each_violated_lower_inclusion():
             _check_diamond(verdict(YES, txt_id, ctr_gen))
 
 
-def test_classify_unknown_on_insufficient_horizon():
+def test_classify_telltales_need_no_horizon():
+    # the tell-tale witnesses 4, 7 and 10 lie past the horizon of 2
     verdict = classify(augmented_class(4), Bounds(horizon=2))
-    assert verdict.txt_id.status == UNKNOWN
+    assert verdict.txt_id == classify(augmented_class(4)).txt_id
+    assert verdict.txt_id.status == YES and verdict.txt_id.mechanism == "telltales"
+    assert verdict.txt_id.witness["h4"] == [10]
     assert verdict.ctr_id.status == NO  # a barrier pair exists regardless
 
 
@@ -273,3 +277,30 @@ family_classes = st.integers(2, 12).flatmap(
 def test_obstruction_search_is_its_literal_enumeration(cls, family_bound):
     bounds = Bounds(family_bound=family_bound)
     assert _finite_intersection_obstruction(cls, bounds) == _obstruction_by_enumeration(cls, bounds)
+
+
+@st.composite
+def far_sets(draw) -> SymbolicSet:
+    """A proper set mod 1 to 4 whose exceptions reach past the default horizon of 64."""
+    m = draw(st.integers(1, 4))
+    residues = draw(st.frozensets(st.integers(0, m - 1)))
+    plus = draw(st.frozensets(st.integers(0, 200), max_size=3))
+    minus = draw(st.frozensets(st.integers(0, 200), max_size=3)) - plus
+    return SymbolicSet.build(m, residues, plus, minus)
+
+
+far_classes = st.lists(
+    far_sets().filter(lambda s: not s.is_empty() and not s.complement().is_empty()),
+    min_size=2, max_size=5, unique=True,
+).map(lambda supports: HypothesisClass(
+    tuple(Hypothesis(f"h{i}", s) for i, s in enumerate(supports))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(far_classes)
+def test_telltales_are_sound_and_need_no_horizon(cls):
+    assert telltales_sound(cls, compute_telltales(cls))
+    near, far = classify(cls, Bounds(horizon=64)), classify(cls, Bounds(horizon=10**6))
+    assert near.txt_id.status == YES  # a finite explicit class has finite tell-tales
+    for part in ("txt_id", "ctr_id", "ctr_gen", "txt_gen"):
+        assert getattr(near, part) == getattr(far, part)

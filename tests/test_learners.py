@@ -81,11 +81,6 @@ def test_telltales_overlap_class():
     assert telltales_sound(OVERLAP, family)
 
 
-def test_telltales_horizon_error():
-    with pytest.raises(ValueError):
-        compute_telltales(punctured_class(5), horizon=3)
-
-
 def test_eligibility_converges_on_single_member_class():
     cls = HypothesisClass((Hypothesis("only", SymbolicSet.residue_class(2, {0})),))
     learner = EligibilityIdentifier(cls, compute_telltales(cls))
