@@ -41,6 +41,7 @@ from .learners import (
     run,
 )
 from .robust import BlockTextIdentifier, defect, verify_forced_violations
+from .space import MAX_MODULUS
 from .streams import (
     CONTRASTIVE,
     INFORMANT,
@@ -351,6 +352,7 @@ def _build_run_stream(args, cls, target, kind: str, spec: str):
     elif spec.startswith("sampled"):
         _, _, seed = spec.partition(":")
         seed_val = int(seed) if seed else args.seed
+        _check_horizon(args)
         if kind == CONTRASTIVE:
             stream = sampled_contrastive(target, seed_val, args.horizon)
         elif kind == TEXT:
@@ -369,6 +371,13 @@ def _build_run_stream(args, cls, target, kind: str, spec: str):
     if args.corrupt:
         stream = corrupt(stream, [parse_injection(item, kind) for item in args.corrupt])
     return stream
+
+
+def _check_horizon(args) -> None:
+    """Sampled streams and the defect check list every natural below the horizon."""
+    if args.horizon > MAX_MODULUS:
+        raise ValueError(f"--horizon {args.horizon} is above MAX_MODULUS = {MAX_MODULUS}; "
+                         f"sampled streams list every natural below it")
 
 
 def _record_payload(record: RunRecord) -> dict:
@@ -412,6 +421,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_defect(args) -> int:
+    if args.verify:
+        _check_horizon(args)
     cls = _explicit(args)
     h, g = _pair(args, cls)
     report = defect(h, g)

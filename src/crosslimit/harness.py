@@ -138,6 +138,10 @@ def _txt_id_verdict(cls: HypothesisClass, bounds: Bounds) -> Verdict:
                 "horizon": bounds.horizon,
             },
         )
+    twins = next(((h.id, g.id) for h, g in itertools.combinations(cls.members, 2)
+                  if h.support == g.support), None)  # canonical sets: == is set equality
+    if twins is not None:  # every presentation of one is one of the other
+        return Verdict(NO, mechanism="equal-supports", witness={"pair": list(twins)})
     family = compute_telltales(cls)
     if not telltales_sound(cls, family):
         raise AssertionError("computed tell-tales failed their own soundness check")

@@ -8,14 +8,15 @@ never mutated, so identical prefixes always reproduce identical outputs and
 every run record replays bit-for-bit.
 
 Per-step cost: `advance` and `read` cost O(1) amortised, growing with the
-class and the size of the answer but not with the steps before; a stream
-item costs O(1) on a support without exceptions and O(log t) otherwise.
-States share their history through append-only logs and carry the values
-their reads need (the absence-count guess, the members whose tell-tale is
-seen), passed on while they cannot change; a generator's read is memoised
-on its state for `advance` to reuse.  A version space is a member bitmask,
-ANDed with each new edge's crossing mask (from the class's memoised member
-patterns); :func:`~crosslimit.closure.closure_of` gives its closure from
+class and the size of the answer but not with the steps before, and `run`
+plays the stream's walk, O(1) amortised per item.  States are slotted
+dataclasses built once per step, share their history through append-only
+logs and carry the values their reads need (the absence-count guess, the
+members whose tell-tale is seen, a generator's closures while its version
+spaces stay), passed on while they cannot change; a generator's read is
+memoised on its state for `advance` to reuse.  A version space is a member
+bitmask, ANDed with each new edge's crossing mask (from the class's memoised
+member patterns); :func:`~crosslimit.closure.closure_of` gives its closure from
 the class's memoised meets, or from the edges in closed form for a
 punctured family, whose :class:`~crosslimit.classes.PuncturedFamily` the
 breaker asks for punctures beyond the truncation.  Caches live in fields
@@ -37,7 +38,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .classes import CoSingletonClass, Hypothesis, HypothesisClass, PuncturedFamily
@@ -102,16 +103,19 @@ class _Log:
         self._entries, self._steps, self._n = [], defaultdict(list), 0
 
     def appended(self, entry) -> "_Log":
-        entries, steps = self._entries, self._steps
-        if self._n < len(entries):  # an older state branches off: fork
+        entries, n = self._entries, self._n
+        if n < len(entries):  # an older state branches off: fork
             fork = _Log()
             for old in self:
                 fork = fork.appended(old)
             return fork.appended(entry)
         entries.append(entry)
-        n = len(entries)
-        for key in (entry, entry.lo, entry.hi) if isinstance(entry, Pair) else (entry,):
-            steps[key].append(n)
+        n += 1
+        steps = self._steps
+        steps[entry].append(n)
+        if type(entry) is Pair:
+            steps[entry[0]].append(n)
+            steps[entry[1]].append(n)
         out = object.__new__(_Log)  # the tip's successor: same store, one more entry
         out._entries, out._steps, out._n = entries, steps, n
         return out
@@ -203,7 +207,9 @@ def _strictly_below(cls: HypothesisClass, i: int, j: int) -> bool:
 # identifiers
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# Step states are values: never changed but for the memos reads fill in, and
+# not frozen, which would cost an object.__setattr__ per field at every step.
+@dataclass(slots=True, unsafe_hash=True)
 class _EligState:
     seen: frozenset[int]  # the tell-tale elements seen so far; no other matters
     space: int  # members whose cut every pair crosses, as a member bitmask
@@ -234,8 +240,11 @@ class EligibilityIdentifier(Learner):
         return self._initial
 
     def advance(self, state: _EligState, pair: Pair) -> _EligState:
-        seen = state.seen | self._marks.intersection(pair.elements())
-        ready = state.ready if len(seen) == len(state.seen) else self._ready(seen)  # seen grew
+        seen, ready, marks = state.seen, state.ready, self._marks
+        lo, hi = pair
+        if (lo in marks and lo not in seen) or (hi in marks and hi not in seen):
+            seen = seen | marks.intersection(pair)
+            ready = self._ready(seen)
         return _EligState(seen, state.space & crossing_mask(self.cls, pair), ready)
 
     def eligible(self, state: _EligState) -> list[Hypothesis]:
@@ -295,7 +304,7 @@ class TextFromContrastiveIdentifier(Learner):
         return state[1]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class _AbsenceState:
     pairs: _Log  # the pairs so far
     best: int | None  # most frequent element so far, ties to the least
@@ -326,8 +335,11 @@ class AbsenceCountIdentifier(Learner):
         # only the pair's elements gained a count, so the least absence
         # count (ties to the least x) is theirs or stays where it was
         pairs = state.pairs.appended(pair)
-        contenders = pair.elements() if state.best is None else (state.best, *pair.elements())
-        best = min(contenders, key=lambda x: (-pairs.count(x), x))
+        best, top = state.best, -1 if state.best is None else pairs.count(state.best)
+        for x in pair:  # ascending, so a tie goes to the least
+            count = pairs.count(x)
+            if count > top or (count == top and x < best):
+                best, top = x, count
         guess = state.guess if best == state.best else self.family.member(best)
         return _AbsenceState(pairs, best, guess)
 
@@ -379,15 +391,17 @@ class GoldInformantIdentifier(Learner):
 # generators
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class _GenState:
     count: int
     edges: _Log  # distinct edges in arrival order; `x in edges` finds vertices
     outputs: _Log  # outputs of the earlier steps, in order
     inner: object = None  # the wrapped identifier's state (identify-then-generate)
     _masks: tuple[int, ...] = field(default=(), compare=False)  # version space per class
+    # closure per class, filled by the first read and shared while the masks stay
+    _closures: list = field(default=None, compare=False)
     _cursor: tuple = field(default=(None, 0), compare=False)  # (support, last least fresh member)
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
+    _output: object = field(default=None, compare=False)  # the read, memoised; None before it
 
     def excludes(self, x: int) -> bool:
         """x was seen or already output."""
@@ -410,18 +424,20 @@ class _PairGenerator(Learner):
 
     def initial(self) -> _GenState:
         masks = tuple((1 << len(cls.members)) - 1 for cls in self.classes)
-        return _GenState(0, _Log(), _Log(), _masks=masks)
+        return _GenState(0, _Log(), _Log(), None, masks, [None] * len(masks))
 
     def advance(self, state: _GenState, pair: Pair) -> _GenState:
         output = self._emitted(state)
-        edges, masks = state.edges, state._masks
+        edges, masks, closures = state.edges, state._masks, state._closures
         if pair not in edges:
             edges = edges.appended(pair)
-            masks = tuple(m & crossing_mask(cls, pair) for cls, m in zip(self.classes, masks))
+            if masks:
+                masks = tuple([m & crossing_mask(cls, pair) for cls, m in zip(self.classes, masks)])
+                if masks != state._masks:
+                    closures = [None] * len(masks)
         outputs = state.outputs if output is None else state.outputs.appended(output)
-        cursor = state._memo.get("cursor", state._cursor)
         return _GenState(state.count + 1, edges, outputs, self._inner_after(state, pair),
-                         masks, cursor)
+                         masks, closures, state._cursor)
 
     def _inner_after(self, state: _GenState, pair: Pair):
         """The successor's wrapped state; only identify-then-generate wraps one."""
@@ -431,15 +447,16 @@ class _PairGenerator(Learner):
         return self._output(state)
 
     def _output(self, state: _GenState) -> int:
-        memo = state._memo
-        if "output" not in memo:
+        output = state._output
+        if output is None:
             try:
-                memo["output"] = self._answer(state)
+                output = self._answer(state)
             except EmptySafeChoice as exc:  # memoised too, and raised on every read
-                memo["output"] = exc
-        if isinstance(memo["output"], EmptySafeChoice):
-            raise memo["output"]
-        return memo["output"]
+                output = exc
+            state._output = output
+        if isinstance(output, EmptySafeChoice):
+            raise output
+        return output
 
     def _emitted(self, state: _GenState) -> int | None:
         if state.count == 0:
@@ -450,7 +467,13 @@ class _PairGenerator(Learner):
             return None
 
     def _closure(self, state: _GenState, level: int = 0) -> ClosureResult:
-        return closure_of(self.classes[level], state._masks[level], state.edges)
+        closure = state._closures[level]
+        if closure is None:
+            cls = self.classes[level]
+            closure = closure_of(cls, state._masks[level], state.edges)
+            if not isinstance(cls.family, PuncturedFamily):  # whose closure reads the edges
+                state._closures[level] = closure  # the states sharing the list share the masks
+        return closure
 
     def _fresh(self, state: _GenState, support: SymbolicSet,
                excluded: Callable[[int], bool]) -> int | None:
@@ -460,16 +483,18 @@ class _PairGenerator(Learner):
         the same the answer never decreases: the scan resumes from the last
         answer, which the state passes on to its successors.
         """
-        last_support, start = state._cursor
-        if last_support != support:
-            start = 0
+        last_support, x = state._cursor
+        if last_support is not support and last_support != support:
+            x = 0
         if support.is_finite():
-            candidates = (x for x in support.sorted_parts[1] if x >= start)
+            least = next((y for y in support.sorted_parts[1] if y >= x and not excluded(y)), None)
         else:
-            candidates = filter(support.contains, itertools.count(start))
-        least = next((x for x in candidates if not excluded(x)), None)
+            contains = support.contains
+            while not contains(x) or excluded(x):
+                x += 1
+            least = x
         if least is not None:
-            state._memo["cursor"] = (support, least)
+            state._cursor = (support, least)
         return least
 
 
@@ -495,11 +520,9 @@ class ChainGenerator(_PairGenerator):
         self.classes = tuple(chain)
 
     def _answer(self, state: _GenState) -> int:
-        usable = [
-            i for i, threshold in enumerate(self.thresholds)
-            if threshold <= len(state.edges)
-        ]
-        for i in reversed(usable):
+        for i in reversed(range(len(self.thresholds))):
+            if self.thresholds[i] > len(state.edges):
+                continue
             closure = self._closure(state, i)
             if closure.is_bottom:
                 continue
@@ -593,7 +616,7 @@ class IdentifyThenGenerate(_PairGenerator):
         self.name = f"identify-then-generate({inner.name})"
 
     def initial(self) -> _GenState:
-        return replace(super().initial(), inner=self.inner.initial())
+        return _GenState(0, _Log(), _Log(), self.inner.initial())
 
     def _inner_after(self, state: _GenState, pair: Pair):
         return self.inner.advance(state.inner, pair)
@@ -741,17 +764,17 @@ def run(
     trace_rows: list[dict] = []
     seen: set[int] = set()
     advance, read, is_default = learner.advance, learner.read, learner.is_default  # fixed per run
-    kind, generating = stream.kind, learner.role == GENERATOR
+    generating = learner.role == GENERATOR
     holds = target.support.contains if target is not None else None
-    state, items = learner.initial(), stream.items()
-    for n in range(1, steps + 1):
-        item = next(items)
-        if kind == CONTRASTIVE:
-            seen.update(item)  # a pair is a tuple of its two elements
-        elif kind == INFORMANT:
-            seen.add(item[0])
-        else:
-            seen.add(item)
+    if stream.kind == CONTRASTIVE:
+        note = seen.update  # a pair is a tuple of its two elements
+    elif stream.kind == INFORMANT:
+        note = lambda item: seen.add(item[0])  # noqa: E731
+    else:
+        note = seen.add
+    state = learner.initial()
+    for n, item in zip(range(1, steps + 1), stream.items()):
+        note(item)
         state = advance(state, item)
         step_flags: tuple[str, ...] = ()
         try:
@@ -763,12 +786,13 @@ def run(
             step_flags += ("default-output",)
 
         if generating:
-            novel = output is not None and output not in seen
-            member = output is not None and (holds is None or holds(output))
-            if output is not None and not novel:
-                step_flags += ("novelty-violation",)
-            if output is not None and holds is not None and not member:
-                step_flags += ("misclassified",)
+            novel = member = output is not None
+            if novel:
+                novel, member = output not in seen, holds is None or holds(output)
+                if not novel:
+                    step_flags += ("novelty-violation",)
+                if not member:
+                    step_flags += ("misclassified",)
             step_ok.append(novel and member)
         elif target is not None:
             step_ok.append(output is not None and output.id == target.id)
@@ -794,7 +818,7 @@ def run(
         steps=steps,
         stability_window=stability_window,
         target=target.id if target is not None else None,
-        outputs=tuple(_output_repr(o) for o in outputs),
+        outputs=tuple(map(_output_repr, outputs)),
         flags=tuple(flags),
         step_ok=tuple(step_ok),
         converged_at=converged_at,

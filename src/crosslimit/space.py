@@ -271,7 +271,7 @@ class SymbolicSet:
         return not self.mask and not self.plus
 
     def is_finite(self) -> bool:
-        return self.cardinality().is_finite
+        return not self.mask
 
     def is_subset(self, other: "SymbolicSet") -> bool:
         return self.difference(other).is_empty()
@@ -298,16 +298,27 @@ class SymbolicSet:
 
     def enumerate_below(self, horizon: int) -> list[int]:
         """Ascending list of all members strictly below `horizon`."""
-        return [x for x in range(max(horizon, 0)) if self.contains(x)]
+        return list(itertools.takewhile(lambda x: x < horizon, self.members()))
 
     def members(self) -> Iterator[int]:
-        """Ascending enumeration of all members (infinite when the set is)."""
-        if self.is_finite():
-            yield from self.sorted_parts[1]
+        """Ascending enumeration of all members (infinite when the set is).
+
+        O(1) amortised per member: the residue part block by block of the
+        modulus, with `plus` merged in order and `minus` skipped.
+        """
+        residues, plus, _ = self.sorted_parts
+        if not self.mask:
+            yield from plus
             return
-        for x in itertools.count():
-            if self.contains(x):
-                yield x
+        i = 0
+        for base in itertools.count(0, self.modulus):
+            for r in residues:
+                x = base + r
+                while i < len(plus) and plus[i] < x:
+                    yield plus[i]
+                    i += 1
+                if x not in self.minus:
+                    yield x
 
     def nth_member(self, index: int) -> int:
         """The member at `index` (0-based) of the ascending enumeration.

@@ -8,10 +8,16 @@ Three presentation kinds feed the learners:
   (each pair crosses the support/complement cut), covering every positive.
 
 Streams are immutable descriptions; `item(t)` is a pure function of the
-1-based index, so adversarial experiments replay bit-for-bit.  Corruption is
-replacement at scripted indices: the displaced honest item is re-emitted at
-the next free index, which keeps coverage intact while adding exactly the
-scripted bad items.
+1-based index, so adversarial experiments replay bit-for-bit.  Each stream
+also has a walk, which `items()` and `prefix()` play: it yields the same
+items in order at O(1) amortised each, cycling a finite support's sorted
+elements and stepping through an infinite one with `SymbolicSet.members()`
+instead of locating each item from its index.  The even items of a sampled
+stream are still drawn from a generator seeded by their index.  Corruption
+is replacement at scripted indices: the displaced honest item is re-emitted
+at the next free index, which keeps coverage intact while adding exactly
+the scripted bad items; its walk interleaves the injections with the inner
+stream's walk.
 """
 
 from __future__ import annotations
@@ -47,7 +53,10 @@ class Pair(namedtuple("Pair", "lo hi")):
     def of(x: int, y: int) -> "Pair":
         if x == y:
             raise ValueError(f"pair needs two distinct elements, got {x} twice")
-        return Pair(x, y) if x < y else Pair(y, x)
+        lo, hi = (x, y) if x < y else (y, x)
+        if lo < 0:
+            raise ValueError(f"pair needs two distinct naturals, got ({lo}, {hi})")
+        return tuple.__new__(Pair, (lo, hi))
 
     def elements(self) -> tuple[int, int]:
         return (self.lo, self.hi)
@@ -97,11 +106,13 @@ class Prefix:
 
 @dataclass(frozen=True)
 class Stream:
-    """An immutable presentation: kind, provenance, and a pure index rule."""
+    """An immutable presentation: kind, provenance, a pure index rule, and a
+    walk that yields the same items in order, O(1) amortised each."""
 
     kind: str
     provenance: str
     item_fn: Callable[[int], object] = field(repr=False)
+    walk: Callable[[], Iterator] = field(repr=False)
     targets: tuple[Hypothesis, ...] = ()
 
     def item(self, t: int):
@@ -110,26 +121,25 @@ class Stream:
         return self.item_fn(t)
 
     def items(self) -> Iterator:
-        for t in itertools.count(1):
-            yield self.item_fn(t)
+        yield from self.walk()
 
     def prefix(self, n: int) -> Prefix:
-        return Prefix(self.kind, tuple(self.item_fn(t) for t in range(1, n + 1)))
+        return Prefix(self.kind, tuple(itertools.islice(self.walk(), n)))
 
 
 # ----------------------------------------------------------------------
 # canonical streams
 # ----------------------------------------------------------------------
 
-def _support_enumerator(support: SymbolicSet) -> Callable[[int], int]:
-    """0-based ascending enumeration of a support, wrapping when finite."""
-    card = support.cardinality()
-    if card.is_finite:
-        if card.count == 0:
+def _support_enumerator(support: SymbolicSet) -> tuple[Callable, Callable]:
+    """0-based ascending enumeration of a support, wrapping when finite, as an
+    index rule and as a walk."""
+    if support.is_finite():
+        elems = support.sorted_parts[1]
+        if not elems:
             raise ValueError("cannot enumerate an empty support")
-        elems = sorted(support.plus)
-        return lambda i: elems[i % len(elems)]
-    return support.nth_member
+        return (lambda i: elems[i % len(elems)]), (lambda: itertools.cycle(elems))
+    return support.nth_member, support.members
 
 
 def canonical_contrastive(h: Hypothesis) -> Stream:
@@ -152,7 +162,7 @@ def paired_stream(elements: SymbolicSet, partner_of: Callable[[int], int], prove
     The elements are enumerated ascending when infinite and cycled when
     finite, so every element is covered.
     """
-    enum = _support_enumerator(elements)
+    enum, members = _support_enumerator(elements)
 
     def item(t: int) -> Pair:
         if t <= len(head):
@@ -160,15 +170,20 @@ def paired_stream(elements: SymbolicSet, partner_of: Callable[[int], int], prove
         x = enum(t - len(head) - 1)
         return Pair.of(x, partner_of(x))
 
-    return Stream(CONTRASTIVE, provenance, item, targets)
+    def walk() -> Iterator[Pair]:
+        yield from head
+        for x in members():
+            yield Pair.of(x, partner_of(x))
+
+    return Stream(CONTRASTIVE, provenance, item, walk, targets)
 
 
 def canonical_text(h: Hypothesis) -> Stream:
     """Enumerate the support in ascending order, wrapping when finite."""
     if h.support.is_empty():
         raise ValueError(f"{h.id} has empty support, no text exists")
-    enum = _support_enumerator(h.support)
-    return Stream(TEXT, f"canonical-text({h.id})", lambda t: enum(t - 1), targets=(h,))
+    enum, members = _support_enumerator(h.support)
+    return Stream(TEXT, f"canonical-text({h.id})", lambda t: enum(t - 1), members, targets=(h,))
 
 
 def canonical_informant(h: Hypothesis) -> Stream:
@@ -177,6 +192,7 @@ def canonical_informant(h: Hypothesis) -> Stream:
         INFORMANT,
         f"canonical-informant({h.id})",
         lambda t: (t - 1, 1 if h.contains(t - 1) else 0),
+        lambda: ((x, 1 if h.contains(x) else 0) for x in itertools.count()),
         targets=(h,),
     )
 
@@ -201,7 +217,10 @@ def scripted(kind: str, items: list, tail: Stream | None = None, provenance: str
             return fixed[(t - 1) % n]
         return tail.item(t - n)
 
-    return Stream(kind, provenance, item, targets=targets)
+    def walk() -> Iterator:
+        return itertools.cycle(fixed) if tail is None else itertools.chain(fixed, tail.walk())
+
+    return Stream(kind, provenance, item, walk, targets=targets)
 
 
 def scripted_contrastive(h: Hypothesis, pairs: list[Pair], tail: str = "canonical") -> Stream:
@@ -229,7 +248,7 @@ def sampled_contrastive(h: Hypothesis, seed: int, horizon: int = 64) -> Stream:
     """
     if not h.is_proper_nontrivial():
         raise ValueError(f"{h.id} is not proper nontrivial")
-    enum = _support_enumerator(h.support)
+    enum, members = _support_enumerator(h.support)
     zstar = h.support.complement().min_element()
     positives = h.support.enumerate_below(horizon)
     negatives = h.support.complement().enumerate_below(horizon)
@@ -242,8 +261,13 @@ def sampled_contrastive(h: Hypothesis, seed: int, horizon: int = 64) -> Stream:
         z = rng.choice(negatives) if negatives else zstar
         return Pair.of(x, z)
 
+    def walk() -> Iterator[Pair]:
+        for t, x in zip(itertools.count(2, 2), members()):
+            yield Pair.of(x, zstar)
+            yield item(t)
+
     return Stream(
-        CONTRASTIVE, f"sampled-contrastive({h.id},seed={seed})", item, targets=(h,)
+        CONTRASTIVE, f"sampled-contrastive({h.id},seed={seed})", item, walk, targets=(h,)
     )
 
 
@@ -251,7 +275,7 @@ def sampled_text(h: Hypothesis, seed: int, horizon: int = 64) -> Stream:
     """A pseudorandom text for h: coverage walk interleaved with repeats."""
     if h.support.is_empty():
         raise ValueError(f"{h.id} has empty support, no text exists")
-    enum = _support_enumerator(h.support)
+    enum, members = _support_enumerator(h.support)
     positives = h.support.enumerate_below(horizon)
 
     def item(t: int) -> int:
@@ -260,7 +284,12 @@ def sampled_text(h: Hypothesis, seed: int, horizon: int = 64) -> Stream:
         rng = random.Random(f"{seed}:{t}")
         return rng.choice(positives) if positives else enum(0)
 
-    return Stream(TEXT, f"sampled-text({h.id},seed={seed})", item, targets=(h,))
+    def walk() -> Iterator[int]:
+        for t, x in zip(itertools.count(2, 2), members()):
+            yield x
+            yield item(t)
+
+    return Stream(TEXT, f"sampled-text({h.id},seed={seed})", item, walk, targets=(h,))
 
 
 # ----------------------------------------------------------------------
@@ -290,11 +319,20 @@ def corrupt(inner: Stream, injections: list[tuple[int, object]]) -> Stream:
             return table[t]
         return inner.item(t - bisect_right(ordered, t))
 
+    def walk() -> Iterator:
+        honest, last = inner.walk(), 0
+        for t in ordered:
+            yield from itertools.islice(honest, t - last - 1)
+            yield table[t]
+            last = t
+        yield from honest
+
     tag = ",".join(f"{t}:{table[t]}" for t in ordered)
     return Stream(
         inner.kind,
         f"corrupt({inner.provenance};[{tag}])",
         item,
+        walk,
         targets=inner.targets,
     )
 

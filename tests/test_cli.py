@@ -6,12 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from crosslimit.classes import overlapping_cover_class, save_class
 from crosslimit.cli import build_parser, main
+from crosslimit.space import MAX_MODULUS
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -208,6 +210,46 @@ def test_punctured_witness_at_a_huge_horizon_enumerates_nothing():
     witness = json.loads(done.stdout)["txt_id"]["witness"]
     assert witness["containing_support"] == "mod 2 { 0 } - { 200000000 }"
     assert witness["horizon"] == 100000000
+
+
+def test_huge_horizon_is_rejected_before_any_stream_is_built(capsys):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "crosslimit.cli", "defect", "--witness", "disjoint",
+         "--pair", "hA,hB", "--verify", "--horizon", "100000000"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 2 and time.perf_counter() - start < 2
+    assert done.stdout == ""
+    assert done.stderr == ("error: --horizon 100000000 is above MAX_MODULUS = 1048576; "
+                           "sampled streams list every natural below it\n")
+    sampled = (["identify", "--witness", "overlap-cover", "--learner", "eligibility",
+                "--target", "h2", "--stream", "sampled:3", "--steps", "10"],
+               ["stream", "--target", "3", "--kind", "txt", "--sampled", "--take", "3"])
+    for argv in sampled:  # the same check guards the sampled streams of runs
+        assert main(["--horizon", str(MAX_MODULUS + 1), *argv]) == 2
+        assert "error: --horizon" in capsys.readouterr().err
+        assert main(["--horizon", "64", *argv]) == 0
+        capsys.readouterr()
+
+
+def test_equal_supports_in_a_class_file_classify(tmp_path, capsys):
+    # two ids for one finite set: no identifier can name both, and the two
+    # share every presentation, so the meet is a finite-intersection obstruction
+    path = tmp_path / "twins.json"
+    path.write_text(json.dumps({"hypotheses": [
+        {"id": "a", "support": "mod 1 { } + { 0, 1, 2 }"},
+        {"id": "b", "support": "mod 1 { } + { 0, 1, 2 }"}]}))
+    code, out = run_cli(capsys, "classify", "--class", str(path))
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["txt_id"] == {"status": "no", "mechanism": "equal-supports",
+                             "witness": {"pair": ["a", "b"]}}
+    assert (doc["ctr_id"]["status"], doc["ctr_id"]["mechanism"]) == ("no", "txt-id-failure")
+    assert (doc["ctr_gen"]["status"], doc["ctr_gen"]["mechanism"]) == (
+        "no", "finite-intersection-obstruction")
 
 
 def test_verify_runs_acceptance_suite(capsys):

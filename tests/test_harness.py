@@ -279,6 +279,20 @@ def test_obstruction_search_is_its_literal_enumeration(cls, family_bound):
     assert _finite_intersection_obstruction(cls, bounds) == _obstruction_by_enumeration(cls, bounds)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(proper_supports, min_size=1, max_size=4), st.data())
+def test_equal_supports_are_no_identification_and_trip_no_check(supports, data):
+    twin = data.draw(st.sampled_from(supports))
+    at = data.draw(st.integers(0, len(supports)))
+    supports = supports[:at] + [twin] + supports[at:]
+    cls = HypothesisClass(tuple(Hypothesis(f"h{i}", s) for i, s in enumerate(supports)))
+    verdict = classify(cls)  # the diamond check runs inside
+    first = next((f"h{i}", f"h{j}") for i, j in itertools.combinations(range(len(supports)), 2)
+                 if supports[i] == supports[j])
+    assert verdict.txt_id == Verdict(NO, mechanism="equal-supports", witness={"pair": list(first)})
+    assert verdict.ctr_id.status == NO
+
+
 @st.composite
 def far_sets(draw) -> SymbolicSet:
     """A proper set mod 1 to 4 whose exceptions reach past the default horizon of 64."""

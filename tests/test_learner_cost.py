@@ -24,7 +24,7 @@ from crosslimit.classes import (
     punctured_class,
     punctured_hole,
 )
-from crosslimit.closure import EdgeSet, closure_dimension, edge_version_space
+from crosslimit.closure import EdgeSet, closure_dimension, contrastive_closure, edge_version_space
 from crosslimit.learners import (
     AbsenceCountIdentifier,
     ChainGenerator,
@@ -259,6 +259,45 @@ def test_identify_then_generate_makes_one_state_per_step(monkeypatch):
         state = generator.advance(state, pair)
         generator.read(state)
     assert len(made) == len(pairs)
+
+
+def test_canonical_closure_gen_run_walks_its_stream(monkeypatch):
+    # a fresh class, so that no meet memoised by another test hides a closure
+    cls = pinned_core_class(4, (1, 6), (3,))
+    target, steps = cls.members[1], 400
+    made, lookups, closures = [], [], []
+    real_init, real_nth = learners._GenState.__init__, SymbolicSet.nth_member
+    real_closure = learners.closure_of
+    monkeypatch.setattr(learners._GenState, "__init__",
+                        lambda self, *args: made.append(1) or real_init(self, *args))
+    monkeypatch.setattr(SymbolicSet, "nth_member",
+                        lambda self, i: lookups.append(i) or real_nth(self, i))
+    monkeypatch.setattr(learners, "closure_of",
+                        lambda *args: closures.append(args[1]) or real_closure(*args))
+    stream = canonical_contrastive(target)  # built after the patch, so it holds the counter
+    record = run(ClosureGenerator(cls, 2), stream, steps, target=target)
+    assert record.converged
+    assert lookups == [] and len(made) == steps + 1  # one state per step, and the first
+    # a state carries its closure while its version space stays: a mask only
+    # loses bits, so there are at most one more masks than members
+    assert 0 < len(closures) == len(set(closures)) <= len(cls.members) + 1
+    assert stream.item(steps) == list(stream.prefix(steps).items)[-1] and lookups
+
+
+def test_a_punctured_closure_is_not_carried_past_a_new_edge():
+    # past the truncation a new edge keeps the mask but moves the closure
+    # over the infinite family, so a state may not pass it on
+    cls = punctured_class(6)
+    target = cls.by_id("h3")
+    generator, state, moved = SafeCoreGenerator(cls), None, 0
+    for pair in sampled_contrastive(target, seed=1, horizon=40).prefix(60).items:
+        successor = generator.advance(state or generator.initial(), pair)
+        closure = generator._closure(successor)
+        assert closure == contrastive_closure(cls, EdgeSet.of(successor.edges))
+        if state is not None and successor._masks == state._masks:
+            moved += closure != generator._closure(state)
+        state = successor
+    assert moved > 0
 
 
 def test_eligibility_recomputes_ready_only_when_seen_grows(monkeypatch):

@@ -291,7 +291,19 @@ def test_nth_member_matches_enumeration(s):
             state = _GenState(k, _Log(), _Log(), _cursor=cursor)
             fresh = generator._fresh(state, s, set(expected[:k]).__contains__)
             assert fresh == (expected[k] if k < len(expected) else None)
-            cursor = state._memo.get("cursor", cursor)
+            cursor = state._cursor
+
+
+@settings(max_examples=300, deadline=None)
+@given(exceptional_sets(), st.integers(-3, 250))
+def test_members_and_enumerate_below_follow_contains(s, horizon):
+    bound = 250  # past every exception, so the walk's tail is covered too
+    expected = [x for x in range(bound) if s.contains(x)]
+    assert list(itertools.takewhile(lambda x: x < bound, s.members())) == expected
+    assert s.enumerate_below(horizon) == [x for x in expected if x < horizon]
+    assert s.is_finite() == s.cardinality().is_finite
+    if s.is_finite():
+        assert list(s.members()) == expected
 
 
 @settings(max_examples=200, deadline=None)

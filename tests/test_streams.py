@@ -6,8 +6,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import small_sets
 from crosslimit.classes import Hypothesis, co_singleton_class
+from crosslimit.crossing import shared_presentation_family
+from crosslimit.robust import defect
 from crosslimit.space import SymbolicSet
 from crosslimit.streams import (
     CONTRASTIVE,
@@ -24,6 +29,7 @@ from crosslimit.streams import (
     parse_prefix,
     sampled_contrastive,
     sampled_text,
+    scripted,
     scripted_contrastive,
     synthetic_contrastive_from_text,
     validate,
@@ -243,3 +249,36 @@ def test_stream_items_do_not_depend_on_access_order():
         forward = list(itertools.islice(stream.items(), 60))
         assert {t: stream.item(t) for t in order} == dict(enumerate(forward, 1))
         assert stream.prefix(60).items == tuple(forward)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_sets(), small_sets(), st.integers(0, 40), st.integers(1, 90), st.data())
+def test_walks_play_the_index_rule(support, other, horizon, n, data):
+    # finite supports here have at most three elements, so n wraps them many times
+    h, g = Hypothesis("h", support), Hypothesis("g", other)
+    seed = data.draw(st.integers(-5, 5))
+    at = data.draw(st.lists(st.integers(1, 30), unique=True, max_size=4))
+    streams = [canonical_informant(h)]
+    if not support.is_empty():
+        text = canonical_text(h)
+        streams += [text, sampled_text(h, seed, horizon),
+                    corrupt(text, [(t, t + 100) for t in at]),
+                    scripted(TEXT, [5, 1, 5]), scripted(TEXT, [2], tail=text)]
+    if h.is_proper_nontrivial():
+        pairs = canonical_contrastive(h)
+        script = list(pairs.prefix(3).items)
+        streams += [pairs, sampled_contrastive(h, seed, horizon),
+                    corrupt(pairs, [(t, Pair.of(t, 200)) for t in at]),
+                    corrupt(sampled_contrastive(h, seed, horizon), [(t, Pair.of(0, t)) for t in at]),
+                    scripted_contrastive(h, script, tail="canonical"),
+                    scripted_contrastive(h, script, tail="repeat")]
+        if g.is_proper_nontrivial() and other != support:
+            report = defect(h, g)  # a paired stream with a head of defect pairs
+            shared = shared_presentation_family([h, g])
+            streams += [s for s in (report.min_violation_stream, shared) if s is not None]
+    for stream in streams:
+        walked = list(itertools.islice(stream.items(), n))
+        indexed = [stream.item(t) for t in range(1, n + 1)]
+        assert walked == indexed, stream.provenance
+        assert list(map(type, walked)) == list(map(type, indexed))  # a Pair is never a tuple
+        assert stream.prefix(n).items == tuple(walked)
