@@ -1,21 +1,21 @@
 """Hypotheses, hypothesis classes, the witness-class zoo, and class-spec IO.
 
 A hypothesis is a binary predicate given extensionally by its support, a
-:class:`~crosslimit.space.SymbolicSet`.  Classes come in two shapes:
+:class:`~crosslimit.space.SymbolicSet`.  A class is an ordered finite tuple
+of members; the order is the fixed enumeration used by every least-index
+tie-break in the learners.
 
-* explicit: an ordered finite tuple of members.  The order is the fixed
-  enumeration used by every least-index tie-break in the learners.
-* parametric: the co-singleton family {X minus {s} : s in X}, which is as
-  large as X itself and is never enumerated; learners that work over it
-  construct members on demand.
-
-Explicit classes built from one of the infinite witness families keep a
-`family` descriptor recording the construction rule and truncation level.
-The punctured family's descriptor, :class:`PuncturedFamily`, is the one
-place that knows its rule: the base set and which member removes which
-hole.  Closures, verdicts, learners and the CLI ask it for the infinite
-family wherever the truncated member list alone would misrepresent it (see
-crosslimit.closure).
+Every class carries a `family` descriptor, a :class:`FamilyInfo`, which
+records the construction rule and answers the family's questions: the
+closure of a version space, the global support intersection, the eventual
+core, and the members past the member list.  The base descriptor answers
+them for a family that is its member list.  The punctured family's
+descriptor, :class:`PuncturedFamily`, answers them over the infinite family
+its members truncate, in closed form.  The co-singleton family
+{X minus {s} : s in X} is as large as X itself, so a class holds an explicit
+slice of it; its descriptor, :class:`CoSingletonClass`, builds any member on
+demand.  Closures, verdicts, learners and the CLI ask the descriptor and
+never test which family a class comes from.
 """
 
 from __future__ import annotations
@@ -59,19 +59,46 @@ def is_proper_nontrivial(h: Hypothesis) -> bool:
 
 @dataclass(frozen=True)
 class FamilyInfo:
-    """Construction rule behind a truncated witness class.
+    """A class's construction rule, and the rules of the family behind it.
 
-    `kind` names the family; `params` are its integer parameters in
-    construction order (truncation level last where present).
+    `kind` names the family (empty for a class given by its members alone);
+    `params` are its integer parameters in construction order (truncation
+    level last where present).  The methods answer, for the class `cls`
+    whose family this is: the closure of the version space `space` (a member
+    bitmask) that the pairs `edges` induce, None for bottom; the global
+    support intersection over the whole family; an eventual core, a set whose
+    ascending enumeration eventually lies in every member's support, or None;
+    the limit of the members past the member list, and the member past it
+    that leaves out `hole`, or None.  This base descriptor answers for a
+    family that is its member list; :class:`PuncturedFamily` answers for an
+    infinite family, and its `closure` reads the edges as well as the mask.
     """
 
-    kind: str
+    kind: str = ""
     params: tuple[int, ...] = ()
+    reads_edges = False
+    identifier = "eligibility"  # the contrastive identifier that fits the family
 
     def describe(self) -> str:
         if self.params:
             return f"{self.kind}({', '.join(map(str, self.params))})"
         return self.kind
+
+    def closure(self, cls: HypothesisClass, space: int, edges) -> SymbolicSet | None:
+        return cls.meet(space) if space else None
+
+    def intersection(self, cls: HypothesisClass) -> SymbolicSet:
+        return cls.global_support_intersection()
+
+    def eventual_core(self, cls: HypothesisClass) -> SymbolicSet | None:
+        core = self.intersection(cls)
+        return core if core.cardinality().is_infinite else None
+
+    def limit(self) -> Hypothesis | None:
+        return None
+
+    def member(self, hole: int) -> Hypothesis | None:
+        return None
 
 
 class PuncturedFamily(FamilyInfo):
@@ -79,9 +106,11 @@ class PuncturedFamily(FamilyInfo):
 
     The limit hypothesis has support `base` (the evens); the puncture at a
     hole a of the base has support base minus {a}, and it is member m when
-    a = a_m = 2(m-1).  Closure computations and verdicts ask this
-    descriptor for members beyond the truncation.
+    a = a_m = 2(m-1).  Closures, the global intersection, the eventual core
+    and verdicts are those of the infinite family, not of the truncation.
     """
+
+    reads_edges = True
 
     @cached_property
     def base(self) -> SymbolicSet:  # one per descriptor, not shared between commands
@@ -96,14 +125,65 @@ class PuncturedFamily(FamilyInfo):
             raise ValueError(f"{hole} is not an element of the punctured base")
         return Hypothesis(f"h{hole // 2 + 1}", self.base.difference(SymbolicSet.finite({hole})))
 
+    def closure(self, cls: HypothesisClass, space: int, edges) -> SymbolicSet | None:
+        """Closed form from the edges alone: the limit and every puncture whose
+        hole avoids the edge vertices meet the same crossing constraints, so
+        only the punctures at edge vertices need a test of their own."""
+        edges = tuple(edges)
+
+        def fits(h: Hypothesis) -> bool:
+            return all(h.contains(lo) != h.contains(hi) for lo, hi in edges)
+
+        holes = {x for pair in edges for x in pair if self.base.contains(x)}
+        passing = {x for x in holes if fits(self.member(x))}
+        if fits(self.limit()):  # so does every untouched puncture: only failing holes survive
+            return SymbolicSet.finite(holes - passing)
+        return self.base.difference(SymbolicSet.finite(passing)) if passing else None
+
+    def intersection(self, cls: HypothesisClass) -> SymbolicSet:
+        return SymbolicSet.empty()  # each element of the base is some puncture's hole
+
+    def eventual_core(self, cls: HypothesisClass) -> SymbolicSet:
+        return self.base  # each member misses at most its own hole of it
+
+
+@dataclass(frozen=True)
+class CoSingletonClass(FamilyInfo):
+    """The co-singleton family {h_s : s in X} with supp(h_s) = X minus {s}.
+
+    As large as the example space, so a class holds the explicit slice
+    {h_s : s < n} of it, which is the family for closures, cores and
+    verdicts.  `member` builds any h_s, for targets past the slice and for
+    the absence-count identifier, which runs over the whole family.
+    """
+
+    kind: str = "co-singleton-slice"
+    identifier = "absence-count"
+
+    def member(self, hole: int) -> Hypothesis:
+        if hole < 0:
+            raise ValueError("hole must be a natural number")
+        return Hypothesis(f"h{hole}", SymbolicSet.cofinite({hole}))
+
+    def explicit_slice(self, count: int) -> HypothesisClass:
+        """The explicit class {h_s : s < count}, in hole order."""
+        if count < 2:
+            raise ValueError("co-singleton slice needs truncation >= 2")
+        return HypothesisClass(
+            tuple(self.member(s) for s in range(count)),
+            uus_claimed=True,
+            family=CoSingletonClass(params=(count,)),
+        )
+
 
 @dataclass(frozen=True)
 class HypothesisClass:
-    """An ordered, finite, explicitly enumerated class of hypotheses."""
+    """An ordered, finite, explicitly enumerated class of hypotheses, with the
+    descriptor of the family behind it (see :class:`FamilyInfo`)."""
 
     members: tuple[Hypothesis, ...]
     uus_claimed: bool = False
-    family: FamilyInfo | None = None
+    family: FamilyInfo = FamilyInfo()
     _meets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _differences: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _patterns: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -171,9 +251,7 @@ class HypothesisClass:
 
     def describe(self) -> str:
         base = f"{len(self.members)} hypotheses"
-        if self.family is not None:
-            return f"{self.family.describe()} [{base}]"
-        return base
+        return f"{self.family.describe()} [{base}]" if self.family.kind else base
 
 
 def _remember(memo: dict, key, value):
@@ -187,31 +265,6 @@ def _remember(memo: dict, key, value):
 def check_uus(cls: HypothesisClass) -> bool:
     """True iff every member's support is countably infinite (exact)."""
     return all(h.support.cardinality().is_infinite for h in cls.members)
-
-
-@dataclass(frozen=True)
-class CoSingletonClass:
-    """The parametric family {h_s : s in X} with supp(h_s) = X minus {s}.
-
-    As large as the example space, so it is never materialized; members are
-    built on demand and finite explicit slices are available for operations
-    that need an enumeration.
-    """
-
-    def member(self, s: int) -> Hypothesis:
-        if s < 0:
-            raise ValueError("hole must be a natural number")
-        return Hypothesis(f"h{s}", SymbolicSet.cofinite({s}))
-
-    def explicit_slice(self, count: int) -> HypothesisClass:
-        """The explicit class {h_s : s < count}, in hole order."""
-        if count < 1:
-            raise ValueError("slice needs at least one member")
-        return HypothesisClass(
-            tuple(self.member(s) for s in range(count)),
-            uus_claimed=True,
-            family=FamilyInfo("co-singleton-slice", (count,)),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +322,7 @@ def augmented_class(truncation: int) -> HypothesisClass:
 
 
 def co_singleton_class() -> CoSingletonClass:
+    """The co-singleton family's descriptor; `explicit_slice` gives a class of it."""
     return CoSingletonClass()
 
 
@@ -367,14 +421,14 @@ WITNESS_BUILDERS = {
     "disjoint": (disjoint_support_class, 0),
     "punctured": (punctured_class, 1),
     "augmented": (augmented_class, 1),
-    "co-singleton": (co_singleton_class, 0),
+    "co-singleton": (CoSingletonClass().explicit_slice, 1),
     "block": (block_class, 2),
     "six-cell": (six_cell_class, 0),
     "overlap-cover": (overlapping_cover_class, 0),
 }
 
 
-def build_witness(spec: str) -> HypothesisClass | CoSingletonClass:
+def build_witness(spec: str) -> HypothesisClass:
     """Build a witness class from a CLI-style spec `name[:p1,p2]`."""
     name, _, raw = spec.partition(":")
     name = name.strip()

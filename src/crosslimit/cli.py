@@ -1,8 +1,9 @@
 """Command-line front-end: geometry queries, runs, classification, verify.
 
 Classes come from a JSON class-spec file (--class) or a named witness
-builder (--witness name[:params]); parametric families missing parameters
-fall back to the global --truncation / --budget flags.  Outputs are JSON by
+builder (--witness name[:params]), the co-singleton slice when neither is
+given; parametric families missing parameters fall back to the global
+--truncation / --budget flags.  Outputs are JSON by
 default; --format switches to a text summary, and --trace adds a per-step
 CSV for identify/generate runs.
 """
@@ -14,14 +15,7 @@ import functools
 import json
 import sys
 
-from .classes import (
-    CoSingletonClass,
-    HypothesisClass,
-    PuncturedFamily,
-    WITNESS_BUILDERS,
-    build_witness,
-    load_class,
-)
+from .classes import HypothesisClass, WITNESS_BUILDERS, build_witness, load_class
 from .closure import closure_dimension
 from .crossing import REGIONS, PatternCells, eliminable
 from .crossing import shared_presentation_family, shared_presentation_pair
@@ -131,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("stream", cmd_stream, "print a presentation prefix, one item per line")
     _class_args(p, required=False)
-    p.add_argument("--target", required=True, help="hypothesis id (or hole for co-singleton)")
+    p.add_argument("--target", required=True, help="hypothesis id or index (past the list: a hole)")
     p.add_argument("--kind", default="ctr", choices=sorted(KIND_ALIASES))
     p.add_argument("--take", type=_count, default=20)
     p.add_argument("--sampled", dest="sampled", action="store_true",
@@ -186,13 +180,11 @@ def _run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", action="store_true", help="emit a per-step CSV trace")
 
 
-def _load(args) -> HypothesisClass | CoSingletonClass:
-    """The class named by --class or --witness; the co-singleton family when neither is given."""
+def _load(args) -> HypothesisClass:
+    """The class named by --class or --witness; the co-singleton slice when neither is given."""
     if getattr(args, "class_path", None):
         return load_class(args.class_path)
-    witness = getattr(args, "witness", None)
-    if witness is None:
-        return CoSingletonClass()
+    witness = getattr(args, "witness", None) or "co-singleton"
     if ":" not in witness:
         name = witness
         _, arity = WITNESS_BUILDERS.get(name, (None, 0))
@@ -201,13 +193,6 @@ def _load(args) -> HypothesisClass | CoSingletonClass:
         elif arity == 2:
             witness = f"{name}:{args.budget},{args.truncation}"
     return build_witness(witness)
-
-
-def _explicit(args) -> HypothesisClass:
-    cls = _load(args)
-    if isinstance(cls, CoSingletonClass):
-        cls = cls.explicit_slice(max(args.truncation, 2))
-    return cls
 
 
 def _pair(args, cls: HypothesisClass):
@@ -223,7 +208,7 @@ def _emit(args, title: str, payload: dict, checks: tuple = ()) -> int:
 
 
 def cmd_regions(args) -> int:
-    cls = _explicit(args)
+    cls = _load(args)
     h, g = _pair(args, cls)
     cells = PatternCells.of((h, g))
     payload = {name: cells.cell(alpha).literal() for name, alpha in REGIONS.items()}
@@ -231,7 +216,7 @@ def cmd_regions(args) -> int:
 
 
 def cmd_eliminable(args) -> int:
-    cls = _explicit(args)
+    cls = _load(args)
     h, g = _pair(args, cls)
     verdict = eliminable(h, g)
     payload = {
@@ -246,7 +231,7 @@ def cmd_eliminable(args) -> int:
 
 
 def cmd_shared(args) -> int:
-    cls = _explicit(args)
+    cls = _load(args)
     family = [cls.by_id(part.strip()) for part in args.family.split(",")]
     stream = (
         shared_presentation_pair(family[0], family[1])
@@ -261,7 +246,7 @@ def cmd_shared(args) -> int:
 
 
 def cmd_dimension(args) -> int:
-    cls = _explicit(args)
+    cls = _load(args)
     vertex_horizon = args.vertex_horizon if args.vertex_horizon is not None else args.horizon
     report = closure_dimension(cls, args.max_size, vertex_horizon)
     payload = {
@@ -275,15 +260,19 @@ def cmd_dimension(args) -> int:
     return _emit(args, f"dimension({cls.describe()})", payload)
 
 
-def _resolve_target(args, cls):
-    if isinstance(cls, CoSingletonClass):
-        return cls.member(int(args.target))
+def _resolve_target(args, cls: HypothesisClass):
+    """The member with id --target, else the member at that index; past the
+    member list, the family's member that leaves out that hole."""
     try:
         return cls.by_id(args.target)
     except KeyError:
-        if args.target.isdigit():
-            return cls.members[int(args.target)]
-        raise
+        if not args.target.isdigit():
+            raise
+        index = int(args.target)
+        target = cls.members[index] if index < len(cls.members) else cls.family.member(index)
+        if target is None:
+            raise
+        return target
 
 
 def cmd_stream(args) -> int:
@@ -301,14 +290,9 @@ LEARNER_CHOICES = (
 )
 
 
-def _build_learner(name: str, cls, args) -> Learner:
+def _build_learner(name: str, cls: HypothesisClass, args) -> Learner:
     if name == "absence-count":
-        family = cls if isinstance(cls, CoSingletonClass) else CoSingletonClass()
-        return AbsenceCountIdentifier(family)
-    if isinstance(cls, CoSingletonClass):
-        if name == "identify-then-generate":
-            return IdentifyThenGenerate(AbsenceCountIdentifier(cls))
-        raise ValueError(f"learner {name!r} needs an explicit class")
+        return AbsenceCountIdentifier(cls.family)
     if name == "eligibility":
         return EligibilityIdentifier(cls, compute_telltales(cls))
     if name == "gold-informant":
@@ -327,17 +311,12 @@ def _build_learner(name: str, cls, args) -> Learner:
     if name == "safe-core-gen":
         return SafeCoreGenerator(cls)
     if name == "eventual-core-gen":
-        if isinstance(cls.family, PuncturedFamily):
-            base = cls.family.base
-        else:
-            base = cls.global_support_intersection()
-            if base.cardinality().is_finite:
-                raise ValueError("no obvious eventual core: global intersection is finite")
+        base = cls.family.eventual_core(cls)
+        if base is None:
+            raise ValueError("no obvious eventual core: global intersection is finite")
         return EventualCoreGenerator(lambda m: base.nth_member(m - 1))
     if name == "identify-then-generate":
-        return IdentifyThenGenerate(
-            EligibilityIdentifier(cls, compute_telltales(cls))
-        )
+        return IdentifyThenGenerate(_build_learner(cls.family.identifier, cls, args))
     raise ValueError(f"unknown learner {name!r}; choose from {LEARNER_CHOICES}")
 
 
@@ -345,8 +324,7 @@ def _build_run_stream(args, cls, target, kind: str, spec: str):
     """The stream `spec` names (shared | sampled[:seed] | canonical) of `kind`,
     then the --corrupt injections."""
     if spec == "shared":
-        members = cls.members if isinstance(cls, HypothesisClass) else ()
-        stream = shared_presentation_family(list(members))
+        stream = shared_presentation_family(list(cls.members))
         if stream is None:
             raise ValueError("class admits no shared presentation")
     elif spec.startswith("sampled"):
@@ -423,7 +401,7 @@ def cmd_generate(args) -> int:
 def cmd_defect(args) -> int:
     if args.verify:
         _check_horizon(args)
-    cls = _explicit(args)
+    cls = _load(args)
     h, g = _pair(args, cls)
     report = defect(h, g)
     payload = {
@@ -447,10 +425,8 @@ def cmd_defect(args) -> int:
 
 
 def cmd_corrupt_id(args) -> int:
-    if args.witness != "co-singleton":
-        raise ValueError("corrupt-id runs over the co-singleton family")
-    family = CoSingletonClass()
-    target = family.member(args.target)
+    learner = AbsenceCountIdentifier(_load(args).family)  # the co-singleton family only
+    target = learner.family.member(args.target)
     avoid = {args.target}
     injections = []
     value = 0
@@ -464,17 +440,14 @@ def cmd_corrupt_id(args) -> int:
         injections.append((5 + 6 * i, Pair.of(lo, hi)))
         value += 2
     stream = corrupt(canonical_contrastive(target), injections)
-    record = run(
-        AbsenceCountIdentifier(family), stream,
-        steps=args.steps, stability_window=args.window, target=target,
-    )
+    record = run(learner, stream, steps=args.steps, stability_window=args.window, target=target)
     payload = _record_payload(record)
     payload["injections"] = [f"{t}:{item}" for t, item in injections]
     return _emit(args, "corrupted identification", payload)
 
 
 def cmd_classify(args) -> int:
-    cls = _explicit(args)
+    cls = _load(args)
     bounds = Bounds(horizon=args.horizon)
     verdict = classify(cls, bounds)
     if args.format == "json":

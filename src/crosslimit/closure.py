@@ -9,26 +9,23 @@ finiteness is exactly what uniform generation from pair data needs.
 
 One evaluator, :func:`closure_of`, turns a version space into its closure.  A
 version space is a member bitmask (bit i for member i), the AND of its
-edges' `crossing_mask`s (XORs of memoised member patterns); its closure is
-the class's memoised `meet`.  The one exception is a punctured family class:
-its member list truncates an infinite one-point-puncture family, and the
-mask of the truncated members does not determine the closure over the whole
-family.  A finite edge set interacts with finitely many punctures (those
-whose hole is an edge vertex), so that closure is computed in closed form
-from the edges and the class's :class:`~crosslimit.classes.PuncturedFamily`
-descriptor, which supplies the base set and the puncture at each
-hole.  Without this, every truncation would report infinite closures where
-the infinite family has finite ones.  `support_intersection` stays as the
-literal definition the mask path is checked against.
+edges' `crossing_mask`s (XORs of memoised member patterns), and the class's
+family descriptor (:class:`~crosslimit.classes.FamilyInfo`) gives its
+closure: the class's memoised `meet` when the member list is the family, or,
+for the punctured family, a closed form from the edges over the infinite
+family the members truncate.  `support_intersection` stays as the literal
+definition the mask path is checked against.
 
-The dimension search is likewise two-layered.  For explicit classes of at
-most PATTERN_BOUND members, the membership-pattern cells reduce the
-dimension to a finite computation (patterns are member bitmasks too, and
-only realized cells are stored): a hollow set with a vertex in an infinite
-cell can be regrown edge by edge (fresh same-cell vertices never change the
-version space), so the dimension is infinite as soon as such a set exists;
-otherwise all hollow sets live inside the finitely many finite cells and can
-be counted exactly.  Family-backed classes fall back to a bounded
+The dimension search is likewise layered.  For classes of at most
+PATTERN_BOUND members whose closures read only the mask, the
+membership-pattern cells reduce the dimension to a finite computation
+(patterns are member bitmasks too, and only realized cells are stored): a
+hollow set with a vertex in an infinite cell can be regrown edge by edge
+(fresh same-cell vertices never change the version space), so the dimension
+is infinite as soon as such a set exists; otherwise all hollow sets live
+inside the finitely many finite cells and can be counted exactly.  A family
+whose global support intersection is infinite has no hollow set at all, so
+its dimension is exactly 0.  Other classes fall back to a bounded
 hollow-first search that reports a certified lower bound.
 """
 
@@ -38,10 +35,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .classes import Hypothesis, HypothesisClass, PuncturedFamily
+from .classes import Hypothesis, HypothesisClass
 from .crossing import PATTERN_BOUND, PatternCells
 from .space import SymbolicSet, intersection_of
-from .streams import CONTRASTIVE, Pair, Prefix, crosses
+from .streams import CONTRASTIVE, Pair, Prefix
 
 EXACT = "exact"
 AT_LEAST = "at-least"
@@ -127,11 +124,8 @@ def support_intersection(members: Iterable[Hypothesis]) -> ClosureResult:
 # ----------------------------------------------------------------------
 
 def edge_version_space(cls: HypothesisClass, edge_set: EdgeSet) -> list[Hypothesis]:
-    """The enumerated members crossed by every edge.
-
-    For family-backed classes this filters the explicit truncation; the
-    closure operations below additionally account for the family tail.
-    """
+    """The listed members crossed by every edge; `closure_of` also sees the
+    family's members past the list."""
     space = _edge_space(cls, edge_set.edges)
     return [h for i, h in enumerate(cls.members) if space >> i & 1]
 
@@ -149,46 +143,10 @@ def crossing_mask(cls: HypothesisClass, pair: Pair) -> int:
     return cls.pattern(pair.lo) ^ cls.pattern(pair.hi)
 
 
-def _is_punctured(cls: HypothesisClass) -> bool:
-    return isinstance(cls.family, PuncturedFamily)
-
-
 def closure_of(cls: HypothesisClass, space: int, edges: Iterable[Pair]) -> ClosureResult:
-    """The closure of the version space `space` (a member bitmask) that `edges` induce.
-
-    Bottom when the mask is empty.  A punctured class reads only the edges,
-    for its closed form over the infinite family; any other class reads
-    only the mask.
-    """
-    if _is_punctured(cls):
-        return _punctured_closure(cls.family, edges)
-    return ClosureResult(cls.meet(space)) if space else ClosureResult.bottom()
-
-
-def _punctured_closure(family: PuncturedFamily, edges: Iterable[Pair]) -> ClosureResult:
-    """Closed-form closure over the infinite punctured family.
-
-    The limit hypothesis and every puncture whose hole avoids the edge
-    vertices meet the same crossing constraints, so only the punctures at
-    edge vertices in the base need a test of their own.
-    """
-    edges = tuple(edges)
-
-    def fits(h: Hypothesis) -> bool:
-        return all(crosses(h, pair) for pair in edges)
-
-    passing: set[int] = set()
-    failing: set[int] = set()
-    for hole in {x for pair in edges for x in pair.elements()}:
-        if family.base.contains(hole):  # only base elements get punctured
-            (passing if fits(family.member(hole)) else failing).add(hole)
-    if fits(family.limit()):
-        # Every untouched puncture participates, removing all of the base
-        # except the failing holes; only those failing holes survive.
-        return ClosureResult(SymbolicSet.finite(failing))
-    if not passing:
-        return ClosureResult.bottom()
-    return ClosureResult(family.base.difference(SymbolicSet.finite(passing)))
+    """The closure of the version space `space` (a member bitmask) that `edges`
+    induce, as the class's family gives it; bottom when no member fits."""
+    return ClosureResult(cls.family.closure(cls, space, edges))
 
 
 def contrastive_closure(cls: HypothesisClass, edge_set: EdgeSet) -> ClosureResult:
@@ -250,12 +208,18 @@ def closure_dimension(
 ) -> DimensionReport:
     """Largest hollow edge set size, exactly when certifiable.
 
-    Explicit classes of at most 6 members get the exact cell analysis; other
-    classes get a bounded hollow-first search whose result is a verified
-    lower bound (never a wrong exact claim).
+    Classes of at most 6 members whose closures read only the mask get the
+    exact cell analysis, and a family with an infinite global support
+    intersection gets exact 0 (every closure holds it, so none is hollow);
+    other classes get a bounded hollow-first search whose result is a
+    verified lower bound (never a wrong exact claim).
     """
-    if not _is_punctured(cls) and 1 <= len(cls.members) <= PATTERN_BOUND:
+    family = cls.family
+    if not family.reads_edges and 1 <= len(cls.members) <= PATTERN_BOUND:
         return _cell_dimension(cls, max_size, vertex_horizon)
+    if family.intersection(cls).cardinality().is_infinite:
+        return DimensionReport(EXACT, 0, None, (max_size, vertex_horizon), notes=(
+            "certified by an infinite global intersection; no hollow edge sets exist",))
     return _bounded_search_dimension(cls, max_size, vertex_horizon, search_budget)
 
 

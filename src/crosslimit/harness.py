@@ -3,10 +3,11 @@
 The four verdicts per class:
 
 * text identification: exact tell-tales over the member tuple (least
-  elements of strict differences, so no horizon bounds them), or, for the
-  punctured family, a certified failure: every finite candidate tell-tale
-  of the limit hypothesis below the horizon sits inside the support of the
-  puncture beyond it, a set-algebra test that enumerates nothing;
+  elements of strict differences, so no horizon bounds them), or, for a
+  family with a limit past its member list, a certified failure: every
+  finite candidate tell-tale of the limit below the horizon sits inside the
+  support of the family's member that leaves out an element beyond it, a
+  set-algebra test that enumerates nothing;
 * contrastive identification: text identification plus every incomparable
   pair an overlapping cover, with the first barrier pair as the witness
   otherwise;
@@ -37,13 +38,11 @@ from .classes import (
     CoSingletonClass,
     Hypothesis,
     HypothesisClass,
-    PuncturedFamily,
     augmented_class,
     check_uus,
     disjoint_support_class,
     overlapping_cover_class,
     punctured_class,
-    punctured_hole,
     six_cell_class,
 )
 from .closure import EXACT, closure_dimension
@@ -119,17 +118,17 @@ class HierarchyVerdict:
 
 
 def _txt_id_verdict(cls: HypothesisClass, bounds: Bounds) -> Verdict:
-    punctured = cls.family
-    if isinstance(punctured, PuncturedFamily):
-        swallow = punctured.member(punctured_hole(bounds.horizon + 1))
-        uncovered = punctured.base.difference(swallow.support).min_element()
+    limit = cls.family.limit()
+    if limit is not None:
+        swallow = cls.family.member(limit.support.nth_member(bounds.horizon))
+        uncovered = limit.support.difference(swallow.support).min_element()
         if uncovered is not None and uncovered < bounds.horizon:
-            raise AssertionError("puncture beyond the horizon must keep all candidates")
+            raise AssertionError("member beyond the horizon must keep all candidates")
         return Verdict(
             NO,
             mechanism="no-finite-telltale",
             witness={
-                "hypothesis": punctured.limit().id,
+                "hypothesis": limit.id,
                 "rule": (
                     "any finite candidate tell-tale below the horizon is contained "
                     "in the support of the puncture at an element beyond it"
@@ -194,21 +193,20 @@ def _ctr_gen_verdict(cls: HypothesisClass, ctr_id: Verdict, bounds: Bounds) -> V
 
 
 def _ctr_gen_positive(cls: HypothesisClass, ctr_id: Verdict, bounds: Bounds) -> Verdict | None:
-    if isinstance(cls.family, PuncturedFamily):
-        # one-point punctures exhaust the base set, so the base enumeration
-        # is an eventual core: each member misses at most its own hole
-        base = cls.family.base
+    family = cls.family
+    core = family.intersection(cls)
+    if core.cardinality().is_infinite:
+        return Verdict(YES, mechanism="safe-core", witness={"core": core.literal()})
+    core = family.eventual_core(cls)
+    if core is not None:
         for h in cls.members:
-            if not base.difference(h.support).cardinality().is_finite:
-                raise AssertionError("punctured member misses infinitely much core")
+            if not core.difference(h.support).cardinality().is_finite:
+                raise AssertionError("a member misses infinitely much of the eventual core")
         return Verdict(
             YES,
             mechanism="eventual-core",
-            witness={"core": base.literal(), "rule": "ascending enumeration of the base"},
+            witness={"core": core.literal(), "rule": "ascending enumeration of the base"},
         )
-    core = cls.global_support_intersection()
-    if core.cardinality().is_infinite:
-        return Verdict(YES, mechanism="safe-core", witness={"core": core.literal()})
     report = closure_dimension(
         cls, bounds.dimension_max_size, bounds.dimension_vertex_horizon
     )

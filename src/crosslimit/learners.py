@@ -16,11 +16,12 @@ members whose tell-tale is seen, a generator's closures while its version
 spaces stay), passed on while they cannot change; a generator's read is
 memoised on its state for `advance` to reuse.  A version space is a member
 bitmask, ANDed with each new edge's crossing mask (from the class's memoised
-member patterns); :func:`~crosslimit.closure.closure_of` gives its closure from
-the class's memoised meets, or from the edges in closed form for a
-punctured family, whose :class:`~crosslimit.classes.PuncturedFamily` the
-breaker asks for punctures beyond the truncation.  Caches live in fields
-left out of equality, so they never change what compares equal or is recorded.
+member patterns); :func:`~crosslimit.closure.closure_of` gives its closure by
+the class's family descriptor, from the memoised meets or, where the
+family's closures read the edges, from the edges too.  The breaker asks the
+descriptor for the family's members past the member list.  Caches live in
+fields left out of equality, so they never change what compares equal or is
+recorded.
 
 Uniform generation is the one-class case of non-uniform generation: the
 closure generator is the one-level threshold-and-defer chain, armed once the
@@ -41,7 +42,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .classes import CoSingletonClass, Hypothesis, HypothesisClass, PuncturedFamily
+from .classes import CoSingletonClass, FamilyInfo, Hypothesis, HypothesisClass
 from .closure import (
     ClosureResult,
     EdgeSet,
@@ -323,9 +324,11 @@ class AbsenceCountIdentifier(Learner):
     role = IDENTIFIER
     kind = CONTRASTIVE
 
-    def __init__(self, family: CoSingletonClass | None = None):
+    def __init__(self, family: FamilyInfo | None = None):
         self.family = family or CoSingletonClass()
         self.name = "absence-count"
+        if self.family.identifier != self.name:
+            raise ValueError("absence-count runs over the co-singleton family only")
         self._default = self.family.member(0)
 
     def initial(self) -> _AbsenceState:
@@ -471,7 +474,7 @@ class _PairGenerator(Learner):
         if closure is None:
             cls = self.classes[level]
             closure = closure_of(cls, state._masks[level], state.edges)
-            if not isinstance(cls.family, PuncturedFamily):  # whose closure reads the edges
+            if not cls.family.reads_edges:
                 state._closures[level] = closure  # the states sharing the list share the masks
         return closure
 
@@ -679,10 +682,10 @@ def generator_breaker(
         return FailureWitness(NOVELTY_VIOLATION, output, None, "")
     survivors = edge_version_space(cls, hollow)
     victim = next((h for h in survivors if not h.contains(output)), None)
-    family = cls.family
-    if victim is None and isinstance(family, PuncturedFamily) and family.base.contains(output):
-        # the puncture at the output survives any edge set avoiding it
-        victim = family.member(output)
+    if victim is None:
+        # a closure read from the edges: the family's member past the list
+        # that leaves out the output survives any edge set avoiding it
+        victim = cls.family.member(output)
     if victim is None:
         raise AssertionError("hollow closure must exclude the output for some survivor")
     zstar = victim.support.complement().min_element()

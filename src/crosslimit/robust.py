@@ -145,7 +145,7 @@ class BlockTextIdentifier(Learner):
     kind = TEXT
 
     def __init__(self, cls: HypothesisClass):
-        if cls.family is None or cls.family.kind != "block":
+        if cls.family.kind != "block":
             raise ValueError("block identifier needs a block-family class")
         self.cls = cls
         budget, count = cls.family.params

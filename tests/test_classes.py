@@ -169,6 +169,12 @@ def test_build_witness_specs():
         build_witness("unheard-of")
     with pytest.raises(ValueError):
         build_witness("punctured:1")
+    cosingletons = build_witness("co-singleton:5")
+    assert cosingletons.ids() == ["h0", "h1", "h2", "h3", "h4"]
+    assert cosingletons.family.member(40).support == SymbolicSet.cofinite({40})
+    for spec in ("co-singleton", "co-singleton:1"):
+        with pytest.raises(ValueError):
+            build_witness(spec)
 
 
 def test_class_spec_round_trip(tmp_path):

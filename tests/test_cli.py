@@ -149,6 +149,13 @@ def test_corrupt_id(capsys):
     assert len(payload["injections"]) == 5
 
 
+@pytest.mark.parametrize("witness", ["punctured:6", "augmented:6", "overlap-cover"])
+def test_absence_count_runs_only_over_the_co_singleton_family(capsys, witness):
+    code, out = run_cli(capsys, "identify", "--witness", witness,
+                        "--learner", "absence-count", "--target", "3")
+    assert (code, out) == (2, "")
+
+
 def test_classify(capsys):
     code, out = run_cli(capsys, "classify", "--witness", "disjoint")
     doc = json.loads(out)

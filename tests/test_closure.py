@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_proper_support
 from crosslimit import classes as classes_module
+from crosslimit import closure as closure_module
 from crosslimit.classes import (
     Hypothesis,
     HypothesisClass,
@@ -317,6 +318,10 @@ def test_target_stays_in_version_space_and_safe_set_is_sound():
 
 def test_dimension_punctured_reports_lower_bound():
     cls = punctured_class(10)
+    # the truncation's own meet is infinite, but the infinite family's is
+    # empty, so no exact-0 shortcut applies
+    assert cls.global_support_intersection().cardinality().is_infinite
+    assert cls.family.intersection(cls).is_empty()
     report = closure_dimension(cls, max_size=10, vertex_horizon=24)
     assert report.outcome == AT_LEAST
     assert report.dimension == 10
@@ -330,6 +335,16 @@ def test_dimension_cosingleton_slice_exact_zero():
         assert report.outcome == EXACT
         assert report.dimension == 0
         assert report.witness is None  # no hollow edge sets at all
+
+
+@pytest.mark.parametrize("cls", [augmented_class(8), co_singleton_class().explicit_slice(8)],
+                         ids=["augmented-8", "co-singleton-slice-8"])
+def test_dimension_infinite_family_intersection_is_exact_zero_without_a_search(cls, monkeypatch):
+    # past the cell analysis's six members, an infinite global intersection
+    # settles the dimension: every closure holds it, so nothing is hollow
+    monkeypatch.setattr(closure_module, "_bounded_search_dimension", None)
+    report = closure_dimension(cls)
+    assert (report.outcome, report.dimension, report.witness) == (EXACT, 0, None)
 
 
 def test_dimension_single_infinite_hypothesis():

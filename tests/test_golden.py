@@ -59,6 +59,20 @@ CASES = {
     "trace-identify-then-generate.csv": [
         "generate", "--witness", "overlap-cover", "--learner", "identify-then-generate",
         "--target", "h1", "--stream", "sampled:2", "--steps", "40", "--trace"],
+    "classify-cosingleton.json": ["classify", "--witness", "co-singleton"],
+    "classify-punctured.json": ["classify", "--witness", "punctured:6"],
+    "dimension-punctured.json": ["dimension", "--witness", "punctured:6"],
+    "stream-cosingleton-past-the-slice.txt": [
+        "stream", "--witness", "co-singleton", "--target", "50", "--take", "5"],
+    "identify-absence-count-past-the-slice.json": [
+        "identify", "--witness", "co-singleton", "--learner", "absence-count",
+        "--target", "40", "--steps", "80"],
+    "generate-safe-core-gen-punctured-sampled.json": [
+        "generate", "--witness", "punctured:8", "--learner", "safe-core-gen",
+        "--target", "h3", "--stream", "sampled:2", "--steps", "80"],
+    "generate-eventual-core-gen-punctured-canonical.json": [
+        "generate", "--witness", "punctured:8", "--learner", "eventual-core-gen",
+        "--target", "h2", "--steps", "60"],
 }
 
 
