@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from .classes import (
     CoSingletonClass,
@@ -40,7 +39,7 @@ from .learners import (
     run,
 )
 from .robust import BlockTextIdentifier, confusion_demo, defect, verify_forced_violations
-from .space import SymbolicSet
+from .space import Record, SymbolicSet
 from .streams import (
     Pair,
     canonical_contrastive,
@@ -52,12 +51,19 @@ from .streams import (
 )
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    ok: bool = True
-    details: list[str] = field(default_factory=list)
+class CriterionResult(Record):
+    """A criterion's outcome, filled in as its checks run: mutable, so unhashable."""
+
+    _compared = ("number", "name", "ok", "details")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, number: int, name: str, ok: bool = True, details: list[str] | None = None):
+        self.number = number
+        self.name = name
+        self.ok = ok
+        self.details = [] if details is None else details
 
     def check(self, condition: bool, message: str) -> None:
         if not condition:

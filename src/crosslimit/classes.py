@@ -21,12 +21,11 @@ never test which family a class comes from.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 from typing import Iterable
 
-from .space import SymbolicSet, intersection_of, parse_set_literal
+from .space import Record, SymbolicSet, intersection_of, parse_set_literal
 
 # Entries per memo of a class: all meets of up to three of 17 members, or the
 # inclusion table of 32, and a memory bound however long a command runs.
@@ -35,12 +34,21 @@ EVENS = SymbolicSet.residue_class(2, {0})
 ODDS = SymbolicSet.residue_class(2, {1})
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(Record):
     """A binary hypothesis, identified by name, given by its positive set."""
 
-    id: str
-    support: SymbolicSet
+    _compared = ("id", "support")
+
+    def __init__(self, id: str, support: SymbolicSet):
+        self.__dict__.update(id=id, support=support)
+
+    def __eq__(self, other):  # written out, as for SymbolicSet
+        if other.__class__ is self.__class__:
+            return (self.id, self.support) == (other.id, other.support)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.id, self.support))
 
     def contains(self, x: int) -> bool:
         return self.support.contains(x)
@@ -57,8 +65,7 @@ def is_proper_nontrivial(h: Hypothesis) -> bool:
     return h.is_proper_nontrivial()
 
 
-@dataclass(frozen=True)
-class FamilyInfo:
+class FamilyInfo(Record):
     """A class's construction rule, and the rules of the family behind it.
 
     `kind` names the family (empty for a class given by its members alone);
@@ -74,10 +81,12 @@ class FamilyInfo:
     infinite family, and its `closure` reads the edges as well as the mask.
     """
 
-    kind: str = ""
-    params: tuple[int, ...] = ()
+    _compared = ("kind", "params")
     reads_edges = False
     identifier = "eligibility"  # the contrastive identifier that fits the family
+
+    def __init__(self, kind: str = "", params: tuple[int, ...] = ()):
+        self.__dict__.update(kind=kind, params=params)
 
     def describe(self) -> str:
         if self.params:
@@ -147,7 +156,6 @@ class PuncturedFamily(FamilyInfo):
         return self.base  # each member misses at most its own hole of it
 
 
-@dataclass(frozen=True)
 class CoSingletonClass(FamilyInfo):
     """The co-singleton family {h_s : s in X} with supp(h_s) = X minus {s}.
 
@@ -157,8 +165,10 @@ class CoSingletonClass(FamilyInfo):
     the absence-count identifier, which runs over the whole family.
     """
 
-    kind: str = "co-singleton-slice"
     identifier = "absence-count"
+
+    def __init__(self, kind: str = "co-singleton-slice", params: tuple[int, ...] = ()):
+        super().__init__(kind, params)
 
     def member(self, hole: int) -> Hypothesis:
         if hole < 0:
@@ -176,30 +186,28 @@ class CoSingletonClass(FamilyInfo):
         )
 
 
-@dataclass(frozen=True)
-class HypothesisClass:
+class HypothesisClass(Record):
     """An ordered, finite, explicitly enumerated class of hypotheses, with the
-    descriptor of the family behind it (see :class:`FamilyInfo`)."""
+    descriptor of the family behind it (see :class:`FamilyInfo`).  Its memos
+    stay out of equality, hashing and repr."""
 
-    members: tuple[Hypothesis, ...]
-    uus_claimed: bool = False
-    family: FamilyInfo = FamilyInfo()
-    _meets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _differences: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _patterns: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _compared = ("members", "uus_claimed", "family")
 
-    def __post_init__(self) -> None:
-        ids = [h.id for h in self.members]
+    def __init__(self, members: tuple[Hypothesis, ...], uus_claimed: bool = False,
+                 family: FamilyInfo = FamilyInfo()):
+        ids = [h.id for h in members]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate hypothesis ids: {dupes}")
-        if self.uus_claimed:
-            for h in self.members:
+        if uus_claimed:
+            for h in members:
                 if h.support.cardinality().is_finite:
                     raise ValueError(
                         f"class claims uniformly unbounded support but "
                         f"{h.id} has finite support"
                     )
+        self.__dict__.update(members=members, uus_claimed=uus_claimed, family=family,
+                             _meets={}, _differences={}, _patterns={})
 
     def __len__(self) -> int:
         return len(self.members)

@@ -32,12 +32,11 @@ hollow-first search that reports a certified lower bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
 from .classes import Hypothesis, HypothesisClass
 from .crossing import PATTERN_BOUND, PatternCells
-from .space import SymbolicSet, intersection_of
+from .space import Record, SymbolicSet, intersection_of
 from .streams import CONTRASTIVE, Pair, Prefix
 
 EXACT = "exact"
@@ -45,11 +44,13 @@ AT_LEAST = "at-least"
 INFINITE = "infinite"
 
 
-@dataclass(frozen=True)
-class EdgeSet:
+class EdgeSet(Record):
     """A finite set of distinct unordered pairs."""
 
-    edges: frozenset[Pair]
+    _compared = ("edges",)
+
+    def __init__(self, edges: frozenset[Pair]):
+        object.__setattr__(self, "edges", edges)  # one field: no dict update
 
     @staticmethod
     def of(pairs) -> "EdgeSet":
@@ -80,11 +81,13 @@ class EdgeSet:
         return "{" + ", ".join(str(p) for p in sorted(self.edges)) + "}"
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(Record):
     """A closure value: a symbolic set, or bottom when no hypothesis fits."""
 
-    value: SymbolicSet | None
+    _compared = ("value",)
+
+    def __init__(self, value: SymbolicSet | None):
+        object.__setattr__(self, "value", value)  # one field: no dict update
 
     @property
     def is_bottom(self) -> bool:
@@ -174,8 +177,7 @@ def _within_vertices(closure: SymbolicSet, edge_set: EdgeSet) -> bool:
 # closure dimension
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(Record):
     """Outcome of the hollow-set-size search.
 
     `exact` carries the dimension and, when it is positive (or zero with an
@@ -185,12 +187,15 @@ class DimensionReport:
     witness: the starter edge set plus an edge type with an infinite cell.
     """
 
-    outcome: str
-    dimension: int | None
-    witness: EdgeSet | None
-    search_bounds: tuple[int, int]
-    infinite_description: str | None = None
-    notes: tuple[str, ...] = ()
+    _compared = ("outcome", "dimension", "witness", "search_bounds", "infinite_description",
+                 "notes")
+
+    def __init__(self, outcome: str, dimension: int | None, witness: EdgeSet | None,
+                 search_bounds: tuple[int, int], infinite_description: str | None = None,
+                 notes: tuple[str, ...] = ()):
+        self.__dict__.update(outcome=outcome, dimension=dimension, witness=witness,
+                             search_bounds=search_bounds,
+                             infinite_description=infinite_description, notes=notes)
 
     def __str__(self) -> str:
         if self.outcome == EXACT:
@@ -331,10 +336,23 @@ def _bounded_search_dimension(
 
     Each trial carries its version space as a member bitmask, the parent's
     ANDed with the new edge's `crossing_mask`, and asks :func:`closure_of`.
+    The candidate edges, the pairs below the horizon in `combinations` order
+    less the bottom ones, are drawn as the search first reaches them, so the
+    budget, not the horizon, bounds how many are built.
     """
-    pairs = [Pair.of(x, y) for x, y in itertools.combinations(range(vertex_horizon), 2)]
-    crossing = {p: crossing_mask(cls, p) for p in pairs}
-    candidates = [p for p in pairs if not closure_of(cls, crossing[p], (p,)).is_bottom]
+    pairs = (Pair.of(x, y) for x, y in itertools.combinations(range(vertex_horizon), 2))
+    masks = ((p, crossing_mask(cls, p)) for p in pairs)
+    pending = ((p, mask) for p, mask in masks if not closure_of(cls, mask, (p,)).is_bottom)
+    candidates: list[tuple[Pair, int]] = []  # (pair, crossing mask), drawn from `pending`
+
+    def candidate(idx: int) -> tuple[Pair, int] | None:
+        while len(candidates) <= idx:
+            drawn = next(pending, None)
+            if drawn is None:
+                return None
+            candidates.append(drawn)
+        return candidates[idx]
+
     everyone = (1 << len(cls.members)) - 1
     root = closure_of(cls, everyone, ()).value
     empty = EdgeSet.of([])
@@ -347,16 +365,19 @@ def _bounded_search_dimension(
         if len(edges) >= max_size or exhausted:
             return
         hollow_ext, finite_ext, other_ext = [], [], []
-        for idx in range(start, len(candidates)):
+        for idx in itertools.count(start):
+            drawn = candidate(idx)
+            if drawn is None:
+                break
             if spent >= budget:
                 exhausted = True
                 break
-            pair = candidates[idx]
+            pair, mask = drawn
             if pair in edges:
                 continue
             spent += 1
             trial = EdgeSet.of(edges | {pair})
-            trial_space = space & crossing[pair]
+            trial_space = space & mask
             result = closure_of(cls, trial_space, trial.edges)
             if result.is_bottom:
                 continue

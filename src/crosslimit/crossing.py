@@ -30,11 +30,10 @@ Every verdict is therefore an emptiness test in the set algebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .classes import Hypothesis, HypothesisClass
-from .space import SymbolicSet
+from .space import Record, SymbolicSet
 from .streams import Pair, Stream, crosses, paired_stream
 
 #: regimes in which the second hypothesis is NOT eliminable from the first
@@ -71,8 +70,7 @@ def common_crossing_edges(h: Hypothesis, g: Hypothesis, vertices) -> set[Pair]:
 # membership-pattern cells
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PatternCells:
+class PatternCells(Record):
     """The partition of X by joint membership pattern across a family.
 
     A pattern is a member bitmask (bit i set iff member i is positive), as in
@@ -81,8 +79,10 @@ class PatternCells:
     the cells partition X, and an unrealized pattern has no entry.
     """
 
-    hypothesis_ids: tuple[str, ...]
-    cells: dict[int, SymbolicSet]
+    _compared = ("hypothesis_ids", "cells")
+
+    def __init__(self, hypothesis_ids: tuple[str, ...], cells: dict[int, SymbolicSet]):
+        self.__dict__.update(hypothesis_ids=hypothesis_ids, cells=cells)
 
     @staticmethod
     def of(family) -> "PatternCells":
@@ -175,22 +175,19 @@ def class_pair_cells(cls: HypothesisClass, i: int, j: int) -> PatternCells:
 # eliminability
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EliminabilityVerdict:
+class EliminabilityVerdict(Record):
     """Whether g can be ruled out from data for h, with the regime and witness.
 
     When eliminable, `witness` is an h-positive with no common-crossing
     partner (the element whose coverage forces a pair invalid for g).
     """
 
-    eliminable: bool
-    regime: str
-    witness: int | None = None
+    _compared = ("eliminable", "regime", "witness")
 
-    def __post_init__(self) -> None:
-        barrier = self.regime in (SUPERSET, DISJOINT, NON_COVERING)
-        if barrier == self.eliminable:
-            raise ValueError(f"regime {self.regime!r} is inconsistent with eliminable={self.eliminable}")
+    def __init__(self, eliminable: bool, regime: str, witness: int | None = None):
+        if (regime in (SUPERSET, DISJOINT, NON_COVERING)) == eliminable:
+            raise ValueError(f"regime {regime!r} is inconsistent with eliminable={eliminable}")
+        self.__dict__.update(eliminable=eliminable, regime=regime, witness=witness)
 
 
 def eliminability(cells: PatternCells) -> EliminabilityVerdict:
@@ -249,7 +246,10 @@ def shared_presentation_pair(h: Hypothesis, g: Hypothesis) -> Stream | None:
     stream = shared_presentation_family([h, g])  # checks that both are proper nontrivial
     if h.support == g.support:
         raise ValueError(f"{h.id} and {g.id} have identical supports")
-    return None if stream is None else replace(stream, provenance=f"shared-pair({h.id},{g.id})")
+    if stream is None:
+        return None
+    return Stream(stream.kind, f"shared-pair({h.id},{g.id})", stream.item_fn, stream.walk,
+                  stream.targets)
 
 
 def shared_presentation_family(family: list[Hypothesis]) -> Stream | None:

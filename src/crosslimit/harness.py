@@ -32,7 +32,6 @@ import io
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass, field
 
 from .classes import (
     CoSingletonClass,
@@ -58,7 +57,7 @@ from .crossing import (
     shared_presentation_family,
 )
 from .learners import AbsenceCountIdentifier, compute_telltales, telltales_sound
-from .space import SymbolicSet, intersection_of
+from .space import Record, SymbolicSet, intersection_of
 from .streams import Pair, corrupt, canonical_contrastive, validate
 
 YES = "yes"
@@ -66,24 +65,26 @@ NO = "no"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record):
     """Search budgets for classification; recorded in every verdict."""
 
-    horizon: int = 64
-    family_bound: int = 3
-    dimension_max_size: int = 8
-    dimension_vertex_horizon: int = 24
+    _compared = ("horizon", "family_bound", "dimension_max_size", "dimension_vertex_horizon")
+
+    def __init__(self, horizon: int = 64, family_bound: int = 3, dimension_max_size: int = 8,
+                 dimension_vertex_horizon: int = 24):
+        self.__dict__.update(horizon=horizon, family_bound=family_bound,
+                             dimension_max_size=dimension_max_size,
+                             dimension_vertex_horizon=dimension_vertex_horizon)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self._compared}
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    mechanism: str | None = None
-    witness: dict | None = None
+class Verdict(Record):
+    _compared = ("status", "mechanism", "witness")
+
+    def __init__(self, status: str, mechanism: str | None = None, witness: dict | None = None):
+        self.__dict__.update(status=status, mechanism=mechanism, witness=witness)
 
     def to_json(self) -> dict:
         out = {"status": self.status}
@@ -94,14 +95,13 @@ class Verdict:
         return out
 
 
-@dataclass(frozen=True)
-class HierarchyVerdict:
-    class_description: str
-    txt_id: Verdict
-    ctr_id: Verdict
-    ctr_gen: Verdict
-    txt_gen: Verdict
-    bounds: Bounds
+class HierarchyVerdict(Record):
+    _compared = ("class_description", "txt_id", "ctr_id", "ctr_gen", "txt_gen", "bounds")
+
+    def __init__(self, class_description: str, txt_id: Verdict, ctr_id: Verdict,
+                 ctr_gen: Verdict, txt_gen: Verdict, bounds: Bounds):
+        self.__dict__.update(class_description=class_description, txt_id=txt_id,
+                             ctr_id=ctr_id, ctr_gen=ctr_gen, txt_gen=txt_gen, bounds=bounds)
 
     def corner(self) -> tuple[str, str, str, str]:
         return (self.ctr_id.status, self.txt_id.status, self.ctr_gen.status, self.txt_gen.status)
@@ -287,11 +287,11 @@ def _check_diamond(v: HierarchyVerdict) -> None:
 # reports
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    expected: object
-    actual: object
+class Check(Record):
+    _compared = ("name", "expected", "actual")
+
+    def __init__(self, name: str, expected: object, actual: object):
+        self.__dict__.update(name=name, expected=expected, actual=actual)
 
     @property
     def ok(self) -> bool:
@@ -306,18 +306,19 @@ class Check:
         }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """A reproducible experiment: named checks against frozen expectations.
 
     The regenerated content is deterministic; elapsed_s is the one field
     that varies between runs.
     """
 
-    title: str
-    checks: tuple[Check, ...]
-    payload: dict = field(default_factory=dict)
-    elapsed_s: float | None = None
+    _compared = ("title", "checks", "payload", "elapsed_s")
+
+    def __init__(self, title: str, checks: tuple[Check, ...], payload: dict | None = None,
+                 elapsed_s: float | None = None):  # no payload: a fresh empty dict
+        self.__dict__.update(title=title, checks=checks,
+                             payload={} if payload is None else payload, elapsed_s=elapsed_s)
 
     @property
     def ok(self) -> bool:

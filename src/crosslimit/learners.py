@@ -10,7 +10,7 @@ every run record replays bit-for-bit.
 Per-step cost: `advance` and `read` cost O(1) amortised, growing with the
 class and the size of the answer but not with the steps before, and `run`
 plays the stream's walk, O(1) amortised per item.  States are slotted
-dataclasses built once per step, share their history through append-only
+record classes built once per step, share their history through append-only
 logs and carry the values their reads need (the absence-count guess, the
 members whose tell-tale is seen, a generator's closures while its version
 spaces stay), passed on while they cannot change; a generator's read is
@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .classes import CoSingletonClass, FamilyInfo, Hypothesis, HypothesisClass
@@ -51,7 +50,7 @@ from .closure import (
     edge_version_space,
     is_hollow,
 )
-from .space import SymbolicSet
+from .space import Record, SymbolicSet
 from .streams import CONTRASTIVE, INFORMANT, TEXT, Pair, Stream
 
 IDENTIFIER = "identifier"
@@ -146,8 +145,7 @@ class _Log:
 # tell-tale sets
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TellTaleFamily:
+class TellTaleFamily(Record):
     """Per-hypothesis finite distinguishing sets.
 
     entries[g] is a finite subset of supp(g) contained in no member support
@@ -155,7 +153,10 @@ class TellTaleFamily:
     sub-hypothesis.
     """
 
-    entries: dict[str, frozenset[int]]
+    _compared = ("entries",)
+
+    def __init__(self, entries: dict[str, frozenset[int]]):
+        object.__setattr__(self, "entries", entries)  # one field: no dict update
 
     def of(self, hid: str) -> frozenset[int]:
         return self.entries[hid]
@@ -208,13 +209,35 @@ def _strictly_below(cls: HypothesisClass, i: int, j: int) -> bool:
 # identifiers
 # ----------------------------------------------------------------------
 
-# Step states are values: never changed but for the memos reads fill in, and
-# not frozen, which would cost an object.__setattr__ per field at every step.
-@dataclass(slots=True, unsafe_hash=True)
-class _EligState:
-    seen: frozenset[int]  # the tell-tale elements seen so far; no other matters
-    space: int  # members whose cut every pair crosses, as a member bitmask
-    ready: int = field(compare=False)  # members whose tell-tale is in `seen`
+class _State(Record):
+    """A step state: a value, never changed but for the memos reads fill in.
+
+    Slotted and not frozen, as every step builds one and slot stores are the
+    cheapest way to fill it; equality and hashing are written out for the
+    compared fields, and repr shows every field.
+    """
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+
+class _EligState(_State):
+    __slots__ = _shown = ("seen", "space", "ready")
+    _compared = ("seen", "space")
+
+    def __init__(self, seen: frozenset[int], space: int, ready: int):
+        self.seen = seen  # the tell-tale elements seen so far; no other matters
+        self.space = space  # members whose cut every pair crosses, as a member bitmask
+        self.ready = ready  # members whose tell-tale is in `seen`
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.seen, self.space) == (other.seen, other.space)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.seen, self.space))
 
 
 class EligibilityIdentifier(Learner):
@@ -305,11 +328,22 @@ class TextFromContrastiveIdentifier(Learner):
         return state[1]
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class _AbsenceState:
-    pairs: _Log  # the pairs so far
-    best: int | None  # most frequent element so far, ties to the least
-    guess: Hypothesis = field(compare=False)  # the member read gives
+class _AbsenceState(_State):
+    __slots__ = _shown = ("pairs", "best", "guess")
+    _compared = ("pairs", "best")
+
+    def __init__(self, pairs: _Log, best: int | None, guess: Hypothesis):
+        self.pairs = pairs  # the pairs so far
+        self.best = best  # most frequent element so far, ties to the least
+        self.guess = guess  # the member read gives
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pairs, self.best) == (other.pairs, other.best)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pairs, self.best))
 
 
 class AbsenceCountIdentifier(Learner):
@@ -394,17 +428,32 @@ class GoldInformantIdentifier(Learner):
 # generators
 # ----------------------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
-class _GenState:
-    count: int
-    edges: _Log  # distinct edges in arrival order; `x in edges` finds vertices
-    outputs: _Log  # outputs of the earlier steps, in order
-    inner: object = None  # the wrapped identifier's state (identify-then-generate)
-    _masks: tuple[int, ...] = field(default=(), compare=False)  # version space per class
-    # closure per class, filled by the first read and shared while the masks stay
-    _closures: list = field(default=None, compare=False)
-    _cursor: tuple = field(default=(None, 0), compare=False)  # (support, last least fresh member)
-    _output: object = field(default=None, compare=False)  # the read, memoised; None before it
+class _GenState(_State):
+    __slots__ = _shown = ("count", "edges", "outputs", "inner",
+                          "_masks", "_closures", "_cursor", "_output")
+    _compared = ("count", "edges", "outputs", "inner")
+
+    def __init__(self, count: int, edges: _Log, outputs: _Log, inner: object = None,
+                 _masks: tuple[int, ...] = (), _closures: list = None,
+                 _cursor: tuple = (None, 0), _output: object = None):
+        self.count = count
+        self.edges = edges  # distinct edges in arrival order; `x in edges` finds vertices
+        self.outputs = outputs  # outputs of the earlier steps, in order
+        self.inner = inner  # the wrapped identifier's state (identify-then-generate)
+        self._masks = _masks  # version space per class
+        # closure per class, filled by the first read and shared while the masks stay
+        self._closures = _closures
+        self._cursor = _cursor  # (support, last least fresh member)
+        self._output = _output  # the read, memoised; None before it
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.count, self.edges, self.outputs, self.inner)
+                    == (other.count, other.edges, other.outputs, other.inner))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.count, self.edges, self.outputs, self.inner))
 
     def excludes(self, x: int) -> bool:
         """x was seen or already output."""
@@ -644,14 +693,13 @@ NOVELTY_VIOLATION = "novelty-violation"
 MISCLASSIFICATION = "misclassification"
 
 
-@dataclass(frozen=True)
-class FailureWitness:
+class FailureWitness(Record):
     """How a generator fails on a hollow edge set presented as a prefix."""
 
-    kind: str
-    output: int
-    hypothesis: Hypothesis | None
-    extension: str
+    _compared = ("kind", "output", "hypothesis", "extension")
+
+    def __init__(self, kind: str, output: int, hypothesis: Hypothesis | None, extension: str):
+        self.__dict__.update(kind=kind, output=output, hypothesis=hypothesis, extension=extension)
 
     def __str__(self) -> str:
         if self.kind == NOVELTY_VIOLATION:
@@ -710,8 +758,7 @@ class ConstantGenerator(_PairGenerator):
 # run records
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(Record):
     """One learner execution: outputs per step plus convergence bookkeeping.
 
     converged_at is the 1-based step from which every recorded output is
@@ -719,16 +766,17 @@ class RunRecord:
     provided that stable tail is at least one stability window long.
     """
 
-    learner: str
-    stream: str
-    steps: int
-    stability_window: int
-    target: str | None
-    outputs: tuple
-    flags: tuple[tuple[str, ...], ...]
-    step_ok: tuple[bool, ...]
-    converged_at: int | None
-    trace_rows: tuple[dict, ...] = ()
+    _compared = ("learner", "stream", "steps", "stability_window", "target", "outputs",
+                 "flags", "step_ok", "converged_at", "trace_rows")
+
+    def __init__(self, learner: str, stream: str, steps: int, stability_window: int,
+                 target: str | None, outputs: tuple, flags: tuple[tuple[str, ...], ...],
+                 step_ok: tuple[bool, ...], converged_at: int | None,
+                 trace_rows: tuple[dict, ...] = ()):
+        self.__dict__.update(learner=learner, stream=stream, steps=steps,
+                             stability_window=stability_window, target=target, outputs=outputs,
+                             flags=flags, step_ok=step_ok, converged_at=converged_at,
+                             trace_rows=trace_rows)
 
     @property
     def converged(self) -> bool:

@@ -16,17 +16,14 @@ identifier on that one stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classes import Hypothesis, HypothesisClass, block_elements
 from .crossing import PatternCells, eliminable, pair_cells
 from .learners import IDENTIFIER, Learner, RunRecord, run
-from .space import Cardinality, SymbolicSet
+from .space import Cardinality, Record, SymbolicSet
 from .streams import CONTRASTIVE, TEXT, Pair, Stream, crosses, paired_stream, validate
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(Record):
     """Defect set, its exact cardinality, and an optimal presentation.
 
     When the defect number is finite, `min_violation_stream` is a clean
@@ -35,11 +32,12 @@ class DefectReport:
     positive through a common-crossing partner.
     """
 
-    first: str
-    second: str
-    defect_set: SymbolicSet
-    kappa: Cardinality
-    min_violation_stream: Stream | None
+    _compared = ("first", "second", "defect_set", "kappa", "min_violation_stream")
+
+    def __init__(self, first: str, second: str, defect_set: SymbolicSet, kappa: Cardinality,
+                 min_violation_stream: Stream | None):
+        self.__dict__.update(first=first, second=second, defect_set=defect_set, kappa=kappa,
+                             min_violation_stream=min_violation_stream)
 
     @property
     def zero(self) -> bool:
@@ -180,8 +178,7 @@ class BlockTextIdentifier(Learner):
 # confusion demonstrations
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DemoRecord:
+class DemoRecord(Record):
     """A shared-stream run: one output sequence, served to every target.
 
     The learner is deterministic and the stream is valid for every family
@@ -189,13 +186,14 @@ class DemoRecord:
     every member other than the final guess is failed outright.
     """
 
-    family: tuple[str, ...]
-    learner: str
-    stream: str
-    outputs: tuple
-    final_output: str | None
-    failed_members: tuple[str, ...]
-    record: RunRecord
+    _compared = ("family", "learner", "stream", "outputs", "final_output", "failed_members",
+                 "record")
+
+    def __init__(self, family: tuple[str, ...], learner: str, stream: str, outputs: tuple,
+                 final_output: str | None, failed_members: tuple[str, ...], record: RunRecord):
+        self.__dict__.update(family=family, learner=learner, stream=stream, outputs=outputs,
+                             final_output=final_output, failed_members=failed_members,
+                             record=record)
 
 
 def confusion_demo(

@@ -33,7 +33,6 @@ import itertools
 import operator
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import lcm
 from typing import Callable, Iterable, Iterator
@@ -41,11 +40,62 @@ from typing import Callable, Iterable, Iterator
 MAX_MODULUS = 1 << 20  # the largest modulus of a set, and lcm an operation may lift to
 
 
-@dataclass(frozen=True)
-class Cardinality:
+class Record:
+    """Value semantics for the package's plain record classes.
+
+    A subclass names its fields in `_compared`, in order, and writes its own
+    `__init__`.  Equality holds only between instances of one class and
+    compares those fields as a tuple; the hash is the hash of that tuple;
+    repr is `Name(field=value, ...)` over `_shown` (the compared fields unless
+    the class says otherwise).  Nothing is generated: each method reads the
+    field names at run time, and the records compared most often (sets,
+    hypotheses, step states) write `__eq__` and `__hash__` out instead.
+
+    Instances are immutable: `__init__` fills the instance dict directly (one
+    field goes through object.__setattr__, cheaper than a dict update), and
+    assignment or deletion raises AttributeError.  The mutable records, the
+    learners' slotted step states and the acceptance results, restore
+    object's `__setattr__` and `__delattr__`.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__dict__.get("_compared")
+        if names:  # a class that names no fields keeps its parent's
+            get = operator.attrgetter(*names)  # a tuple of two or more fields, in C
+            cls._key = get if len(names) > 1 else staticmethod(lambda obj: (get(obj),))
+            cls._shown = cls.__dict__.get("_shown", names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Cardinality(Record):
     """Exact size of a symbolic set: a finite count or countably infinite."""
 
-    count: int | None  # None encodes countably infinite
+    _compared = ("count",)
+
+    def __init__(self, count: int | None):  # None encodes countably infinite
+        object.__setattr__(self, "count", count)  # one field: no dict update
 
     @staticmethod
     def finite(n: int) -> "Cardinality":
@@ -82,8 +132,7 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
-@dataclass(frozen=True, init=False)
-class SymbolicSet:
+class SymbolicSet(Record):
     """Subset of X given by residue classes mod m plus/minus finite exceptions.
 
     Invariants (checked on every value, on the mask):
@@ -97,10 +146,7 @@ class SymbolicSet:
     one, which the algebraic operations rely on for structural equality.
     """
 
-    modulus: int
-    mask: int  # bit r set iff r is a residue
-    plus: frozenset[int]
-    minus: frozenset[int]
+    _compared = ("modulus", "mask", "plus", "minus")  # mask: bit r set iff r is a residue
 
     def __init__(self, modulus: int, residues: frozenset[int],
                  plus: frozenset[int], minus: frozenset[int]):
@@ -130,6 +176,15 @@ class SymbolicSet:
         out = object.__new__(cls)
         out.__dict__.update(modulus=m, mask=mask, plus=plus, minus=minus)
         return out
+
+    def __eq__(self, other):  # written out: the most compared record
+        if other.__class__ is self.__class__:
+            return ((self.modulus, self.mask, self.plus, self.minus)
+                    == (other.modulus, other.mask, other.plus, other.minus))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.modulus, self.mask, self.plus, self.minus))
 
     @cached_property
     def residues(self) -> frozenset[int]:

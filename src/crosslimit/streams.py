@@ -26,11 +26,10 @@ import itertools
 import random
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .classes import Hypothesis
-from .space import SymbolicSet
+from .space import Record, SymbolicSet
 
 TEXT = "text"
 INFORMANT = "informant"
@@ -77,16 +76,15 @@ def crosses(h: Hypothesis, pair: Pair) -> bool:
     return h.contains(pair.lo) != h.contains(pair.hi)
 
 
-@dataclass(frozen=True)
-class Prefix:
+class Prefix(Record):
     """A finite initial segment of a presentation, in observation order."""
 
-    kind: str
-    items: tuple
+    _compared = ("kind", "items")
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown prefix kind {self.kind!r}")
+    def __init__(self, kind: str, items: tuple):
+        if kind not in KINDS:
+            raise ValueError(f"unknown prefix kind {kind!r}")
+        self.__dict__.update(kind=kind, items=items)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -104,16 +102,17 @@ class Prefix:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Stream:
+class Stream(Record):
     """An immutable presentation: kind, provenance, a pure index rule, and a
     walk that yields the same items in order, O(1) amortised each."""
 
-    kind: str
-    provenance: str
-    item_fn: Callable[[int], object] = field(repr=False)
-    walk: Callable[[], Iterator] = field(repr=False)
-    targets: tuple[Hypothesis, ...] = ()
+    _compared = ("kind", "provenance", "item_fn", "walk", "targets")
+    _shown = ("kind", "provenance", "targets")
+
+    def __init__(self, kind: str, provenance: str, item_fn: Callable[[int], object],
+                 walk: Callable[[], Iterator], targets: tuple[Hypothesis, ...] = ()):
+        self.__dict__.update(kind=kind, provenance=provenance, item_fn=item_fn, walk=walk,
+                             targets=targets)
 
     def item(self, t: int):
         if t < 1:
@@ -353,8 +352,7 @@ def _check_item_kind(kind: str, item) -> None:
 # validity
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Record):
     """Exact violation indices and the as-yet-uncovered positives.
 
     For contrastive prefixes a violation is a pair that fails the
@@ -362,9 +360,12 @@ class ValidityReport:
     for informants, a mislabeled example.
     """
 
-    xor_violations: tuple[int, ...]
-    coverage_deficit: SymbolicSet
-    horizon: int
+    _compared = ("xor_violations", "coverage_deficit", "horizon")
+
+    def __init__(self, xor_violations: tuple[int, ...], coverage_deficit: SymbolicSet,
+                 horizon: int):
+        self.__dict__.update(xor_violations=xor_violations, coverage_deficit=coverage_deficit,
+                             horizon=horizon)
 
     def budget_ok(self, k: int) -> bool:
         return len(self.xor_violations) <= k

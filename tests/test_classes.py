@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crosslimit.classes import (
     ClassSpecError,
@@ -223,3 +227,31 @@ def test_load_class_error_reporting(tmp_path):
         with pytest.raises(ClassSpecError) as err:
             load_class(str(path))
         assert str(err.value).startswith(f"{path}: ") and named in str(err.value), name
+
+
+_LITERALS = st.sampled_from(["mod 2 { 0 }", "mod 1 { } + { 3 }", "mod 3 { 1 } - { 4 }",
+                             "mod 0 { }", "mod 2 { 0 } + { 2 }", "mod {", ""])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | _LITERALS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["hypotheses", "id", "support", "uus"]) | st.text(max_size=4),
+        inner, max_size=4),
+    max_leaves=12,
+)
+_SPECS = st.fixed_dictionaries(
+    {"hypotheses": st.lists(st.fixed_dictionaries(
+        {"id": st.sampled_from(["a", "b"]) | _JSON, "support": _LITERALS | _JSON}), max_size=3)},
+    optional={"uus": st.booleans() | _JSON},
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(_JSON, _SPECS))
+def test_load_class_raises_only_class_spec_errors(tmp_path, doc):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        load_class(str(path))
+    except ClassSpecError:
+        pass

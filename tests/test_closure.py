@@ -447,6 +447,24 @@ def test_bounded_search_evaluates_each_version_space_once(monkeypatch):
     assert report.dimension == 2 and is_hollow(cls, report.witness)
 
 
+def test_bounded_search_draws_candidates_only_as_it_reaches_them(monkeypatch):
+    cls = punctured_class(4)
+    drawn = []
+    real = closure_module.crossing_mask
+
+    def counting(cls, pair):
+        drawn.append(pair)
+        return real(cls, pair)
+
+    # about 5e9 pairs lie below the horizon; the 50-trial budget reaches a few of them
+    monkeypatch.setattr(closure_module, "crossing_mask", counting)
+    report = closure_dimension(cls, 2, 100000, 50)
+    assert "search budget 50 exhausted" in report.notes
+    assert report.outcome == AT_LEAST and report.dimension == 1
+    assert is_hollow(cls, report.witness)
+    assert len(drawn) < 1000
+
+
 def test_dimension_witnesses_reverify():
     for cls in (punctured_class(6), pinned_core_class(3, (0, 3), (1,))):
         report = closure_dimension(cls, max_size=6)

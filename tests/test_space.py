@@ -483,6 +483,33 @@ def test_overlong_number_is_a_located_literal_error(template, column, tmp_path, 
     assert "5000-digit number is too long" in capsys.readouterr().err
 
 
+_SOUP = st.one_of(
+    st.sampled_from(["mod", "{", "}", "+", "-", ",", "\n", "mod{", "0x1", "é"]),
+    st.integers(0, 12).map(str),
+    st.sampled_from([MAX_MODULUS, MAX_MODULUS + 1, 10 ** 30]).map(str),
+    st.just("9" * 5000),  # above the interpreter's limit on integer string digits
+)
+
+
+def _parse_or_literal_error(text: str) -> None:
+    try:
+        parse_set_literal(text)
+    except SetLiteralError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=40))
+def test_parser_raises_only_literal_errors_on_any_text(text):
+    _parse_or_literal_error(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SOUP, max_size=14), st.sampled_from(["", "mod ", "mod 4 "]), st.booleans())
+def test_parser_raises_only_literal_errors_on_token_soups(tokens, head, spaced):
+    _parse_or_literal_error(head + (" " if spaced else "").join(tokens))
+
+
 # ----------------------------------------------------------------------
 # mask-native values
 # ----------------------------------------------------------------------
