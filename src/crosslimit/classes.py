@@ -21,15 +21,18 @@ never test which family a class comes from.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from functools import cached_property
 from math import lcm
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .space import Record, SymbolicSet, intersection_of, parse_set_literal
+from .space import (MAX_MODULUS, Record, SymbolicSet, _lift_mask, _residues_of, intersection_of,
+                    parse_set_literal)
 
-# Entries per memo of a class: all meets of up to three of 17 members, or the
-# inclusion table of 32, and a memory bound however long a command runs.
+# Entries per memo of a class: all meets of up to three of 17 members, or
+# the patterns of 1024 points, and a memory bound however long a command runs.
 MEMO_BOUND = 1024
+TABLE_CAP = 1 << 30  # realized cells times lifted width: the work a cell table may do
 EVENS = SymbolicSet.residue_class(2, {0})
 ODDS = SymbolicSet.residue_class(2, {1})
 
@@ -186,6 +189,110 @@ class CoSingletonClass(FamilyInfo):
         )
 
 
+def cell_parts(supports: tuple[SymbolicSet, ...], make: Callable) -> dict[int, object]:
+    """Each realized membership pattern of `supports` (a member bitmask, as in
+    `HypothesisClass.meet`) mapped to its cell, make(L, mask, plus, minus): its
+    residues mod L, the lcm of the moduli, plus the exception points of its
+    pattern, minus the points of those residues that have another.
+
+    Depth-first refinement of the members' masks lifted to L keeps at most k
+    masks alive; a point's pattern is its residue's, flipped at the members
+    that list it.  Residue cells come in product order (bit 0 most
+    significant), then those of points alone; past TABLE_CAP cells times L, a
+    ValueError."""
+    width = lcm(*(s.modulus for s in supports))
+    if width > MAX_MODULUS:
+        raise ValueError(f"lcm of the moduli is {width}, above MAX_MODULUS = {MAX_MODULUS}")
+    lifted = [_lift_mask(s.mask, s.modulus, width) for s in supports]
+    listed: dict[int, int] = defaultdict(int)  # point -> the members that list it
+    for i, s in enumerate(supports):
+        for x in s.plus | s.minus:
+            listed[x] |= 1 << i
+    at: dict[int, int] = {}  # residue -> its pattern
+    plus, minus = defaultdict(set), defaultdict(set)
+    for x, flips in listed.items():
+        r = x % width
+        if r not in at:
+            at[r] = sum((mask >> r & 1) << i for i, mask in enumerate(lifted))
+        minus[at[r]].add(x)
+        plus[at[r] ^ flips].add(x)
+    cells, stack = {}, [(0, 0, (1 << width) - 1)]  # (member, pattern, residues), 0 on top
+    while stack:
+        i, alpha, mask = stack.pop()
+        if i < len(supports):
+            inside = mask & lifted[i]
+            stack += [(i + 1, alpha | 1 << i, inside)] if inside else []
+            stack += [(i + 1, alpha, mask ^ inside)] if inside != mask else []
+            continue
+        if (len(cells) + 1) * width > TABLE_CAP:
+            raise ValueError(f"the cell table of a {len(supports)}-member class with lcm {width} "
+                             f"passes {len(cells)} cells, above TABLE_CAP = {TABLE_CAP}")
+        cells[alpha] = make(width, mask, frozenset(plus.pop(alpha, ())),
+                            frozenset(minus.get(alpha, ())))
+    for alpha, points in plus.items():
+        cells[alpha] = make(width, 0, frozenset(points), frozenset())
+    return cells
+
+
+class CellTable:
+    """A class's realized cells, indexed in ascending order of their least
+    elements: each one's pattern, least element and elements (None when
+    infinite), and per member the cells it holds (`columns`, cell bitmasks),
+    which each cell toggles on its smaller side: the members it holds or misses."""
+
+    def __init__(self, supports: tuple[SymbolicSet, ...]):
+        parts = cell_parts(supports, lambda width, mask, plus, minus: (
+            SymbolicSet._of_mask(width, mask, plus, minus).min_element(), None if mask else plus))
+        self.patterns = sorted(parts, key=lambda alpha: parts[alpha][0])
+        self.least, self.elements = zip(*map(parts.get, self.patterns))
+        self.everywhere = (1 << len(self.patterns)) - 1
+        self.infinite = sum(1 << c for c, points in enumerate(self.elements) if points is None)
+        self.full, k = (1 << len(supports)) - 1, len(supports)
+        large = sum(1 << c for c, alpha in enumerate(self.patterns) if 2 * alpha.bit_count() > k)
+        self.columns = [large] * k
+        for c, alpha in enumerate(self.patterns):
+            for i in _residues_of(self.full ^ alpha if large >> c & 1 else alpha):
+                self.columns[i] ^= 1 << c
+
+    def regions(self, i: int, j: int) -> dict[int, int]:
+        """The cells of members i and j's realized regions (`crossing.REGIONS`, i bit 0)."""
+        a, b = self.columns[i], self.columns[j]
+        parts = ((0b00, self.everywhere & ~(a | b)), (0b10, b & ~a), (0b01, a & ~b), (0b11, a & b))
+        return {alpha: cells for alpha, cells in parts if cells}
+
+    def least_of(self, cells: int) -> int:  # of the union of `cells`, a nonzero cell bitmask
+        return self.least[(cells & -cells).bit_length() - 1]
+
+    @cached_property
+    def strictly_below(self) -> list[list[int]]:
+        """Per member j, the members whose support is a proper subset of j's, in
+        order.  rows[i] is the AND of the patterns of the cells i holds: the
+        members above i; or, the patterns flipped when their bits outnumber
+        their zeros, of the cells i misses: the members below i."""
+        full, k = self.full, len(self.columns)
+        flip = 2 * sum(alpha.bit_count() for alpha in self.patterns) > k * len(self.patterns)
+        rows = [full] * k
+        for alpha in self.patterns:
+            alpha ^= full if flip else 0
+            for i in _residues_of(alpha):
+                rows[i] &= alpha
+        out: list[list[int]] = [[] for _ in range(k)]
+        for i, row in enumerate(rows):
+            for j in sorted(_residues_of(row & ~(1 << i))):
+                if not rows[j] >> i & 1:
+                    out[i if flip else j].append(j if flip else i)
+        return out
+
+    def meet(self, space: int) -> SymbolicSet | None:
+        """The meet of the members in `space` (a member bitmask) if finite, else None."""
+        cells = self.everywhere
+        for i in _residues_of(space):
+            cells &= self.columns[i]
+        if cells & self.infinite:
+            return None
+        return SymbolicSet.finite(x for c in _residues_of(cells) for x in self.elements[c])
+
+
 class HypothesisClass(Record):
     """An ordered, finite, explicitly enumerated class of hypotheses, with the
     descriptor of the family behind it (see :class:`FamilyInfo`).  Its memos
@@ -207,7 +314,7 @@ class HypothesisClass(Record):
                         f"{h.id} has finite support"
                     )
         self.__dict__.update(members=members, uus_claimed=uus_claimed, family=family,
-                             _meets={}, _differences={}, _patterns={})
+                             _meets={}, _patterns={})
 
     def __len__(self) -> int:
         return len(self.members)
@@ -239,13 +346,9 @@ class HypothesisClass(Record):
         parts += [h.support for i, h in enumerate(self.members) if rest >> i & 1]
         return _remember(meets, space, intersection_of(parts))
 
-    def difference(self, i: int, j: int) -> SymbolicSet:
-        """supp(member i) minus supp(member j), memoised: the pairwise inclusion
-        table, since supp(i) is a subset of supp(j) iff it is empty."""
-        if (i, j) in self._differences:
-            return self._differences[i, j]
-        return _remember(self._differences, (i, j),
-                         self.members[i].support.difference(self.members[j].support))
+    @cached_property
+    def table(self) -> CellTable:  # built on first read
+        return CellTable(tuple(h.support for h in self.members))
 
     def pattern(self, x: int) -> int:
         """The members whose support holds x, as a member bitmask (as in `meet`), memoised."""

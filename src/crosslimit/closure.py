@@ -17,8 +17,8 @@ family the members truncate.  `support_intersection` stays as the literal
 definition the mask path is checked against.
 
 The dimension search is likewise layered.  For classes of at most
-PATTERN_BOUND members whose closures read only the mask, the
-membership-pattern cells reduce the dimension to a finite computation
+PATTERN_BOUND members whose closures read only the mask, the cells of
+the class's cell table reduce the dimension to a finite computation
 (patterns are member bitmasks too, and only realized cells are stored): a
 hollow set with a vertex in an infinite cell can be regrown edge by edge
 (fresh same-cell vertices never change the version space), so the dimension
@@ -35,7 +35,7 @@ import itertools
 from typing import Iterable
 
 from .classes import Hypothesis, HypothesisClass
-from .crossing import PATTERN_BOUND, PatternCells
+from .crossing import PATTERN_BOUND
 from .space import Record, SymbolicSet, intersection_of
 from .streams import CONTRASTIVE, Pair, Prefix
 
@@ -205,12 +205,8 @@ class DimensionReport(Record):
         return f"infinite [{self.infinite_description}]"
 
 
-def closure_dimension(
-    cls: HypothesisClass,
-    max_size: int = 8,
-    vertex_horizon: int = 24,
-    search_budget: int = 200_000,
-) -> DimensionReport:
+def closure_dimension(cls: HypothesisClass, max_size: int = 8, vertex_horizon: int = 24,
+                      search_budget: int = 200_000) -> DimensionReport:
     """Largest hollow edge set size, exactly when certifiable.
 
     Classes of at most 6 members whose closures read only the mask get the
@@ -229,97 +225,62 @@ def closure_dimension(
 
 
 def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) -> DimensionReport:
-    members = cls.members
-    cells = PatternCells.of(members)
-    realized = cells.realized()
-    indices = range(len(members))
+    members, table, bounds = cls.members, cls.table, (max_size, vertex_horizon)
+
+    def bits(alpha: int) -> tuple[int, ...]:  # in member order: sorted, the product order
+        return tuple(alpha >> i & 1 for i in range(len(members)))
+
+    realized = sorted(table.patterns, key=bits)
+    least = dict(zip(table.patterns, table.least))
+    elements = dict(zip(table.patterns, table.elements))  # None: an infinite cell
     best_size = None  # None: no hollow set at all
     best_edges: EdgeSet | None = None
-
     for r in range(1, len(members) + 1):
-        for subset in itertools.combinations(indices, r):
+        for subset in itertools.combinations(range(len(members)), r):
             space = sum(1 << i for i in subset)
-            closure = cls.meet(space)
-            if closure.cardinality().is_infinite:
+            closure = table.meet(space)
+            if closure is None:
                 continue  # any edge set with this version space has infinite closure
-            menu = [
-                (a, b)
-                for a, b in itertools.combinations(realized, 2)
-                if (a ^ b) & space == space  # each version-space member crosses a-b edges
-            ]
+            menu = [(a, b) for a, b in itertools.combinations(realized, 2)
+                    if (a ^ b) & space == space]  # each version-space member crosses a-b edges
             # every forced positive needs an incident menu edge
-            core = sorted(closure.plus)
-            coverable = all(
-                any(x_alpha in pair for pair in menu)
-                for x in core
-                for x_alpha in [cells.pattern_of(x)]
-            )
-            if not coverable:
+            if not all(any(cls.pattern(x) in pair for pair in menu) for x in closure.plus):
                 continue
             infinite_pair = next(
-                (
-                    (a, b)
-                    for a, b in menu
-                    if cells.cells[a].cardinality().is_infinite
-                    or cells.cells[b].cardinality().is_infinite
-                ),
-                None,
-            )
+                ((a, b) for a, b in menu if elements[a] is None or elements[b] is None), None)
             if infinite_pair is not None:
-                witness = _cover_witness(cells, closure, menu)
-                ids = [members[i].id for i in subset]
-                desc = (
-                    f"version space {{{', '.join(ids)}}} keeps closure "
-                    f"{closure.literal()} while edges between cells "
-                    f"{cells.bits(infinite_pair[0])} and {cells.bits(infinite_pair[1])} "
-                    f"can be added without bound"
-                )
-                return DimensionReport(
-                    INFINITE, None, witness, (max_size, vertex_horizon),
-                    infinite_description=desc,
-                    notes=("certified by cell analysis",),
-                )
-            total = sum(len(cells.cells[a].plus) * len(cells.cells[b].plus) for a, b in menu)
+                desc = (f"version space {{{', '.join(members[i].id for i in subset)}}} keeps "
+                        f"closure {closure.literal()} while edges between cells "
+                        f"{bits(infinite_pair[0])} and {bits(infinite_pair[1])} "
+                        f"can be added without bound")
+                return DimensionReport(INFINITE, None, _cover_witness(cls, least, closure, menu),
+                                       bounds, infinite_description=desc,
+                                       notes=("certified by cell analysis",))
+            total = sum(len(elements[a]) * len(elements[b]) for a, b in menu)
             if best_size is None or total > best_size:
                 best_size = total
-                best_edges = _all_menu_edges(cells, menu)
-
+                best_edges = EdgeSet.of(Pair.of(x, y) for a, b in menu
+                                        for x in elements[a] for y in elements[b])
     if best_size is None:
-        return DimensionReport(
-            EXACT, 0, None, (max_size, vertex_horizon),
-            notes=("certified by cell analysis; no hollow edge sets exist",),
-        )
-    report = DimensionReport(
-        EXACT, best_size, best_edges, (max_size, vertex_horizon),
-        notes=("certified by cell analysis",),
-    )
+        return DimensionReport(EXACT, 0, None, bounds, notes=(
+            "certified by cell analysis; no hollow edge sets exist",))
+    report = DimensionReport(EXACT, best_size, best_edges, bounds,
+                             notes=("certified by cell analysis",))
     if report.witness is not None and not is_hollow(cls, report.witness):
         raise AssertionError("cell analysis produced a non-hollow witness")
     return report
 
 
-def _all_menu_edges(cells: PatternCells, menu: list) -> EdgeSet:
-    pairs = set()
-    for a, b in menu:
-        for x in cells.cells[a].plus:
-            for y in cells.cells[b].plus:
-                pairs.add(Pair.of(x, y))
-    return EdgeSet.of(pairs)
-
-
-def _cover_witness(cells: PatternCells, closure: SymbolicSet, menu: list) -> EdgeSet:
+def _cover_witness(cls: HypothesisClass, least: dict, closure: SymbolicSet,
+                   menu: list) -> EdgeSet:
     """A starter hollow set: one covering edge per forced positive."""
     pairs = set()
     for x in sorted(closure.plus):
-        alpha = cells.pattern_of(x)
-        for a, b in menu:
-            other = b if a == alpha else (a if b == alpha else None)
-            if other is None:
-                continue
-            partner = cells.cells[other].min_element()
-            if partner is not None and partner != x:
-                pairs.add(Pair.of(x, partner))
-                break
+        alpha = cls.pattern(x)
+        partners = (least[b if a == alpha else a] for a, b in menu if alpha in (a, b))
+        partner = next((y for y in partners if y != x), None)
+        if partner is not None:
+            pairs.add(Pair.of(x, partner))
     return EdgeSet.of(pairs)
 
 
@@ -405,7 +366,6 @@ def _bounded_search_dimension(
     notes = ["bounded search; dimension is a lower bound"]
     if exhausted:
         notes.append(f"search budget {budget} exhausted")
-    return DimensionReport(
-        AT_LEAST, best[0], best[1], (max_size, vertex_horizon), notes=tuple(notes)
-    )
+    return DimensionReport(AT_LEAST, best[0], best[1], (max_size, vertex_horizon),
+                           notes=tuple(notes))
 

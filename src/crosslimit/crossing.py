@@ -24,16 +24,20 @@ so a cell is *paired* when its complementary pattern is realized and
   incomparable and disjoint (A unrealized), or they are incomparable,
   intersecting and jointly miss part of X (non-covering).
 
-Every verdict is therefore an emptiness test in the set algebra.
+The cells come from one builder, :func:`~crosslimit.classes.cell_parts`,
+which refines the members' residue masks lifted to their lcm and places the
+exception points, with no pairwise set operation; a class's own table of
+them (`HypothesisClass.table`) answers the verdicts' pairwise questions.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, reduce
+from typing import Callable, Container
 
-from .classes import Hypothesis, HypothesisClass
-from .space import Record, SymbolicSet
+from .classes import Hypothesis, cell_parts
+from .space import Record, SymbolicSet, _canonical
 from .streams import Pair, Stream, crosses, paired_stream
 
 #: regimes in which the second hypothesis is NOT eliminable from the first
@@ -58,12 +62,8 @@ def delta_contains(h: Hypothesis, pair: Pair) -> bool:
 
 def common_crossing_edges(h: Hypothesis, g: Hypothesis, vertices) -> set[Pair]:
     """All pairs within a finite vertex collection crossing both hypotheses."""
-    verts = sorted(set(vertices))
-    return {
-        Pair.of(x, y)
-        for x, y in itertools.combinations(verts, 2)
-        if crosses(h, Pair.of(x, y)) and crosses(g, Pair.of(x, y))
-    }
+    pairs = (Pair.of(x, y) for x, y in itertools.combinations(sorted(set(vertices)), 2))
+    return {pair for pair in pairs if crosses(h, pair) and crosses(g, pair)}
 
 
 # ----------------------------------------------------------------------
@@ -77,29 +77,26 @@ class PatternCells(Record):
     :meth:`~crosslimit.classes.HypothesisClass.meet`.  cells maps each
     realized pattern to the nonempty symbolic set of examples realizing it;
     the cells partition X, and an unrealized pattern has no entry.
+    `supports`, outside equality, are the members' supports that
+    `pattern_of` reads.
     """
 
     _compared = ("hypothesis_ids", "cells")
 
-    def __init__(self, hypothesis_ids: tuple[str, ...], cells: dict[int, SymbolicSet]):
-        self.__dict__.update(hypothesis_ids=hypothesis_ids, cells=cells)
+    def __init__(self, hypothesis_ids: tuple[str, ...], cells: dict[int, SymbolicSet],
+                 supports: tuple[SymbolicSet, ...] = ()):
+        self.__dict__.update(hypothesis_ids=hypothesis_ids, cells=cells, supports=supports)
 
     @staticmethod
     def of(family) -> "PatternCells":
-        """The realized cells in product order, without a size check.
-
-        By refinement from the first member's split: each cell of the first
-        i members splits by member i into `cell - h` (bit i clear) and
-        `cell & h` (bit i set); empty parts are dropped as they are made.
-        """
-        first, *rest = family
-        parts = ((0, first.support.complement()), (1, first.support))
-        cells = {alpha: part for alpha, part in parts if not part.is_empty()}
-        for i, h in enumerate(rest, 1):
-            parts = ((alpha | bit << i, cell & h.support if bit else cell - h.support)
-                     for alpha, cell in cells.items() for bit in (0, 1))
-            cells = {alpha: part for alpha, part in parts if not part.is_empty()}
-        return PatternCells(tuple(h.id for h in family), cells)
+        """The realized cells in product order (bit 0 most significant),
+        without a size check: the class cell table's builder,
+        :func:`~crosslimit.classes.cell_parts`, with each cell canonical."""
+        supports = tuple(h.support for h in family)
+        cells = cell_parts(supports, _canonical)
+        order = sorted(cells, key=lambda alpha: [alpha >> i & 1 for i in range(len(family))])
+        return PatternCells(tuple(h.id for h in family),
+                            {alpha: cells[alpha] for alpha in order}, supports)
 
     def realized(self) -> list[int]:
         return list(self.cells)
@@ -134,10 +131,7 @@ class PatternCells(Record):
         return self._partners[self.pattern_of(x)]
 
     def pattern_of(self, x: int) -> int:
-        for alpha, cell in self.cells.items():
-            if cell.contains(x):
-                return alpha
-        raise AssertionError("cells must partition X")
+        return sum(s.contains(x) << i for i, s in enumerate(self.supports))
 
     def bits(self, alpha: int) -> tuple[int, ...]:
         """The pattern as a 0/1 tuple in member order, for reports."""
@@ -162,15 +156,6 @@ def pair_cells(h: Hypothesis, g: Hypothesis) -> PatternCells:
     return PatternCells.of((h, g))
 
 
-def class_pair_cells(cls: HypothesisClass, i: int, j: int) -> PatternCells:
-    """The regions of members i and j, from the class's memoised meet and differences."""
-    union = cls.members[i].support.union(cls.members[j].support)
-    parts = ((D, union.complement()), (C, cls.difference(j, i)),
-             (B, cls.difference(i, j)), (A, cls.meet(1 << i | 1 << j)))  # product order
-    return PatternCells((cls.members[i].id, cls.members[j].id),
-                        {alpha: part for alpha, part in parts if not part.is_empty()})
-
-
 # ----------------------------------------------------------------------
 # eliminability
 # ----------------------------------------------------------------------
@@ -191,19 +176,25 @@ class EliminabilityVerdict(Record):
 
 
 def eliminability(cells: PatternCells) -> EliminabilityVerdict:
-    """The eliminability rule on a proper pair's regions.
+    """The eliminability rule (:func:`region_rule`) on a proper pair's cells."""
+    return region_rule(cells.cells, lambda alpha: cells.cells[alpha].min_element())
+
+
+def region_rule(realized: Container[int], least: Callable[[int], int]) -> EliminabilityVerdict:
+    """The eliminability rule on a proper pair's realized regions, given the
+    least element `least(alpha)` of each.
 
     A lonely h-positive cell (A without D, or B without C) makes g
     eliminable, with that cell's least element as the witness; a proper pair
     has at most one.  Otherwise the unrealized region names the barrier.
     """
     for alpha in (A, B):
-        if alpha in cells.cells and not cells.paired(alpha):
-            return EliminabilityVerdict(True, ELIMINABLE, witness=cells.cells[alpha].min_element())
-    if B not in cells.cells:
+        if alpha in realized and alpha ^ A not in realized:  # A ^ A is D, B ^ A is C
+            return EliminabilityVerdict(True, ELIMINABLE, witness=least(alpha))
+    if B not in realized:
         # supp(h) strictly below supp(g); D is realized because g is proper
         return EliminabilityVerdict(False, SUPERSET)
-    if A not in cells.cells:
+    if A not in realized:
         return EliminabilityVerdict(False, DISJOINT)
     return EliminabilityVerdict(False, NON_COVERING)
 
@@ -224,10 +215,8 @@ def overlapping_cover(h: Hypothesis, g: Hypothesis) -> bool:
     """
     cells = pair_cells(h, g).cells
     if B not in cells or C not in cells:
-        raise ValueError(
-            f"overlapping cover is defined for incomparable supports; "
-            f"{h.id} and {g.id} are comparable"
-        )
+        raise ValueError(f"overlapping cover is defined for incomparable supports; "
+                         f"{h.id} and {g.id} are comparable")
     return A in cells and D not in cells
 
 
@@ -265,10 +254,6 @@ def shared_presentation_family(family: list[Hypothesis]) -> Stream | None:
     cells = pattern_cells(list(family))
     if any(alpha and not cells.paired(alpha) for alpha in cells.cells):
         return None
-
-    union = SymbolicSet.empty()
-    for h in family:
-        union = union.union(h.support)
-
+    union = reduce(SymbolicSet.union, (h.support for h in family))
     ids = ",".join(h.id for h in family)
     return paired_stream(union, cells.partner, f"shared-family({ids})", tuple(family))

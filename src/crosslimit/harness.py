@@ -49,11 +49,10 @@ from .crossing import (
     A,
     B,
     C,
-    class_pair_cells,
     common_crossing_edges,
-    eliminability,
     pair_cells,
     pattern_cells,
+    region_rule,
     shared_presentation_family,
 )
 from .learners import AbsenceCountIdentifier, compute_telltales, telltales_sound
@@ -124,56 +123,46 @@ def _txt_id_verdict(cls: HypothesisClass, bounds: Bounds) -> Verdict:
         uncovered = limit.support.difference(swallow.support).min_element()
         if uncovered is not None and uncovered < bounds.horizon:
             raise AssertionError("member beyond the horizon must keep all candidates")
-        return Verdict(
-            NO,
-            mechanism="no-finite-telltale",
-            witness={
-                "hypothesis": limit.id,
-                "rule": (
-                    "any finite candidate tell-tale below the horizon is contained "
-                    "in the support of the puncture at an element beyond it"
-                ),
-                "containing_support": swallow.support.literal(),
-                "horizon": bounds.horizon,
-            },
-        )
-    twins = next(((h.id, g.id) for h, g in itertools.combinations(cls.members, 2)
-                  if h.support == g.support), None)  # canonical sets: == is set equality
+        return Verdict(NO, mechanism="no-finite-telltale", witness={
+            "hypothesis": limit.id,
+            "rule": ("any finite candidate tell-tale below the horizon is contained "
+                     "in the support of the puncture at an element beyond it"),
+            "containing_support": swallow.support.literal(),
+            "horizon": bounds.horizon})
+    holders: dict[SymbolicSet, list[str]] = {}  # canonical sets: == is set equality
+    for h in cls.members:  # in order of each support's first holder, so the first pair
+        holders.setdefault(h.support, []).append(h.id)
+    twins = next((ids[:2] for ids in holders.values() if len(ids) > 1), None)
     if twins is not None:  # every presentation of one is one of the other
-        return Verdict(NO, mechanism="equal-supports", witness={"pair": list(twins)})
+        return Verdict(NO, mechanism="equal-supports", witness={"pair": twins})
     family = compute_telltales(cls)
     if not telltales_sound(cls, family):
         raise AssertionError("computed tell-tales failed their own soundness check")
-    return Verdict(
-        YES,
-        mechanism="telltales",
-        witness={hid: sorted(family.of(hid)) for hid in cls.ids()},
-    )
+    return Verdict(YES, mechanism="telltales",
+                   witness={hid: sorted(family.of(hid)) for hid in cls.ids()})
 
 
 def _ctr_id_verdict(cls: HypothesisClass, txt_id: Verdict) -> Verdict:
     barrier = _first_barrier_pair(cls)
     if barrier is not None:
         first, second, regime = barrier
-        return Verdict(
-            NO,
-            mechanism="barrier-pair",
-            witness={"pair": [first, second], "regime": regime},
-        )
+        return Verdict(NO, mechanism="barrier-pair",
+                       witness={"pair": [first, second], "regime": regime})
     if txt_id.status == NO:
         return Verdict(NO, mechanism="txt-id-failure", witness=txt_id.witness)
     return Verdict(YES, mechanism="overlapping-covers", witness=txt_id.witness)
 
 
 def _first_barrier_pair(cls: HypothesisClass) -> tuple[str, str, str] | None:
-    members = cls.members
-    for i, j in itertools.combinations(range(len(members)), 2):
-        if cls.difference(i, j).is_empty() or cls.difference(j, i).is_empty():
+    table = cls.table
+    for i, j in itertools.combinations(range(len(cls.members)), 2):
+        regions = table.regions(i, j)
+        if B not in regions or C not in regions:
             continue  # comparable supports
         # incomparable supports are distinct, nonempty and not all of X
-        verdict = eliminability(class_pair_cells(cls, i, j))
+        verdict = region_rule(regions, lambda alpha: table.least_of(regions[alpha]))
         if not verdict.eliminable:
-            return (members[i].id, members[j].id, verdict.regime)
+            return (cls.members[i].id, cls.members[j].id, verdict.regime)
     return None
 
 
@@ -181,10 +170,8 @@ def _ctr_gen_verdict(cls: HypothesisClass, ctr_id: Verdict, bounds: Bounds) -> V
     obstruction = _finite_intersection_obstruction(cls, bounds)
     positive = _ctr_gen_positive(cls, ctr_id, bounds)
     if obstruction is not None and positive is not None:
-        raise AssertionError(
-            f"both a generation mechanism and an obstruction fired: "
-            f"{positive.mechanism} vs {obstruction.witness}"
-        )
+        raise AssertionError(f"both a generation mechanism and an obstruction fired: "
+                             f"{positive.mechanism} vs {obstruction.witness}")
     if positive is not None:
         return positive
     if obstruction is not None:
@@ -202,50 +189,32 @@ def _ctr_gen_positive(cls: HypothesisClass, ctr_id: Verdict, bounds: Bounds) -> 
         for h in cls.members:
             if not core.difference(h.support).cardinality().is_finite:
                 raise AssertionError("a member misses infinitely much of the eventual core")
-        return Verdict(
-            YES,
-            mechanism="eventual-core",
-            witness={"core": core.literal(), "rule": "ascending enumeration of the base"},
-        )
-    report = closure_dimension(
-        cls, bounds.dimension_max_size, bounds.dimension_vertex_horizon
-    )
+        return Verdict(YES, mechanism="eventual-core", witness={
+            "core": core.literal(), "rule": "ascending enumeration of the base"})
+    report = closure_dimension(cls, bounds.dimension_max_size, bounds.dimension_vertex_horizon)
     if report.outcome == EXACT:
-        return Verdict(
-            YES,
-            mechanism="finite-dimension",
-            witness={
-                "dimension": report.dimension,
-                "witness_edges": str(report.witness) if report.witness else None,
-            },
-        )
+        return Verdict(YES, mechanism="finite-dimension", witness={
+            "dimension": report.dimension,
+            "witness_edges": str(report.witness) if report.witness else None})
     if ctr_id.status == YES:
         return Verdict(YES, mechanism="identify-then-generate")
     return None
 
 
 def _finite_intersection_obstruction(cls: HypothesisClass, bounds: Bounds) -> Verdict | None:
-    if cls.global_support_intersection().cardinality().is_infinite:
-        return None  # every family's meet contains this one, so none is finite
-    members = cls.members
+    members, table = cls.members, cls.table
+    if table.meet((1 << len(members)) - 1) is None:
+        return None  # every family's meet contains this infinite one, so none is finite
     for size in range(2, min(bounds.family_bound, len(members)) + 1):
         for combo in itertools.combinations(range(len(members)), size):
             family = [members[i] for i in combo]
-            intersection = cls.meet(sum(1 << i for i in combo))
-            if not intersection.cardinality().is_finite:
-                continue
-            stream = shared_presentation_family(family)
-            if stream is None:
-                continue
-            return Verdict(
-                NO,
-                mechanism="finite-intersection-obstruction",
-                witness={
+            intersection = table.meet(sum(1 << i for i in combo))
+            stream = None if intersection is None else shared_presentation_family(family)
+            if stream is not None:
+                return Verdict(NO, mechanism="finite-intersection-obstruction", witness={
                     "family": [h.id for h in family],
                     "intersection": intersection.literal(),
-                    "shared_stream": stream.provenance,
-                },
-            )
+                    "shared_stream": stream.provenance})
     return None
 
 

@@ -19,9 +19,9 @@ bitmask, ANDed with each new edge's crossing mask (from the class's memoised
 member patterns); :func:`~crosslimit.closure.closure_of` gives its closure by
 the class's family descriptor, from the memoised meets or, where the
 family's closures read the edges, from the edges too.  The breaker asks the
-descriptor for the family's members past the member list.  Caches live in
-fields left out of equality, so they never change what compares equal or is
-recorded.
+descriptor for the family's members past the member list.  Tell-tales come
+from the class's cell table.  Caches live in fields left out of equality, so
+they never change what compares equal or is recorded.
 
 Uniform generation is the one-class case of non-uniform generation: the
 closure generator is the one-level threshold-and-defer chain, armed once the
@@ -169,28 +169,22 @@ def compute_telltales(cls: HypothesisClass) -> TellTaleFamily:
     element of supp(g) minus supp(f) joins g's tell-tale.  Each witness is
     exact, so a finite class always gets finite tell-tales.
     """
-    entries: dict[str, frozenset[int]] = {}
-    for j, g in enumerate(cls.members):
-        picks: set[int] = set()
-        for i in range(len(cls.members)):
-            if i == j or not _strictly_below(cls, i, j):
-                continue
-            witness = cls.difference(j, i).min_element()
-            if witness is None:
-                raise AssertionError("strict subset with empty difference")
-            picks.add(witness)
-        entries[g.id] = frozenset(picks)
-    return TellTaleFamily(entries)
+    table = cls.table  # the least of a difference: its first cell in least-element order
+    return TellTaleFamily({
+        g.id: frozenset(table.least_of(table.columns[j] & ~table.columns[i])
+                        for i in table.strictly_below[j])
+        for j, g in enumerate(cls.members)})
 
 
 def telltales_sound(cls: HypothesisClass, family: TellTaleFamily) -> bool:
-    """Exact check of the tell-tale conditions over the member tuple."""
+    """Exact check of the tell-tale conditions over the member tuple with the
+    set algebra's `is_subset`; strict inclusions come from the cell table."""
     for j, g in enumerate(cls.members):
         telltale = SymbolicSet.finite(family.of(g.id))
         if not telltale.is_subset(g.support):
             return False
-        for i, f in enumerate(cls.members):
-            if i != j and _strictly_below(cls, i, j) and telltale.is_subset(f.support):
+        for i in cls.table.strictly_below[j]:
+            if telltale.is_subset(cls.members[i].support):
                 return False
     return True
 
@@ -198,11 +192,6 @@ def telltales_sound(cls: HypothesisClass, family: TellTaleFamily) -> bool:
 def _members_in(cls: HypothesisClass, space: int) -> list[Hypothesis]:
     """The members whose bit is set in `space`, in class order."""
     return [h for i, h in enumerate(cls.members) if space >> i & 1]
-
-
-def _strictly_below(cls: HypothesisClass, i: int, j: int) -> bool:
-    """supp(member i) is a proper subset of supp(member j)."""
-    return cls.difference(i, j).is_empty() and not cls.difference(j, i).is_empty()
 
 
 # ----------------------------------------------------------------------

@@ -163,16 +163,17 @@ class SymbolicSet(Record):
         test per exception."""
         if m < 1 or mask >> m:
             raise ValueError(f"residues must lie in [0, {m}): {sorted(_residues_of(mask))}")
-        if any(x < 0 for x in plus) or any(x < 0 for x in minus):
-            raise ValueError("exception elements must be naturals")
-        bad_plus = sorted(x for x in plus if mask >> x % m & 1)
-        if bad_plus:
-            raise ValueError(f"plus elements already covered by residues: {bad_plus}")
-        bad_minus = sorted(x for x in minus if not mask >> x % m & 1)
-        if bad_minus:
-            raise ValueError(f"minus elements not covered by residues: {bad_minus}")
-        if not plus.isdisjoint(minus):
-            raise ValueError(f"plus and minus overlap: {sorted(plus & minus)}")
+        if plus or minus:  # with no exceptions none of these checks can fail
+            if any(x < 0 for x in plus) or any(x < 0 for x in minus):
+                raise ValueError("exception elements must be naturals")
+            bad_plus = sorted(x for x in plus if mask >> x % m & 1)
+            if bad_plus:
+                raise ValueError(f"plus elements already covered by residues: {bad_plus}")
+            bad_minus = sorted(x for x in minus if not mask >> x % m & 1)
+            if bad_minus:
+                raise ValueError(f"minus elements not covered by residues: {bad_minus}")
+            if not plus.isdisjoint(minus):
+                raise ValueError(f"plus and minus overlap: {sorted(plus & minus)}")
         out = object.__new__(cls)
         out.__dict__.update(modulus=m, mask=mask, plus=plus, minus=minus)
         return out
@@ -340,9 +341,9 @@ class SymbolicSet(Record):
             candidates.append(min(self.plus))
         if self.mask:
             n = -1  # walk up the residue part's members, passing one removal per step
-            while n < 0 or n in self.minus:
+            while n < 0 or n in self.minus:  # a shift by 0 would copy the mask; past it, wrap
                 q, r = divmod(n + 1, self.modulus)
-                above = self.mask >> r or self.mask << (self.modulus - r)  # or wrap around
+                above = (self.mask >> r if r else self.mask) or self.mask << (self.modulus - r)
                 n = q * self.modulus + r + (above & -above).bit_length() - 1
             candidates.append(n)
         return min(candidates) if candidates else None
@@ -504,10 +505,11 @@ def _canonical(modulus: int, mask: int, plus: frozenset[int], minus: frozenset[i
     """The set with residue part `mask` mod `modulus`, at its smallest period."""
     count = mask.bit_count()
     for d in _divisors(modulus):
-        low = mask & ((1 << d) - 1)
         # a period-d mask repeats its bit count and is invariant under rotation by d
-        if count % (modulus // d) == 0 and (mask >> d) | (low << (modulus - d)) == mask:
-            return SymbolicSet._of_mask(d, low, plus, minus)
+        if count % (modulus // d) == 0:
+            low = mask & ((1 << d) - 1)
+            if (mask >> d) | (low << (modulus - d)) == mask:
+                return SymbolicSet._of_mask(d, low, plus, minus)
     raise AssertionError("unreachable: the modulus is a period")
 
 
@@ -530,89 +532,80 @@ _TOKEN = re.compile(r"(mod\b|\d+|[{}+,-])|\S")  # a token, or the first unrecogn
 def parse_set_literal(text: str) -> SymbolicSet:
     """Parse `mod <m> { r1, r2 } [+ {a, ...}] [- {b, ...}]` into a set.
 
-    Round-trips with :meth:`SymbolicSet.literal` on canonical forms.  One
-    pass over the text: tokens keep their offsets, and an error (a zero
-    modulus, a residue not below it, or an element both added and removed
-    included) works out its token's line and column.
+    Round-trips with :meth:`SymbolicSet.literal` on canonical forms.  One scan
+    with a compiled pattern gives the tokens and one loop walks them; an error
+    (a zero modulus, a residue not below it, or an element both added and
+    removed included) locates its token only when it is raised.
     """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> tuple[str, int] | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected: str | None = None) -> tuple[str, int]:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise _error(f"unexpected end of input, expected {expected!r}", text, len(text))
-        tok = tokens[pos]
-        if expected is not None and tok[0] != expected:
-            raise _error(f"expected {expected!r}, found {tok[0]!r}", text, tok[1])
-        pos += 1
-        return tok
-
-    def take_int() -> tuple[int, int]:
-        tok = take()
-        if not tok[0].isdigit():
-            raise _error(f"expected a number, found {tok[0]!r}", text, tok[1])
-        try:
-            return int(tok[0]), tok[1]
-        except ValueError:  # above the interpreter's limit on integer string digits
-            raise _error(f"{len(tok[0])}-digit number is too long", text, tok[1]) from None
-
-    def take_braced() -> list[tuple[int, int]]:
-        take("{")
-        elems: list[tuple[int, int]] = []
-        nxt = peek()
-        if nxt is not None and nxt[0] == "}":
-            take("}")
-            return elems
-        elems.append(take_int())
-        while True:
-            tok = take()
-            if tok[0] == "}":
-                return elems
-            if tok[0] != ",":
-                raise _error(f"expected ',' or '}}', found {tok[0]!r}", text, tok[1])
-            elems.append(take_int())
-
-    take("mod")
-    modulus, at = take_int()
+    tokens = _TOKEN.findall(text)  # "" for an unrecognized character
+    if "" in tokens:
+        raise _fail(text, tokens, tokens.index(""), "")
+    n = len(tokens)
+    if not n or tokens[0] != "mod":
+        raise _fault(text, tokens, 0, "'mod'")
+    try:
+        modulus = int(tokens[1])  # int() reads exactly the digit tokens
+    except (IndexError, ValueError):
+        raise _fault(text, tokens, 1, None) from None
     if modulus > MAX_MODULUS:
-        raise _error(f"modulus {modulus} is above MAX_MODULUS = {MAX_MODULUS}", text, at)
+        raise _fail(text, tokens, 1, f"modulus {modulus} is above MAX_MODULUS = {MAX_MODULUS}")
     if modulus < 1:
-        raise _error(f"modulus must be >= 1, got {modulus}", text, at)
-    residues: set[int] = set()
-    for r, at in take_braced():
-        if r >= modulus:
-            raise _error(f"residue {r} must lie in [0, {modulus})", text, at)
-        residues.add(r)
-    plus: set[int] = set()
-    minus: set[int] = set()
-    while peek() is not None:
-        tok = take()
-        if tok[0] not in ("+", "-"):
-            raise _error(f"expected '+' or '-', found {tok[0]!r}", text, tok[1])
-        side, other = (plus, minus) if tok[0] == "+" else (minus, plus)
-        for x, at in take_braced():
-            if x in other:
-                raise _error(f"plus and minus overlap: [{x}]", text, at)
-            side.add(x)
-    return SymbolicSet.build(modulus, residues, plus, minus)
+        raise _fail(text, tokens, 1, f"modulus must be >= 1, got {modulus}")
+    residues, plus, minus = set(), set(), set()
+    sign, pos = "", 2
+    while True:  # one braced list per pass: the residues, then each exception list
+        if pos >= n or tokens[pos] != "{":
+            raise _fault(text, tokens, pos, "'{'")
+        first = pos = pos + 1  # the token index of the list's first element
+        values: list[int] = []
+        if pos < n and tokens[pos] == "}":
+            pos += 1
+        else:
+            while True:
+                try:
+                    values.append(int(tokens[pos]))
+                except (IndexError, ValueError):
+                    raise _fault(text, tokens, pos, None) from None
+                pos += 2
+                if pos > n:
+                    raise _fault(text, tokens, n, None)
+                if tokens[pos - 1] == "}":
+                    break
+                if tokens[pos - 1] != ",":
+                    raise _fault(text, tokens, pos - 1, "',' or '}'")
+        side, other = (plus, minus) if sign == "+" else (minus, plus) if sign else (residues, ())
+        if (values and max(values) >= modulus) if not sign else not other.isdisjoint(values):
+            k = next(k for k, x in enumerate(values) if (x in other if sign else x >= modulus))
+            message = f"plus and minus overlap: [{values[k]}]" if sign else (
+                f"residue {values[k]} must lie in [0, {modulus})")
+            raise _fail(text, tokens, first + 2 * k, message)
+        side.update(values)
+        if pos >= n:
+            return SymbolicSet.build(modulus, residues, plus, minus)
+        sign = tokens[pos]
+        if sign not in ("+", "-"):
+            raise _fault(text, tokens, pos, "'+' or '-'")
+        pos += 1
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    """The tokens of `text` with their offsets; whitespace separates them."""
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        if match.group(1) is None:
-            start = match.start()
-            raise _error(f"unrecognized input {text[start:start + 10]!r}", text, start)
-        tokens.append((match.group(1), match.start()))
-    return tokens
-
-
-def _error(message: str, text: str, offset: int) -> SetLiteralError:
-    """The parse error at `offset`, located by its 1-based line and column."""
+def _fail(text: str, tokens: list[str], pos: int, message: str) -> SetLiteralError:
+    """The error at token `pos` (the end of the text past the last token), by
+    1-based line and column; no message: the token is unrecognized."""
+    offset = len(text) if pos >= len(tokens) else next(
+        itertools.islice(_TOKEN.finditer(text), pos, None)).start()
     line_start = text.rfind("\n", 0, offset) + 1
-    return SetLiteralError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
+    return SetLiteralError(message or f"unrecognized input {text[offset:offset + 10]!r}",
+                           text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+
+def _fault(text: str, tokens: list[str], pos: int, expected: str | None) -> SetLiteralError:
+    """The error at token `pos` where `expected` (shown as is), or a number (None), was due."""
+    if pos >= len(tokens):
+        message = f"unexpected end of input, expected {expected}"
+    elif expected is not None:
+        message = f"expected {expected}, found {tokens[pos]!r}"
+    elif not tokens[pos].isdigit():
+        message = f"expected a number, found {tokens[pos]!r}"
+    else:  # above the interpreter's limit on integer string digits
+        message = f"{len(tokens[pos])}-digit number is too long"
+    return _fail(text, tokens, pos, message)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import crosslimit.classes as classes
 from conftest import random_proper_support
+from pairwise import class_pair_cells, difference, refined_cells
 from crosslimit.classes import (
     Hypothesis,
     HypothesisClass,
@@ -31,7 +32,6 @@ from crosslimit.crossing import (
     D,
     EliminabilityVerdict,
     PatternCells,
-    class_pair_cells,
     common_crossing_edges,
     delta_contains,
     eliminability,
@@ -486,10 +486,10 @@ def test_refined_pattern_cells_equal_the_product_definition(cls):
         for bits in itertools.product((0, 1), repeat=len(family))
     }
     expected = {alpha: cell for alpha, cell in product.items() if not cell.is_empty()}
-    cells = PatternCells.of(family)
-    assert list(cells.cells) == list(expected)
-    assert cells.cells == expected
-    assert cells.hypothesis_ids == tuple(h.id for h in family)
+    for cells in (PatternCells.of(family), refined_cells(family)):
+        assert list(cells.cells) == list(expected)
+        assert cells.cells == expected
+        assert cells.hypothesis_ids == tuple(h.id for h in family)
 
 
 @settings(max_examples=200, deadline=None)
@@ -502,8 +502,9 @@ def test_meet_equals_intersection_of(cls, data):
         expected = intersection_of(cls.members[i].support for i in subset)
         assert cls.meet(sum(1 << i for i in subset)) == expected
     assert cls.global_support_intersection() == intersection_of(h.support for h in cls.members)
-    for i, j in itertools.product(range(n), repeat=2):
-        assert cls.difference(i, j) == cls.members[i].support - cls.members[j].support
+    for i, j in itertools.product(range(n), repeat=2):  # the cell table's strict inclusions
+        assert (i in cls.table.strictly_below[j]) == (
+            difference(cls, i, j).is_empty() and not difference(cls, j, i).is_empty())
 
 
 @settings(max_examples=100, deadline=None)
@@ -515,6 +516,10 @@ def test_class_regions_equal_four_regions(cls):
         assert cells == PatternCells.of((h, g))
         assert list(cells.cells) == list(PatternCells.of((h, g)).cells)
         assert cells.cells == reference_cells(four_regions(h, g))
+        regions = cls.table.regions(i, j)  # the class cells in each region, in the same order
+        assert list(regions) == list(cells.cells)
+        assert [cls.table.least_of(r) for r in regions.values()] == [
+            cell.min_element() for cell in cells.cells.values()]
 
 
 proper_supports = supports().filter(lambda s: not s.is_empty() and not s.complement().is_empty())
@@ -598,7 +603,7 @@ def test_class_memos_stay_bounded(monkeypatch):
         space = sum(1 << i for i in subset)
         assert cls.meet(space) == intersection_of(cls.members[i].support for i in subset)
         assert len(cls._meets) <= 5
-    for i, j in itertools.product(range(n), repeat=2):
-        assert cls.difference(i, j) == cls.members[i].support - cls.members[j].support
-        assert len(cls._differences) <= 5
+    for x in range(3 * n + 12):
+        assert cls.pattern(x) == sum(h.contains(x) << i for i, h in enumerate(cls.members))
+        assert len(cls._patterns) <= 5
     assert classify(cls).to_json() == expected

@@ -79,7 +79,7 @@ CASES = {
                          "CoSingletonClass(kind='co-singleton-slice', params=(3,))"),
     "HypothesisClass": (lambda: HypothesisClass((H,), True, FamilyInfo("x")),
                         ("members", "uus_claimed", "family"),
-                        ("_meets", "_differences", "_patterns"), True,
+                        ("_meets", "_patterns", "table"), True,
                         f"HypothesisClass(members=({H_REPR},), uus_claimed=True, "
                         f"family=FamilyInfo(kind='x', params=()))"),
     "Prefix": (lambda: Prefix("text", (1, 2)), ("kind", "items"), (), True,

@@ -1,7 +1,7 @@
 """Verdict commands replay byte for byte, whatever the class has memoised.
 
-A `HypothesisClass` memoises the meets and pairwise differences of its
-supports, and a set memoises its complement.  A command must print the same
+A `HypothesisClass` memoises the meets of its supports and keeps its cell
+table, and a set memoises its complement.  A command must print the same
 bytes when it runs twice in one process, when it is handed a class object
 that earlier library calls have already warmed, and in a fresh interpreter.
 """
