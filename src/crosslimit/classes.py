@@ -26,8 +26,8 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable
 
-from .space import (MAX_MODULUS, Record, SymbolicSet, _lift_mask, _residues_of, intersection_of,
-                    parse_set_literal)
+from .space import (MAX_MODULUS, Record, SymbolicSet, _least, _lift_mask, _residues_of,
+                    intersection_of, parse_set_literal)
 
 # Entries per memo of a class: all meets of up to three of 17 members, or
 # the patterns of 1024 points, and a memory bound however long a command runs.
@@ -242,7 +242,7 @@ class CellTable:
 
     def __init__(self, supports: tuple[SymbolicSet, ...]):
         parts = cell_parts(supports, lambda width, mask, plus, minus: (
-            SymbolicSet._of_mask(width, mask, plus, minus).min_element(), None if mask else plus))
+            _least(width, mask, plus, minus), None if mask else plus))
         self.patterns = sorted(parts, key=lambda alpha: parts[alpha][0])
         self.least, self.elements = zip(*map(parts.get, self.patterns))
         self.everywhere = (1 << len(self.patterns)) - 1

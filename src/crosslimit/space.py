@@ -336,17 +336,7 @@ class SymbolicSet(Record):
         return self.intersect(other).is_empty()
 
     def min_element(self) -> int | None:
-        candidates = []
-        if self.plus:
-            candidates.append(min(self.plus))
-        if self.mask:
-            n = -1  # walk up the residue part's members, passing one removal per step
-            while n < 0 or n in self.minus:  # a shift by 0 would copy the mask; past it, wrap
-                q, r = divmod(n + 1, self.modulus)
-                above = (self.mask >> r if r else self.mask) or self.mask << (self.modulus - r)
-                n = q * self.modulus + r + (above & -above).bit_length() - 1
-            candidates.append(n)
-        return min(candidates) if candidates else None
+        return _least(self.modulus, self.mask, self.plus, self.minus)
 
     # ------------------------------------------------------------------
     # enumeration
@@ -430,6 +420,19 @@ def intersection_of(sets: Iterable[SymbolicSet]) -> SymbolicSet:
     return reduce(SymbolicSet.intersect, sets) if sets else SymbolicSet.universe()
 
 
+def _least(m: int, mask: int, plus: frozenset[int], minus: frozenset[int]) -> int | None:
+    """The least element of the set with these fields, at any modulus m."""
+    least = min(plus, default=None)
+    if mask:
+        n = -1  # walk up the residue part's members, passing one removal per step
+        while n < 0 or n in minus:  # a shift by 0 would copy the mask; past it, wrap
+            q, r = divmod(n + 1, m)
+            above = (mask >> r if r else mask) or mask << (m - r)
+            n = q * m + r + (above & -above).bit_length() - 1
+        least = n if least is None else min(least, n)
+    return least
+
+
 def _render_elems(xs: frozenset[int]) -> str:
     if not xs:
         return " "
@@ -489,16 +492,14 @@ def _mask_of(residues: frozenset[int], modulus: int) -> int:
     return mask
 
 
+_ONE = re.compile("1")
+
+
 def _residues_of(mask: int) -> frozenset[int]:
-    """The set bits of `mask`: O(bits / word) in C, then one find per set bit."""
-    if mask < 2:
-        return frozenset((0,) if mask else ())
-    digits, out = bin(mask)[:1:-1], []
-    r = digits.find("1")
-    while r >= 0:
-        out.append(r)
-        r = digits.find("1", r + 1)
-    return frozenset(out)
+    """The set bits of `mask`: O(bits / word) in C, then one match per set bit."""
+    if not mask >> 64:  # a short mask: one shift per digit
+        return frozenset(r for r in range(mask.bit_length()) if mask >> r & 1)
+    return frozenset([match.start() for match in _ONE.finditer(bin(mask)[:1:-1])])
 
 
 def _canonical(modulus: int, mask: int, plus: frozenset[int], minus: frozenset[int]) -> SymbolicSet:
