@@ -195,8 +195,8 @@ def cell_parts(supports: tuple[SymbolicSet, ...], make: Callable) -> dict[int, o
     residues mod L, the lcm of the moduli, plus the exception points of its
     pattern, minus the points of those residues that have another.
 
-    Depth-first refinement of the members' masks lifted to L keeps at most k
-    masks alive; a point's pattern is its residue's, flipped at the members
+    Depth-first refinement of the members' masks lifted to L keeps one mask
+    per level alive; a point's pattern is its residue's, flipped at the members
     that list it.  Residue cells come in product order (bit 0 most
     significant), then those of points alone; past TABLE_CAP cells times L, a
     ValueError."""
@@ -225,8 +225,8 @@ def cell_parts(supports: tuple[SymbolicSet, ...], make: Callable) -> dict[int, o
             stack += [(i + 1, alpha, mask ^ inside)] if inside != mask else []
             continue
         if (len(cells) + 1) * width > TABLE_CAP:
-            raise ValueError(f"the cell table of a {len(supports)}-member class with lcm {width} "
-                             f"passes {len(cells)} cells, above TABLE_CAP = {TABLE_CAP}")
+            raise ValueError(f"the cell table of a class of {len(supports)} members with lcm "
+                             f"{width} passes {len(cells)} cells, above TABLE_CAP = {TABLE_CAP}")
         cells[alpha] = make(width, mask, frozenset(plus.pop(alpha, ())),
                             frozenset(minus.get(alpha, ())))
     for alpha, points in plus.items():
