@@ -195,14 +195,19 @@ def cell_parts(supports: tuple[SymbolicSet, ...], make: Callable) -> dict[int, o
     residues mod L, the lcm of the moduli, plus the exception points of its
     pattern, minus the points of those residues that have another.
 
-    Depth-first refinement of the members' masks lifted to L keeps one mask
-    per level alive; a point's pattern is its residue's, flipped at the members
-    that list it.  Residue cells come in product order (bit 0 most
-    significant), then those of points alone; past TABLE_CAP cells times L, a
-    ValueError."""
+    Depth-first refinement of the members' masks lifted to L keeps one mask per
+    level alive; a point's pattern is its residue's, flipped at the members that
+    list it.  Residue cells come in product order (bit 0 most significant), then
+    those of points alone.  Past TABLE_CAP (members and cells times L), a ValueError."""
     width = lcm(*(s.modulus for s in supports))
     if width > MAX_MODULUS:
         raise ValueError(f"lcm of the moduli is {width}, above MAX_MODULUS = {MAX_MODULUS}")
+    room = TABLE_CAP // width - len(supports)  # the cells left once the lifted masks count
+    def past_cap() -> ValueError:
+        return ValueError(f"the cell table of a class of {len(supports)} members with lcm "
+                          f"{width} passes TABLE_CAP = {TABLE_CAP} (members and cells times lcm)")
+    if room < 1:
+        raise past_cap()
     lifted = [_lift_mask(s.mask, s.modulus, width) for s in supports]
     listed: dict[int, int] = defaultdict(int)  # point -> the members that list it
     for i, s in enumerate(supports):
@@ -224,9 +229,8 @@ def cell_parts(supports: tuple[SymbolicSet, ...], make: Callable) -> dict[int, o
             stack += [(i + 1, alpha | 1 << i, inside)] if inside else []
             stack += [(i + 1, alpha, mask ^ inside)] if inside != mask else []
             continue
-        if (len(cells) + 1) * width > TABLE_CAP:
-            raise ValueError(f"the cell table of a class of {len(supports)} members with lcm "
-                             f"{width} passes {len(cells)} cells, above TABLE_CAP = {TABLE_CAP}")
+        if len(cells) >= room:
+            raise past_cap()
         cells[alpha] = make(width, mask, frozenset(plus.pop(alpha, ())),
                             frozenset(minus.get(alpha, ())))
     for alpha, points in plus.items():
@@ -266,9 +270,8 @@ class CellTable:
     @cached_property
     def strictly_below(self) -> list[list[int]]:
         """Per member j, the members whose support is a proper subset of j's, in
-        order.  rows[i] is the AND of the patterns of the cells i holds: the
-        members above i; or, the patterns flipped when their bits outnumber
-        their zeros, of the cells i misses: the members below i."""
+        order.  rows[i] ANDs the patterns of the cells i holds (the members above
+        i), or, flipped where ones outnumber zeros, of those it misses (below)."""
         full, k = self.full, len(self.columns)
         flip = 2 * sum(alpha.bit_count() for alpha in self.patterns) > k * len(self.patterns)
         rows = [full] * k

@@ -271,8 +271,7 @@ def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) ->
     return report
 
 
-def _cover_witness(cls: HypothesisClass, least: dict, closure: SymbolicSet,
-                   menu: list) -> EdgeSet:
+def _cover_witness(cls: HypothesisClass, least: dict, closure: SymbolicSet, menu: list) -> EdgeSet:
     """A starter hollow set: one covering edge per forced positive."""
     pairs = set()
     for x in sorted(closure.plus):

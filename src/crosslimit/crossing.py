@@ -89,9 +89,8 @@ class PatternCells(Record):
 
     @staticmethod
     def of(family) -> "PatternCells":
-        """The realized cells in product order (bit 0 most significant),
-        without a size check: the class cell table's builder,
-        :func:`~crosslimit.classes.cell_parts`, with each cell canonical."""
+        """The realized cells in product order (bit 0 most significant), with no
+        size check, by :func:`~crosslimit.classes.cell_parts`, each canonical."""
         supports = tuple(h.support for h in family)
         cells = cell_parts(supports, _canonical)
         order = sorted(cells, key=lambda alpha: [alpha >> i & 1 for i in range(len(family))])

@@ -552,8 +552,7 @@ def parse_set_literal(text: str) -> SymbolicSet:
         raise _fail(text, tokens, 1, f"modulus {modulus} is above MAX_MODULUS = {MAX_MODULUS}")
     if modulus < 1:
         raise _fail(text, tokens, 1, f"modulus must be >= 1, got {modulus}")
-    residues, plus, minus = set(), set(), set()
-    sign, pos = "", 2
+    residues, plus, minus, sign, pos = set(), set(), set(), "", 2
     while True:  # one braced list per pass: the residues, then each exception list
         if pos >= n or tokens[pos] != "{":
             raise _fault(text, tokens, pos, "'{'")
