@@ -32,7 +32,7 @@ from .space import (MAX_MODULUS, Record, SymbolicSet, _least, _lift_mask, _resid
 # Entries per memo of a class: all meets of up to three of 17 members, or
 # the patterns of 1024 points, and a memory bound however long a command runs.
 MEMO_BOUND = 1024
-TABLE_CAP = 1 << 30  # realized cells times lifted width: the work a cell table may do
+TABLE_CAP = 1 << 32  # visited nodes times lifted width: the work a cell table may do
 EVENS = SymbolicSet.residue_class(2, {0})
 ODDS = SymbolicSet.residue_class(2, {1})
 
@@ -198,15 +198,16 @@ def cell_parts(supports: tuple[SymbolicSet, ...], make: Callable) -> dict[int, o
     Depth-first refinement of the members' masks lifted to L keeps one mask per
     level alive; a point's pattern is its residue's, flipped at the members that
     list it.  Residue cells come in product order (bit 0 most significant), then
-    those of points alone.  Past TABLE_CAP (members and cells times L), a ValueError."""
+    those of points alone.  Past TABLE_CAP (lifted masks and visited nodes times L),
+    a ValueError, raised as soon as the budget is spent."""
     width = lcm(*(s.modulus for s in supports))
     if width > MAX_MODULUS:
         raise ValueError(f"lcm of the moduli is {width}, above MAX_MODULUS = {MAX_MODULUS}")
-    room = TABLE_CAP // width - len(supports)  # the cells left once the lifted masks count
+    budget = TABLE_CAP // width - len(supports)  # the nodes left once the lifted masks count
     def past_cap() -> ValueError:
         return ValueError(f"the cell table of a class of {len(supports)} members with lcm "
-                          f"{width} passes TABLE_CAP = {TABLE_CAP} (members and cells times lcm)")
-    if room < 1:
+                          f"{width} passes TABLE_CAP = {TABLE_CAP} (masks and nodes times lcm)")
+    if budget < 1:
         raise past_cap()
     lifted = [_lift_mask(s.mask, s.modulus, width) for s in supports]
     listed: dict[int, int] = defaultdict(int)  # point -> the members that list it
@@ -223,14 +224,15 @@ def cell_parts(supports: tuple[SymbolicSet, ...], make: Callable) -> dict[int, o
         plus[at[r] ^ flips].add(x)
     cells, stack = {}, [(0, 0, (1 << width) - 1)]  # (member, pattern, residues), 0 on top
     while stack:
+        budget -= 1
+        if budget < 0:
+            raise past_cap()
         i, alpha, mask = stack.pop()
         if i < len(supports):
             inside = mask & lifted[i]
             stack += [(i + 1, alpha | 1 << i, inside)] if inside else []
             stack += [(i + 1, alpha, mask ^ inside)] if inside != mask else []
             continue
-        if len(cells) >= room:
-            raise past_cap()
         cells[alpha] = make(width, mask, frozenset(plus.pop(alpha, ())),
                             frozenset(minus.get(alpha, ())))
     for alpha, points in plus.items():

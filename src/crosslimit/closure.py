@@ -205,8 +205,12 @@ class DimensionReport(Record):
         return f"infinite [{self.infinite_description}]"
 
 
-def closure_dimension(cls: HypothesisClass, max_size: int = 8, vertex_horizon: int = 24,
-                      search_budget: int = 200_000) -> DimensionReport:
+def closure_dimension(
+    cls: HypothesisClass,
+    max_size: int = 8,
+    vertex_horizon: int = 24,
+    search_budget: int = 200_000,
+) -> DimensionReport:
     """Largest hollow edge set size, exactly when certifiable.
 
     Classes of at most 6 members whose closures read only the mask get the
@@ -365,6 +369,7 @@ def _bounded_search_dimension(
     notes = ["bounded search; dimension is a lower bound"]
     if exhausted:
         notes.append(f"search budget {budget} exhausted")
-    return DimensionReport(AT_LEAST, best[0], best[1], (max_size, vertex_horizon),
-                           notes=tuple(notes))
+    return DimensionReport(
+        AT_LEAST, best[0], best[1], (max_size, vertex_horizon), notes=tuple(notes)
+    )
 

@@ -33,7 +33,7 @@ them (`HypothesisClass.table`) answers the verdicts' pairwise questions.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, Container
 
 from .classes import Hypothesis, cell_parts
@@ -62,8 +62,12 @@ def delta_contains(h: Hypothesis, pair: Pair) -> bool:
 
 def common_crossing_edges(h: Hypothesis, g: Hypothesis, vertices) -> set[Pair]:
     """All pairs within a finite vertex collection crossing both hypotheses."""
-    pairs = (Pair.of(x, y) for x, y in itertools.combinations(sorted(set(vertices)), 2))
-    return {pair for pair in pairs if crosses(h, pair) and crosses(g, pair)}
+    verts = sorted(set(vertices))
+    return {
+        Pair.of(x, y)
+        for x, y in itertools.combinations(verts, 2)
+        if crosses(h, Pair.of(x, y)) and crosses(g, Pair.of(x, y))
+    }
 
 
 # ----------------------------------------------------------------------
@@ -214,8 +218,10 @@ def overlapping_cover(h: Hypothesis, g: Hypothesis) -> bool:
     """
     cells = pair_cells(h, g).cells
     if B not in cells or C not in cells:
-        raise ValueError(f"overlapping cover is defined for incomparable supports; "
-                         f"{h.id} and {g.id} are comparable")
+        raise ValueError(
+            f"overlapping cover is defined for incomparable supports; "
+            f"{h.id} and {g.id} are comparable"
+        )
     return A in cells and D not in cells
 
 
@@ -253,6 +259,10 @@ def shared_presentation_family(family: list[Hypothesis]) -> Stream | None:
     cells = pattern_cells(list(family))
     if any(alpha and not cells.paired(alpha) for alpha in cells.cells):
         return None
-    union = reduce(SymbolicSet.union, (h.support for h in family))
+
+    union = SymbolicSet.empty()
+    for h in family:
+        union = union.union(h.support)
+
     ids = ",".join(h.id for h in family)
     return paired_stream(union, cells.partner, f"shared-family({ids})", tuple(family))

@@ -123,12 +123,19 @@ def _txt_id_verdict(cls: HypothesisClass, bounds: Bounds) -> Verdict:
         uncovered = limit.support.difference(swallow.support).min_element()
         if uncovered is not None and uncovered < bounds.horizon:
             raise AssertionError("member beyond the horizon must keep all candidates")
-        return Verdict(NO, mechanism="no-finite-telltale", witness={
-            "hypothesis": limit.id,
-            "rule": ("any finite candidate tell-tale below the horizon is contained "
-                     "in the support of the puncture at an element beyond it"),
-            "containing_support": swallow.support.literal(),
-            "horizon": bounds.horizon})
+        return Verdict(
+            NO,
+            mechanism="no-finite-telltale",
+            witness={
+                "hypothesis": limit.id,
+                "rule": (
+                    "any finite candidate tell-tale below the horizon is contained "
+                    "in the support of the puncture at an element beyond it"
+                ),
+                "containing_support": swallow.support.literal(),
+                "horizon": bounds.horizon,
+            },
+        )
     holders: dict[SymbolicSet, list[str]] = {}  # canonical sets: == is set equality
     for h in cls.members:  # in order of each support's first holder, so the first pair
         holders.setdefault(h.support, []).append(h.id)
@@ -138,16 +145,22 @@ def _txt_id_verdict(cls: HypothesisClass, bounds: Bounds) -> Verdict:
     family = compute_telltales(cls)
     if not telltales_sound(cls, family):
         raise AssertionError("computed tell-tales failed their own soundness check")
-    return Verdict(YES, mechanism="telltales",
-                   witness={hid: sorted(family.of(hid)) for hid in cls.ids()})
+    return Verdict(
+        YES,
+        mechanism="telltales",
+        witness={hid: sorted(family.of(hid)) for hid in cls.ids()},
+    )
 
 
 def _ctr_id_verdict(cls: HypothesisClass, txt_id: Verdict) -> Verdict:
     barrier = _first_barrier_pair(cls)
     if barrier is not None:
         first, second, regime = barrier
-        return Verdict(NO, mechanism="barrier-pair",
-                       witness={"pair": [first, second], "regime": regime})
+        return Verdict(
+            NO,
+            mechanism="barrier-pair",
+            witness={"pair": [first, second], "regime": regime},
+        )
     if txt_id.status == NO:
         return Verdict(NO, mechanism="txt-id-failure", witness=txt_id.witness)
     return Verdict(YES, mechanism="overlapping-covers", witness=txt_id.witness)
@@ -170,8 +183,10 @@ def _ctr_gen_verdict(cls: HypothesisClass, ctr_id: Verdict, bounds: Bounds) -> V
     obstruction = _finite_intersection_obstruction(cls, bounds)
     positive = _ctr_gen_positive(cls, ctr_id, bounds)
     if obstruction is not None and positive is not None:
-        raise AssertionError(f"both a generation mechanism and an obstruction fired: "
-                             f"{positive.mechanism} vs {obstruction.witness}")
+        raise AssertionError(
+            f"both a generation mechanism and an obstruction fired: "
+            f"{positive.mechanism} vs {obstruction.witness}"
+        )
     if positive is not None:
         return positive
     if obstruction is not None:
@@ -189,13 +204,23 @@ def _ctr_gen_positive(cls: HypothesisClass, ctr_id: Verdict, bounds: Bounds) -> 
         for h in cls.members:
             if not core.difference(h.support).cardinality().is_finite:
                 raise AssertionError("a member misses infinitely much of the eventual core")
-        return Verdict(YES, mechanism="eventual-core", witness={
-            "core": core.literal(), "rule": "ascending enumeration of the base"})
-    report = closure_dimension(cls, bounds.dimension_max_size, bounds.dimension_vertex_horizon)
+        return Verdict(
+            YES,
+            mechanism="eventual-core",
+            witness={"core": core.literal(), "rule": "ascending enumeration of the base"},
+        )
+    report = closure_dimension(
+        cls, bounds.dimension_max_size, bounds.dimension_vertex_horizon
+    )
     if report.outcome == EXACT:
-        return Verdict(YES, mechanism="finite-dimension", witness={
-            "dimension": report.dimension,
-            "witness_edges": str(report.witness) if report.witness else None})
+        return Verdict(
+            YES,
+            mechanism="finite-dimension",
+            witness={
+                "dimension": report.dimension,
+                "witness_edges": str(report.witness) if report.witness else None,
+            },
+        )
     if ctr_id.status == YES:
         return Verdict(YES, mechanism="identify-then-generate")
     return None

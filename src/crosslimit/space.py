@@ -492,14 +492,16 @@ def _mask_of(residues: frozenset[int], modulus: int) -> int:
     return mask
 
 
-_ONE = re.compile("1")
-
-
 def _residues_of(mask: int) -> frozenset[int]:
-    """The set bits of `mask`: O(bits / word) in C, then one match per set bit."""
-    if not mask >> 64:  # a short mask: one shift per digit
-        return frozenset(r for r in range(mask.bit_length()) if mask >> r & 1)
-    return frozenset([match.start() for match in _ONE.finditer(bin(mask)[:1:-1])])
+    """The set bits of `mask`: O(bits / word) in C, then one find per set bit."""
+    if mask < 2:
+        return frozenset((0,) if mask else ())
+    digits, out = bin(mask)[:1:-1], []
+    r = digits.find("1")
+    while r >= 0:
+        out.append(r)
+        r = digits.find("1", r + 1)
+    return frozenset(out)
 
 
 def _canonical(modulus: int, mask: int, plus: frozenset[int], minus: frozenset[int]) -> SymbolicSet:

@@ -91,7 +91,7 @@ def test_classify_set_operations_grow_linearly(monkeypatch):
 
 def _bits_class(path) -> None:
     """Ten members mod 1024, member b holding the residues with bit b set, and
-    one mod 1023: 2048 cells at lcm 1024 * 1023, past the table's cap."""
+    one mod 1023: 4095 nodes for 2048 cells at lcm 1024 * 1023, just past the table's cap."""
     supports = [f"mod 1024 {{ {', '.join(str(r) for r in range(1024) if r >> b & 1)} }}"
                 for b in range(10)] + ["mod 1023 { 0 }"]
     path.write_text(json.dumps({"hypotheses": [{"id": f"h{i}", "support": s}
@@ -108,3 +108,25 @@ def test_a_class_past_the_table_cap_fails_fast(tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
     assert main(["classify", "--class", str(path)]) == 2
     assert f"TABLE_CAP = {classes.TABLE_CAP}" in capsys.readouterr().err
+    # 15 members split the residues mod 2^15 by bit; the 985 finite ones after
+    # them split no residue, so the nodes per level, not the cells, pass the cap
+    bits = [SymbolicSet.residue_class(1 << 15, {r for r in range(1 << 15) if r >> b & 1})
+            for b in range(15)]
+    supports = bits + [SymbolicSet.finite({n}) for n in range(985)]
+    many = HypothesisClass(tuple(Hypothesis(f"h{i}", s) for i, s in enumerate(supports)))
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"class of 1000 members with lcm 32768 passes TABLE_CAP"):
+        many.table
+    assert time.perf_counter() - started < 1.0
+
+
+def test_a_class_whose_lcm_passes_max_modulus_exits_2(tmp_path, capsys):
+    # every pair lifts to at most 1021 * 1019, which the pairwise rules
+    # classified; the table lifts all seven members to 6 * 1021 * 1019
+    supports = ["mod 3 { 0 }", "mod 1 { 0 } - { 0 }", "mod 2 { 1 }", "mod 2 { 0 }",
+                "mod 1021 { 1 }", "mod 1019 { 2 }", "mod 1 { 0 }"]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"hypotheses": [{"id": f"h{i}", "support": s}
+                                               for i, s in enumerate(supports)]}))
+    assert main(["classify", "--class", str(path)]) == 2
+    assert "lcm of the moduli is 6242394, above MAX_MODULUS" in capsys.readouterr().err
