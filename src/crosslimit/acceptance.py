@@ -148,7 +148,7 @@ def criterion_3_eliminability_oracles() -> CriterionResult:
         cells = pair_cells(h, g)
         region_verdict = eliminability(cells).eliminable  # the lonely-cell rule
         coverage_verdict = not h.support.is_subset(cells.gamma())
-        horizon = max(cell.min_element() for cell in cells.cells.values()) + 1
+        horizon = max(cells.least) + 1
         brute = False
         for x in h.support.enumerate_below(horizon):
             if not any(

@@ -26,8 +26,8 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable
 
-from .space import (MAX_MODULUS, Record, SymbolicSet, _least, _lift_mask, _residues_of,
-                    intersection_of, parse_set_literal)
+from .space import (MAX_MODULUS, Record, SymbolicSet, _canonical, _least, _lift_mask,
+                    _residues_of, parse_set_literal)
 
 # Entries per memo of a class: all meets of up to three of 17 members, or
 # the patterns of 1024 points, and a memory bound however long a command runs.
@@ -189,76 +189,176 @@ class CoSingletonClass(FamilyInfo):
         )
 
 
-def cell_parts(supports: tuple[SymbolicSet, ...], make: Callable) -> dict[int, object]:
-    """Each realized membership pattern of `supports` (a member bitmask, as in
-    `HypothesisClass.meet`) mapped to its cell, make(L, mask, plus, minus): its
-    residues mod L, the lcm of the moduli, plus the exception points of its
-    pattern, minus the points of those residues that have another.
-
-    Depth-first refinement of the members' masks lifted to L keeps one mask per
-    level alive; a point's pattern is its residue's, flipped at the members that
-    list it.  Residue cells come in product order (bit 0 most significant), then
-    those of points alone.  Past TABLE_CAP (lifted masks and visited nodes times L),
-    a ValueError, raised as soon as the budget is spent."""
-    width = lcm(*(s.modulus for s in supports))
-    if width > MAX_MODULUS:
-        raise ValueError(f"lcm of the moduli is {width}, above MAX_MODULUS = {MAX_MODULUS}")
-    budget = TABLE_CAP // width - len(supports)  # the nodes left once the lifted masks count
-    def past_cap() -> ValueError:
-        return ValueError(f"the cell table of a class of {len(supports)} members with lcm "
-                          f"{width} passes TABLE_CAP = {TABLE_CAP} (masks and nodes times lcm)")
+def cell_parts(cells: PatternCells) -> dict[int, tuple[int, frozenset[int] | None]]:
+    """Each realized pattern of `cells` mapped to its cell's least element and
+    elements (None: infinite), by depth-first refinement of the lifted masks,
+    one alive per level, then each exception point moved to its own pattern.
+    Past TABLE_CAP (lifted masks and visited nodes times L), a ValueError."""
+    width, k = cells.width, len(cells.supports)
+    budget = TABLE_CAP // width - k  # the nodes left once the lifted masks count
+    past_cap = ValueError(f"the cell table of a class of {k} members with lcm {width} "
+                          f"passes TABLE_CAP = {TABLE_CAP} (masks and nodes times lcm)")
     if budget < 1:
-        raise past_cap()
-    lifted = [_lift_mask(s.mask, s.modulus, width) for s in supports]
-    listed: dict[int, int] = defaultdict(int)  # point -> the members that list it
-    for i, s in enumerate(supports):
-        for x in s.plus | s.minus:
-            listed[x] |= 1 << i
-    at: dict[int, int] = {}  # residue -> its pattern
+        raise past_cap
     plus, minus = defaultdict(set), defaultdict(set)
-    for x, flips in listed.items():
-        r = x % width
-        if r not in at:
-            at[r] = sum((mask >> r & 1) << i for i, mask in enumerate(lifted))
-        minus[at[r]].add(x)
-        plus[at[r] ^ flips].add(x)
-    cells, stack = {}, [(0, 0, (1 << width) - 1)]  # (member, pattern, residues), 0 on top
+    for x, (base, own) in cells.points.items():
+        minus[base].add(x)
+        plus[own].add(x)
+    parts, stack = {}, [(0, 0, (1 << width) - 1)]  # (member, pattern, residues), 0 on top
     while stack:
         budget -= 1
         if budget < 0:
-            raise past_cap()
+            raise past_cap
         i, alpha, mask = stack.pop()
-        if i < len(supports):
-            inside = mask & lifted[i]
+        if i < k:
+            inside = mask & cells.lifted[i]
             stack += [(i + 1, alpha | 1 << i, inside)] if inside else []
             stack += [(i + 1, alpha, mask ^ inside)] if inside != mask else []
             continue
-        cells[alpha] = make(width, mask, frozenset(plus.pop(alpha, ())),
-                            frozenset(minus.get(alpha, ())))
+        least = _least(width, mask, frozenset(plus.pop(alpha, ())), frozenset(minus[alpha]))
+        parts[alpha] = (least, None)
     for alpha, points in plus.items():
-        cells[alpha] = make(width, 0, frozenset(points), frozenset())
-    return cells
+        parts[alpha] = (min(points), frozenset(points))
+    return parts
 
 
-class CellTable:
-    """A class's realized cells, indexed in ascending order of their least
-    elements: each one's pattern, least element and elements (None when
-    infinite), and per member the cells it holds (`columns`, cell bitmasks),
-    which each cell toggles on its smaller side: the members it holds or misses."""
+class PatternCells(Record):
+    """The partition of X by membership pattern (a member bitmask, as in
+    :meth:`HypothesisClass.meet`) across a family or a class: realized cells only.
 
-    def __init__(self, supports: tuple[SymbolicSet, ...]):
-        parts = cell_parts(supports, lambda width, mask, plus, minus: (
-            _least(width, mask, plus, minus), None if mask else plus))
-        self.patterns = sorted(parts, key=lambda alpha: parts[alpha][0])
-        self.least, self.elements = zip(*map(parts.get, self.patterns))
-        self.everywhere = (1 << len(self.patterns)) - 1
-        self.infinite = sum(1 << c for c, points in enumerate(self.elements) if points is None)
-        self.full, k = (1 << len(supports)) - 1, len(supports)
-        large = sum(1 << c for c, alpha in enumerate(self.patterns) if 2 * alpha.bit_count() > k)
-        self.columns = [large] * k
-        for c, alpha in enumerate(self.patterns):
+    It keeps the members' masks lifted to L, their lcm (a ValueError past
+    MAX_MODULUS), and each exception point's residue pattern and own; a set it
+    hands out (a `union` of cells, a `meet`) takes one canonicalisation, and
+    no cell's L-bit mask is stored.  `parts`, refined by :func:`cell_parts`
+    on first read, holds each cell's least element and elements in the order
+    of `least` and of the bits of `columns`, ascending least elements; `cells`
+    and `realized` go in product order (bit 0 most significant, by `bits`).
+    Meets read no refinement, so TABLE_CAP does not bound them.
+    """
+
+    _compared = ("hypothesis_ids", "cells")
+
+    def __init__(self, hypothesis_ids: tuple[str, ...], supports: tuple[SymbolicSet, ...]):
+        self.__dict__.update(hypothesis_ids=hypothesis_ids, supports=supports,
+                             full=(1 << len(supports)) - 1)
+
+    @staticmethod
+    def of(family) -> PatternCells:
+        """The cells of the hypotheses `family`, with no size check."""
+        return PatternCells(tuple(h.id for h in family), tuple(h.support for h in family))
+
+    @cached_property
+    def width(self) -> int:
+        width = lcm(*(s.modulus for s in self.supports))
+        if width > MAX_MODULUS:
+            raise ValueError(f"lcm of the moduli is {width}, above MAX_MODULUS = {MAX_MODULUS}")
+        return width
+
+    @cached_property
+    def lifted(self) -> list[int]:
+        return [_lift_mask(s.mask, s.modulus, self.width) for s in self.supports]
+
+    @cached_property
+    def points(self) -> dict[int, tuple[int, int]]:
+        """Each member's exception point mapped to (its residue's pattern, its own)."""
+        listed: dict = defaultdict(int)  # point -> the members that list it, then its patterns
+        for i, s in enumerate(self.supports):
+            for x in s.plus | s.minus:
+                listed[x] |= 1 << i
+        at: dict[int, int] = {}  # residue -> its pattern
+        for x, flips in listed.items():
+            r = x % self.width
+            if r not in at:
+                at[r] = sum((s.mask >> r % s.modulus & 1) << i for i, s in enumerate(self.supports))
+            listed[x] = (at[r], at[r] ^ flips)
+        return dict(listed)
+
+    def _set(self, width: int, mask: int, near, holds: Callable[[int], bool]) -> SymbolicSet:
+        """The set of residues `mask` mod `width` (a divisor of L: those whose
+        pattern `holds`), with each point of `near` in iff its own pattern holds."""
+        plus, minus = set(), set()
+        for x in near:
+            base, own = self.points[x]
+            if holds(own) != holds(base):
+                (plus if holds(own) else minus).add(x)
+        return _canonical(width, mask, frozenset(plus), frozenset(minus))
+
+    def meet(self, space: int) -> SymbolicSet:
+        """The intersection of the supports in `space` (0: the universe), their
+        masks lifted to the lcm of their moduli; a ValueError past the class's."""
+        self.width  # the whole class's lcm, checked against MAX_MODULUS
+        members = [self.supports[i] for i in _residues_of(space)]
+        width = lcm(*(s.modulus for s in members))
+        mask, near = (1 << width) - 1, set()
+        for s in members:
+            if mask:  # once empty, no member can refill it
+                mask &= _lift_mask(s.mask, s.modulus, width)
+            near.update(s.plus, s.minus)
+        return self._set(width, mask, near, lambda alpha: alpha & space == space)
+
+    @cached_property
+    def parts(self) -> dict[int, tuple[int, frozenset[int] | None]]:
+        return dict(sorted(cell_parts(self).items(), key=lambda item: item[1][0]))
+
+    @cached_property
+    def least(self) -> tuple[int, ...]:
+        return tuple(least for least, _ in self.parts.values())
+
+    def bits(self, alpha: int) -> tuple[int, ...]:
+        """The pattern as a 0/1 tuple in member order: the key of product order."""
+        return tuple(alpha >> i & 1 for i in range(len(self.supports)))
+
+    def realized(self) -> list[int]:
+        return sorted(self.parts, key=self.bits)
+
+    @cached_property
+    def cells(self) -> dict[int, SymbolicSet]:
+        return {alpha: self.cell(alpha) for alpha in self.realized()}
+
+    def union(self, holds: Callable[[int], bool]) -> SymbolicSet:
+        """The union of the cells whose pattern `holds`, from the lifted masks."""
+        mask = 0
+        for alpha in filter(holds, self.parts):
+            cell = (1 << self.width) - 1
+            for i, lifted in enumerate(self.lifted):
+                cell &= lifted if alpha >> i & 1 else ~lifted
+            mask |= cell
+        return self._set(self.width, mask, self.points, holds)
+
+    def cell(self, alpha: int) -> SymbolicSet:
+        """The cell of a pattern; the empty set when it is not realized."""
+        return self.union(lambda beta: beta == alpha)
+
+    def paired(self, alpha: int) -> bool:
+        """Whether the pattern complementary to `alpha` is realized."""
+        return self.full ^ alpha in self.parts
+
+    def gamma(self) -> SymbolicSet:
+        """The common-crossing vertex set: the union of the paired cells."""
+        return self.union(self.paired)
+
+    def partner(self, x: int) -> int:
+        """The least element of the cell complementary to x's cell."""
+        return self.parts[self.full ^ self.pattern_of(x)][0]
+
+    def pattern_of(self, x: int) -> int:
+        return sum(s.contains(x) << i for i, s in enumerate(self.supports))
+
+    @cached_property
+    def everywhere(self) -> int:  # every cell, as a cell bitmask
+        return (1 << len(self.parts)) - 1
+
+    @cached_property
+    def columns(self) -> list[int]:
+        """Per member, the cells it holds (a cell bitmask), each cell toggled on
+        its smaller side: the members it holds or misses."""
+        k = len(self.supports)
+        large = sum(1 << c for c, alpha in enumerate(self.parts) if 2 * alpha.bit_count() > k)
+        columns = [large] * k
+        for c, alpha in enumerate(self.parts):
             for i in _residues_of(self.full ^ alpha if large >> c & 1 else alpha):
-                self.columns[i] ^= 1 << c
+                columns[i] ^= 1 << c
+        return columns
 
     def regions(self, i: int, j: int) -> dict[int, int]:
         """The cells of members i and j's realized regions (`crossing.REGIONS`, i bit 0)."""
@@ -274,10 +374,10 @@ class CellTable:
         """Per member j, the members whose support is a proper subset of j's, in
         order.  rows[i] ANDs the patterns of the cells i holds (the members above
         i), or, flipped where ones outnumber zeros, of those it misses (below)."""
-        full, k = self.full, len(self.columns)
-        flip = 2 * sum(alpha.bit_count() for alpha in self.patterns) > k * len(self.patterns)
+        full, k = self.full, len(self.supports)
+        flip = 2 * sum(alpha.bit_count() for alpha in self.parts) > k * len(self.parts)
         rows = [full] * k
-        for alpha in self.patterns:
+        for alpha in self.parts:
             alpha ^= full if flip else 0
             for i in _residues_of(alpha):
                 rows[i] &= alpha
@@ -287,15 +387,6 @@ class CellTable:
                 if not rows[j] >> i & 1:
                     out[i if flip else j].append(j if flip else i)
         return out
-
-    def meet(self, space: int) -> SymbolicSet | None:
-        """The meet of the members in `space` (a member bitmask) if finite, else None."""
-        cells = self.everywhere
-        for i in _residues_of(space):
-            cells &= self.columns[i]
-        if cells & self.infinite:
-            return None
-        return SymbolicSet.finite(x for c in _residues_of(cells) for x in self.elements[c])
 
 
 class HypothesisClass(Record):
@@ -338,22 +429,14 @@ class HypothesisClass(Record):
 
     def meet(self, space: int) -> SymbolicSet:
         """The intersection of the supports of the members in `space`, a bitmask
-        whose bit i stands for member i (0: the universe).  Memoised, and built
-        from the longest memoised prefix: the mask minus its highest members."""
-        meets = self._meets
-        if space in meets:
-            return meets[space]
-        prefix = space
-        while prefix and prefix not in meets:
-            prefix &= ~(1 << (prefix.bit_length() - 1))
-        parts = [meets[prefix]] if prefix else []
-        rest = space & ~prefix
-        parts += [h.support for i, h in enumerate(self.members) if rest >> i & 1]
-        return _remember(meets, space, intersection_of(parts))
+        whose bit i stands for member i (0: the universe): the table's, memoised."""
+        if space in self._meets:
+            return self._meets[space]
+        return _remember(self._meets, space, self.table.meet(space))
 
     @cached_property
-    def table(self) -> CellTable:  # built on first read
-        return CellTable(tuple(h.support for h in self.members))
+    def table(self) -> PatternCells:  # its parts refined on first read
+        return PatternCells.of(self.members)
 
     def pattern(self, x: int) -> int:
         """The members whose support holds x, as a member bitmask (as in `meet`), memoised."""

@@ -13,8 +13,7 @@ edges' `crossing_mask`s (XORs of memoised member patterns), and the class's
 family descriptor (:class:`~crosslimit.classes.FamilyInfo`) gives its
 closure: the class's memoised `meet` when the member list is the family, or,
 for the punctured family, a closed form from the edges over the infinite
-family the members truncate.  `support_intersection` stays as the literal
-definition the mask path is checked against.
+family the members truncate.
 
 The dimension search is likewise layered.  For classes of at most
 PATTERN_BOUND members whose closures read only the mask, the cells of
@@ -36,7 +35,7 @@ from typing import Iterable
 
 from .classes import Hypothesis, HypothesisClass
 from .crossing import PATTERN_BOUND
-from .space import Record, SymbolicSet, intersection_of
+from .space import Record, SymbolicSet
 from .streams import CONTRASTIVE, Pair, Prefix
 
 EXACT = "exact"
@@ -107,19 +106,10 @@ class ClosureResult(Record):
 
 def positive_closure(cls: HypothesisClass, xs: list[int]) -> ClosureResult:
     """Intersect the supports of all members containing every given positive."""
-    return support_intersection(h for h in cls.members if all(h.contains(x) for x in xs))
-
-
-def support_intersection(members: Iterable[Hypothesis]) -> ClosureResult:
-    """Intersection of the members' supports: the closure of a version space.
-
-    Bottom when there are no members.  Learners that track version spaces
-    themselves call this on the surviving members.
-    """
-    members = list(members)
-    if not members:
-        return ClosureResult.bottom()
-    return ClosureResult(intersection_of(h.support for h in members))
+    space = (1 << len(cls.members)) - 1
+    for x in xs:
+        space &= cls.pattern(x)
+    return ClosureResult(cls.meet(space)) if space else ClosureResult.bottom()
 
 
 # ----------------------------------------------------------------------
@@ -230,20 +220,14 @@ def closure_dimension(
 
 def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) -> DimensionReport:
     members, table, bounds = cls.members, cls.table, (max_size, vertex_horizon)
-
-    def bits(alpha: int) -> tuple[int, ...]:  # in member order: sorted, the product order
-        return tuple(alpha >> i & 1 for i in range(len(members)))
-
-    realized = sorted(table.patterns, key=bits)
-    least = dict(zip(table.patterns, table.least))
-    elements = dict(zip(table.patterns, table.elements))  # None: an infinite cell
+    realized, parts = table.realized(), table.parts  # parts: (least, elements or None: infinite)
     best_size = None  # None: no hollow set at all
     best_edges: EdgeSet | None = None
     for r in range(1, len(members) + 1):
         for subset in itertools.combinations(range(len(members)), r):
             space = sum(1 << i for i in subset)
-            closure = table.meet(space)
-            if closure is None:
+            closure = cls.meet(space)
+            if not closure.is_finite():
                 continue  # any edge set with this version space has infinite closure
             menu = [(a, b) for a, b in itertools.combinations(realized, 2)
                     if (a ^ b) & space == space]  # each version-space member crosses a-b edges
@@ -251,20 +235,20 @@ def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) ->
             if not all(any(cls.pattern(x) in pair for pair in menu) for x in closure.plus):
                 continue
             infinite_pair = next(
-                ((a, b) for a, b in menu if elements[a] is None or elements[b] is None), None)
+                ((a, b) for a, b in menu if parts[a][1] is None or parts[b][1] is None), None)
             if infinite_pair is not None:
                 desc = (f"version space {{{', '.join(members[i].id for i in subset)}}} keeps "
                         f"closure {closure.literal()} while edges between cells "
-                        f"{bits(infinite_pair[0])} and {bits(infinite_pair[1])} "
+                        f"{table.bits(infinite_pair[0])} and {table.bits(infinite_pair[1])} "
                         f"can be added without bound")
-                return DimensionReport(INFINITE, None, _cover_witness(cls, least, closure, menu),
+                return DimensionReport(INFINITE, None, _cover_witness(cls, closure, menu),
                                        bounds, infinite_description=desc,
                                        notes=("certified by cell analysis",))
-            total = sum(len(elements[a]) * len(elements[b]) for a, b in menu)
+            total = sum(len(parts[a][1]) * len(parts[b][1]) for a, b in menu)
             if best_size is None or total > best_size:
                 best_size = total
                 best_edges = EdgeSet.of(Pair.of(x, y) for a, b in menu
-                                        for x in elements[a] for y in elements[b])
+                                        for x in parts[a][1] for y in parts[b][1])
     if best_size is None:
         return DimensionReport(EXACT, 0, None, bounds, notes=(
             "certified by cell analysis; no hollow edge sets exist",))
@@ -275,12 +259,12 @@ def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) ->
     return report
 
 
-def _cover_witness(cls: HypothesisClass, least: dict, closure: SymbolicSet, menu: list) -> EdgeSet:
+def _cover_witness(cls: HypothesisClass, closure: SymbolicSet, menu: list) -> EdgeSet:
     """A starter hollow set: one covering edge per forced positive."""
-    pairs = set()
+    pairs, parts = set(), cls.table.parts
     for x in sorted(closure.plus):
         alpha = cls.pattern(x)
-        partners = (least[b if a == alpha else a] for a, b in menu if alpha in (a, b))
+        partners = (parts[b if a == alpha else a][0] for a, b in menu if alpha in (a, b))
         partner = next((y for y in partners if y != x), None)
         if partner is not None:
             pairs.add(Pair.of(x, partner))
@@ -299,7 +283,9 @@ def _bounded_search_dimension(
     is a lower bound: the largest verified hollow set found within bounds.
 
     Each trial carries its version space as a member bitmask, the parent's
-    ANDed with the new edge's `crossing_mask`, and asks :func:`closure_of`.
+    ANDed with the new edge's `crossing_mask`, and asks :func:`closure_of`; a
+    level keeps (candidate index, version space, edge) per trial, and builds a
+    trial's edge set again only to explore it or record it as the best.
     The candidate edges, the pairs below the horizon in `combinations` order
     less the bottom ones, are drawn as the search first reaches them, so the
     budget, not the horizon, bounds how many are built.
@@ -347,21 +333,21 @@ def _bounded_search_dimension(
                 continue
             closure = result.value
             if _within_vertices(closure, trial):
-                hollow_ext.append((idx, trial_space, trial))
+                hollow_ext.append((idx, trial_space, pair))
             elif closure.is_finite():
-                finite_ext.append((idx, trial_space, trial))
+                finite_ext.append((idx, trial_space, pair))
             else:
-                other_ext.append((idx, trial_space, trial))
-        for idx, trial_space, trial in hollow_ext:
-            if len(trial) > best[0] or best[1] is None:
-                best = (len(trial), trial)
+                other_ext.append((idx, trial_space, pair))
+        for idx, trial_space, pair in hollow_ext:
+            if len(edges) + 1 > best[0] or best[1] is None:
+                best = (len(edges) + 1, EdgeSet.of(edges | {pair}))
             if best[0] >= max_size:
                 return
-            explore(trial_space, set(trial.edges), idx + 1)
+            explore(trial_space, edges | {pair}, idx + 1)
             if best[0] >= max_size:
                 return
-        for idx, trial_space, trial in finite_ext + other_ext:
-            explore(trial_space, set(trial.edges), idx + 1)
+        for idx, trial_space, pair in finite_ext + other_ext:
+            explore(trial_space, edges | {pair}, idx + 1)
             if best[0] >= max_size or exhausted:
                 return
 

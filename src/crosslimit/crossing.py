@@ -24,20 +24,18 @@ so a cell is *paired* when its complementary pattern is realized and
   incomparable and disjoint (A unrealized), or they are incomparable,
   intersecting and jointly miss part of X (non-covering).
 
-The cells come from one builder, :func:`~crosslimit.classes.cell_parts`,
-which refines the members' residue masks lifted to their lcm and places the
-exception points, with no pairwise set operation; a class's own table of
-them (`HypothesisClass.table`) answers the verdicts' pairwise questions.
+One type, :class:`~crosslimit.classes.PatternCells` (re-exported here), holds the
+cells of a pair, a family or a class: a class's own table of them
+(`HypothesisClass.table`) answers the verdicts' pairwise questions and the meets.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from typing import Callable, Container
 
-from .classes import Hypothesis, cell_parts
-from .space import Record, SymbolicSet, _canonical
+from .classes import Hypothesis, PatternCells
+from .space import Record
 from .streams import Pair, Stream, crosses, paired_stream
 
 #: regimes in which the second hypothesis is NOT eliminable from the first
@@ -73,73 +71,6 @@ def common_crossing_edges(h: Hypothesis, g: Hypothesis, vertices) -> set[Pair]:
 # ----------------------------------------------------------------------
 # membership-pattern cells
 # ----------------------------------------------------------------------
-
-class PatternCells(Record):
-    """The partition of X by joint membership pattern across a family.
-
-    A pattern is a member bitmask (bit i set iff member i is positive), as in
-    :meth:`~crosslimit.classes.HypothesisClass.meet`.  cells maps each
-    realized pattern to the nonempty symbolic set of examples realizing it;
-    the cells partition X, and an unrealized pattern has no entry.
-    `supports`, outside equality, are the members' supports that
-    `pattern_of` reads.
-    """
-
-    _compared = ("hypothesis_ids", "cells")
-
-    def __init__(self, hypothesis_ids: tuple[str, ...], cells: dict[int, SymbolicSet],
-                 supports: tuple[SymbolicSet, ...] = ()):
-        self.__dict__.update(hypothesis_ids=hypothesis_ids, cells=cells, supports=supports)
-
-    @staticmethod
-    def of(family) -> "PatternCells":
-        """The realized cells in product order (bit 0 most significant), with no
-        size check, by :func:`~crosslimit.classes.cell_parts`, each canonical."""
-        supports = tuple(h.support for h in family)
-        cells = cell_parts(supports, _canonical)
-        order = sorted(cells, key=lambda alpha: [alpha >> i & 1 for i in range(len(family))])
-        return PatternCells(tuple(h.id for h in family),
-                            {alpha: cells[alpha] for alpha in order}, supports)
-
-    def realized(self) -> list[int]:
-        return list(self.cells)
-
-    def cell(self, alpha: int) -> SymbolicSet:
-        """The cell of a pattern; the empty set when it is not realized."""
-        return self.cells.get(alpha, SymbolicSet.empty())
-
-    def paired(self, alpha: int) -> bool:
-        """Whether the pattern complementary to `alpha` is realized."""
-        return self._full ^ alpha in self.cells
-
-    def gamma(self) -> SymbolicSet:
-        """The common-crossing vertex set: the union of the paired cells."""
-        out = SymbolicSet.empty()
-        for alpha, cell in self.cells.items():
-            if self.paired(alpha):
-                out = out.union(cell)
-        return out
-
-    @cached_property
-    def _full(self) -> int:  # the all-members pattern
-        return (1 << len(self.hypothesis_ids)) - 1
-
-    @cached_property
-    def _partners(self) -> dict[int, int]:  # each paired pattern's partner minimum
-        return {alpha: self.cells[self._full ^ alpha].min_element()
-                for alpha in self.cells if self.paired(alpha)}
-
-    def partner(self, x: int) -> int:
-        """The least element of the cell complementary to x's cell."""
-        return self._partners[self.pattern_of(x)]
-
-    def pattern_of(self, x: int) -> int:
-        return sum(s.contains(x) << i for i, s in enumerate(self.supports))
-
-    def bits(self, alpha: int) -> tuple[int, ...]:
-        """The pattern as a 0/1 tuple in member order, for reports."""
-        return tuple(alpha >> i & 1 for i in range(len(self.hypothesis_ids)))
-
 
 def pattern_cells(family: list[Hypothesis]) -> PatternCells:
     if not 2 <= len(family) <= PATTERN_BOUND:
@@ -178,9 +109,11 @@ class EliminabilityVerdict(Record):
         self.__dict__.update(eliminable=eliminable, regime=regime, witness=witness)
 
 
-def eliminability(cells: PatternCells) -> EliminabilityVerdict:
-    """The eliminability rule (:func:`region_rule`) on a proper pair's cells."""
-    return region_rule(cells.cells, lambda alpha: cells.cells[alpha].min_element())
+def eliminability(cells: PatternCells, i: int = 0, j: int = 1) -> EliminabilityVerdict:
+    """The eliminability rule (:func:`region_rule`) on the regions of members i
+    (h) and j (g) of `cells`, a proper pair with distinct supports."""
+    regions = cells.regions(i, j)
+    return region_rule(regions, lambda alpha: cells.least_of(regions[alpha]))
 
 
 def region_rule(realized: Container[int], least: Callable[[int], int]) -> EliminabilityVerdict:
@@ -216,7 +149,7 @@ def overlapping_cover(h: Hypothesis, g: Hypothesis) -> bool:
 
     Undefined (raises) when one support contains the other.
     """
-    cells = pair_cells(h, g).cells
+    cells = pair_cells(h, g).parts
     if B not in cells or C not in cells:
         raise ValueError(
             f"overlapping cover is defined for incomparable supports; "
@@ -257,12 +190,9 @@ def shared_presentation_family(family: list[Hypothesis]) -> Stream | None:
         if not h.is_proper_nontrivial():
             raise ValueError(f"{h.id} is not proper nontrivial")
     cells = pattern_cells(list(family))
-    if any(alpha and not cells.paired(alpha) for alpha in cells.cells):
+    if any(alpha and not cells.paired(alpha) for alpha in cells.parts):
         return None
 
-    union = SymbolicSet.empty()
-    for h in family:
-        union = union.union(h.support)
-
+    union = cells.union(bool)  # of the supports: every cell some member holds
     ids = ",".join(h.id for h in family)
     return paired_stream(union, cells.partner, f"shared-family({ids})", tuple(family))

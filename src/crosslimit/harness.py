@@ -50,9 +50,9 @@ from .crossing import (
     B,
     C,
     common_crossing_edges,
+    eliminability,
     pair_cells,
     pattern_cells,
-    region_rule,
     shared_presentation_family,
 )
 from .learners import AbsenceCountIdentifier, compute_telltales, telltales_sound
@@ -167,15 +167,15 @@ def _ctr_id_verdict(cls: HypothesisClass, txt_id: Verdict) -> Verdict:
 
 
 def _first_barrier_pair(cls: HypothesisClass) -> tuple[str, str, str] | None:
+    """The first incomparable, non-eliminable pair in member order, by column tests:
+    such a pair is eliminable iff a cell holds both members and none misses both."""
     table = cls.table
-    for i, j in itertools.combinations(range(len(cls.members)), 2):
-        regions = table.regions(i, j)
-        if B not in regions or C not in regions:
-            continue  # comparable supports
-        # incomparable supports are distinct, nonempty and not all of X
-        verdict = region_rule(regions, lambda alpha: table.least_of(regions[alpha]))
-        if not verdict.eliminable:
-            return (cls.members[i].id, cls.members[j].id, verdict.regime)
+    columns, everywhere = table.columns, table.everywhere
+    for i, a in enumerate(columns):
+        for j, b in enumerate(columns[i + 1:], i + 1):
+            both = a & b
+            if both != a and both != b and not (both and a | b == everywhere):
+                return (cls.members[i].id, cls.members[j].id, eliminability(table, i, j).regime)
     return None
 
 
@@ -227,14 +227,14 @@ def _ctr_gen_positive(cls: HypothesisClass, ctr_id: Verdict, bounds: Bounds) -> 
 
 
 def _finite_intersection_obstruction(cls: HypothesisClass, bounds: Bounds) -> Verdict | None:
-    members, table = cls.members, cls.table
-    if table.meet((1 << len(members)) - 1) is None:
+    members = cls.members
+    if not cls.global_support_intersection().is_finite():
         return None  # every family's meet contains this infinite one, so none is finite
     for size in range(2, min(bounds.family_bound, len(members)) + 1):
         for combo in itertools.combinations(range(len(members)), size):
             family = [members[i] for i in combo]
-            intersection = table.meet(sum(1 << i for i in combo))
-            stream = None if intersection is None else shared_presentation_family(family)
+            intersection = cls.meet(sum(1 << i for i in combo))
+            stream = shared_presentation_family(family) if intersection.is_finite() else None
             if stream is not None:
                 return Verdict(NO, mechanism="finite-intersection-obstruction", witness={
                     "family": [h.id for h in family],

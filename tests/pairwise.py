@@ -3,7 +3,8 @@
 Every answer here is built from `SymbolicSet` operations on the members'
 supports, one pair or one family at a time: the pairwise differences (the
 inclusion table), a pair's regions from them and the pair's meet, pattern
-cells by refinement member by member, and the verdict rules that read them.
+cells by refinement member by member (a plain dict from pattern to cell),
+and the verdict rules that read them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from crosslimit.classes import HypothesisClass
-from crosslimit.crossing import A, B, C, D, PatternCells, eliminability
+from crosslimit.crossing import A, B, C, D, EliminabilityVerdict, region_rule
 from crosslimit.space import SymbolicSet, intersection_of
 
 
@@ -25,17 +26,16 @@ def strictly_below(cls: HypothesisClass, i: int, j: int) -> bool:
     return difference(cls, i, j).is_empty() and not difference(cls, j, i).is_empty()
 
 
-def class_pair_cells(cls: HypothesisClass, i: int, j: int) -> PatternCells:
+def class_pair_cells(cls: HypothesisClass, i: int, j: int) -> dict[int, SymbolicSet]:
     """The regions of members i and j, from their differences and meet."""
     union = cls.members[i].support.union(cls.members[j].support)
     meet = cls.members[i].support.intersect(cls.members[j].support)
     parts = ((D, union.complement()), (C, difference(cls, j, i)),
              (B, difference(cls, i, j)), (A, meet))  # product order
-    return PatternCells((cls.members[i].id, cls.members[j].id),
-                        {alpha: part for alpha, part in parts if not part.is_empty()})
+    return {alpha: part for alpha, part in parts if not part.is_empty()}
 
 
-def refined_cells(family) -> PatternCells:
+def refined_cells(family) -> dict[int, SymbolicSet]:
     """The realized cells in product order, by refinement from the first
     member's split: each cell of the first i members splits by member i into
     `cell - h` (bit i clear) and `cell & h` (bit i set)."""
@@ -46,7 +46,27 @@ def refined_cells(family) -> PatternCells:
         parts = ((alpha | bit << i, cell & h.support if bit else cell - h.support)
                  for alpha, cell in cells.items() for bit in (0, 1))
         cells = {alpha: part for alpha, part in parts if not part.is_empty()}
-    return PatternCells(tuple(h.id for h in family), cells)
+    return cells
+
+
+def gamma(cells: dict[int, SymbolicSet], full: int) -> SymbolicSet:
+    """The union of the cells whose complementary pattern (`full` ^ it) is realized."""
+    out = SymbolicSet.empty()
+    for alpha, cell in cells.items():
+        if full ^ alpha in cells:
+            out = out.union(cell)
+    return out
+
+
+def partner(cells: dict[int, SymbolicSet], full: int, x: int) -> int:
+    """The least element of the cell complementary to x's; a KeyError when it is unrealized."""
+    alpha = next(alpha for alpha, cell in cells.items() if cell.contains(x))
+    return cells[full ^ alpha].min_element()
+
+
+def eliminability(cells: dict[int, SymbolicSet]) -> EliminabilityVerdict:
+    """The region rule on a pair's cells, each least element by `min_element`."""
+    return region_rule(cells, lambda alpha: cells[alpha].min_element())
 
 
 def telltales(cls: HypothesisClass) -> dict[str, frozenset[int]]:
@@ -71,3 +91,13 @@ def first_barrier_pair(cls: HypothesisClass) -> tuple[str, str, str] | None:
 def meet(cls: HypothesisClass, space: int) -> SymbolicSet:
     """The intersection of the supports of the members in `space`, a member bitmask."""
     return intersection_of(h.support for i, h in enumerate(cls.members) if space >> i & 1)
+
+
+def meets(cls: HypothesisClass) -> list[SymbolicSet]:
+    """`meet` of every member bitmask, indexed by it: each the meet without its
+    highest member intersected with that member's support."""
+    out = [SymbolicSet.universe()]
+    for space in range(1, 1 << len(cls.members)):
+        top = space.bit_length() - 1
+        out.append(out[space ^ 1 << top].intersect(cls.members[top].support))
+    return out

@@ -1,4 +1,4 @@
-"""The class cell table against the pairwise rules it replaced, its cost and its cap.
+"""The class cell table against the pairwise rules it replaced, its cost and its limits.
 
 `tests/pairwise.py` keeps the pairwise rules as the reference: differences,
 a pair's regions from them, and pattern cells refined member by member.
@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 import pairwise
 from conftest import random_proper_support, small_sets
-from crosslimit import classes
-from crosslimit.classes import Hypothesis, HypothesisClass, augmented_class, load_class
+from crosslimit import classes, crossing, harness
+from crosslimit.classes import (CoSingletonClass, Hypothesis, HypothesisClass, augmented_class,
+                                load_class)
 from crosslimit.cli import main
-from crosslimit.crossing import B, PatternCells, eliminability, region_rule
+from crosslimit.crossing import B, PatternCells, eliminability, pair_cells
 from crosslimit.harness import _first_barrier_pair, classify
 from crosslimit.learners import compute_telltales
 from crosslimit.space import SymbolicSet
@@ -48,25 +49,42 @@ def test_cell_table_answers_equal_the_pairwise_reference(cls):
         assert (i in table.strictly_below[j]) == pairwise.strictly_below(cls, i, j)
         if B in regions and (B ^ 0b11) in regions:  # incomparable
             cells = pairwise.class_pair_cells(cls, i, j)
-            assert list(regions) == list(cells.cells)
-            assert region_rule(regions, lambda alpha: table.least_of(regions[alpha])) == (
-                eliminability(cells))
+            assert list(regions) == list(cells)
+            assert eliminability(table, i, j) == pairwise.eliminability(cells)
     assert compute_telltales(cls).entries == pairwise.telltales(cls)
     assert _first_barrier_pair(cls) == pairwise.first_barrier_pair(cls)
 
-    spaces = [sum(1 << i for i in c) for r in range(4) for c in itertools.combinations(range(n), r)]
-    for space in spaces + [(1 << n) - 1]:
-        meet = pairwise.meet(cls, space)
-        assert table.meet(space) == (meet if meet.is_finite() else None)
+    # every meet, finite or infinite, from the lifted masks alone
+    for space, meet in enumerate(pairwise.meets(cls)):
+        assert cls.meet(space) == meet
+
+    for i, j in itertools.permutations(range(n), 2):  # each pair's own table
+        h, g = cls.members[i], cls.members[j]
+        if h.support == g.support or not (h.is_proper_nontrivial() and g.is_proper_nontrivial()):
+            with pytest.raises(ValueError):
+                pair_cells(h, g)
+            continue
+        cells, reference = pair_cells(h, g), pairwise.class_pair_cells(cls, i, j)
+        assert cells.cells == reference and list(cells.cells) == list(reference)
+        assert cells.gamma() == pairwise.gamma(reference, 0b11)
+        assert eliminability(cells) == pairwise.eliminability(reference)
+        for x in range(64):
+            try:
+                expected = pairwise.partner(reference, 0b11, x)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    cells.partner(x)
+            else:
+                assert cells.partner(x) == expected
 
     for size in range(2, min(n, 6) + 1):
         family = cls.members[:size]
         cells, reference = PatternCells.of(family), pairwise.refined_cells(family)
-        assert cells == reference and list(cells.cells) == list(reference.cells)
-        assert cells.gamma() == reference.gamma()
+        assert cells.cells == reference and list(cells.cells) == list(reference)
+        assert cells.gamma() == pairwise.gamma(reference, (1 << size) - 1)
         for x in range(24):
             assert cells.pattern_of(x) == next(
-                alpha for alpha, cell in reference.cells.items() if cell.contains(x))
+                alpha for alpha, cell in reference.items() if cell.contains(x))
 
 
 def _setops(make, monkeypatch) -> int:
@@ -104,10 +122,13 @@ def test_a_class_past_the_table_cap_fails_fast(tmp_path, capsys):
     cls = load_class(str(path))
     started = time.perf_counter()
     with pytest.raises(ValueError, match=r"class of 11 members with lcm 1047552 passes TABLE_CAP"):
-        cls.table
+        cls.table.parts
     assert time.perf_counter() - started < 1.0
     assert main(["classify", "--class", str(path)]) == 2
     assert f"TABLE_CAP = {classes.TABLE_CAP}" in capsys.readouterr().err
+    # meets read no refinement, so the cap does not bound them
+    full = (1 << len(cls.members)) - 1
+    assert cls.meet(full) == pairwise.meet(cls, full)
     # 15 members split the residues mod 2^15 by bit; the 985 finite ones after
     # them split no residue, so the nodes per level, not the cells, pass the cap
     bits = [SymbolicSet.residue_class(1 << 15, {r for r in range(1 << 15) if r >> b & 1})
@@ -116,17 +137,44 @@ def test_a_class_past_the_table_cap_fails_fast(tmp_path, capsys):
     many = HypothesisClass(tuple(Hypothesis(f"h{i}", s) for i, s in enumerate(supports)))
     started = time.perf_counter()
     with pytest.raises(ValueError, match=r"class of 1000 members with lcm 32768 passes TABLE_CAP"):
-        many.table
+        many.table.parts
     assert time.perf_counter() - started < 1.0
 
 
-def test_a_class_whose_lcm_passes_max_modulus_exits_2(tmp_path, capsys):
-    # every pair lifts to at most 1021 * 1019, which the pairwise rules
-    # classified; the table lifts all seven members to 6 * 1021 * 1019
+def _wide_class(path) -> None:
+    """Seven members whose pairs each lift to at most 1021 * 1019, which the
+    pairwise rules handled, while the whole class's lcm is 6 * 1021 * 1019."""
     supports = ["mod 3 { 0 }", "mod 1 { 0 } - { 0 }", "mod 2 { 1 }", "mod 2 { 0 }",
                 "mod 1021 { 1 }", "mod 1019 { 2 }", "mod 1 { 0 }"]
-    path = tmp_path / "wide.json"
     path.write_text(json.dumps({"hypotheses": [{"id": f"h{i}", "support": s}
                                                for i, s in enumerate(supports)]}))
+
+
+def test_a_class_whose_lcm_passes_max_modulus_exits_2(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    _wide_class(path)
     assert main(["classify", "--class", str(path)]) == 2
     assert "lcm of the moduli is 6242394, above MAX_MODULUS" in capsys.readouterr().err
+
+
+def test_meets_share_the_whole_class_lcm_limit(tmp_path, capsys):
+    # a meet checks the whole class's lcm, so even a one-member meet is refused
+    path = tmp_path / "wide.json"
+    _wide_class(path)
+    cls = load_class(str(path))
+    with pytest.raises(ValueError, match="lcm of the moduli is 6242394, above MAX_MODULUS"):
+        cls.meet(0b1)
+    argv = ["generate", "--class", str(path), "--learner", "safe-core-gen", "--target", "h0"]
+    assert main(argv) == 2
+    assert "lcm of the moduli is 6242394" in capsys.readouterr().err
+
+
+def test_region_rule_runs_once_per_classify(monkeypatch):
+    # every co-singleton pair is eliminable, which the column tests settle alone
+    calls = []
+    real = crossing.region_rule
+    for module in (crossing, harness):  # a caller may hold its own reference to the rule
+        monkeypatch.setattr(module, "region_rule",
+                            lambda *args: calls.append(args) or real(*args), raising=False)
+    verdict = classify(CoSingletonClass().explicit_slice(256))
+    assert verdict.ctr_id.mechanism != "barrier-pair" and len(calls) <= 1

@@ -39,7 +39,6 @@ from crosslimit.closure import (
     is_hollow,
     positive_closure,
     safe_set,
-    support_intersection,
 )
 from crosslimit.learners import (
     ClosureGenerator,
@@ -48,7 +47,7 @@ from crosslimit.learners import (
     compute_telltales,
     run,
 )
-from crosslimit.space import SymbolicSet
+from crosslimit.space import SymbolicSet, intersection_of
 from crosslimit.streams import Pair, canonical_contrastive, crosses, sampled_contrastive
 
 EVENS = SymbolicSet.residue_class(2, {0})
@@ -135,6 +134,14 @@ def explicit_classes(draw) -> HypothesisClass:
 
 PAIRS = st.tuples(st.integers(0, VERTICES - 1), st.integers(0, VERTICES - 1)).filter(
     lambda p: p[0] != p[1]).map(lambda p: Pair.of(*p))
+
+
+def support_intersection(members) -> ClosureResult:
+    """The intersection of the members' supports, one by one; bottom when there are none."""
+    members = list(members)
+    if not members:
+        return ClosureResult.bottom()
+    return ClosureResult(intersection_of(h.support for h in members))
 
 
 def reference_closure(cls: HypothesisClass, edges) -> ClosureResult:
@@ -433,14 +440,14 @@ def test_dimension_cell_analysis_cross_validates_with_search():
 def test_bounded_search_evaluates_each_version_space_once(monkeypatch):
     cls = pinned_core_class(7, (0, 3), (1,))
     evaluated = []
-    real = classes_module.intersection_of
+    real = classes_module.PatternCells.meet
 
-    def counting(sets):
-        evaluated.append(sets)
-        return real(sets)
+    def counting(table, space):
+        evaluated.append(space)
+        return real(table, space)
 
     # the meet memo's miss path: one call per version space not yet memoised
-    monkeypatch.setattr(classes_module, "intersection_of", counting)
+    monkeypatch.setattr(classes_module.PatternCells, "meet", counting)
     report = _bounded_search_dimension(cls, max_size=4, vertex_horizon=10, budget=3000)
     assert "search budget 3000 exhausted" in report.notes  # 3000 trials were evaluated
     assert 0 < len(evaluated) == len(cls._meets) <= 2 ** len(cls.members)

@@ -486,10 +486,10 @@ def test_refined_pattern_cells_equal_the_product_definition(cls):
         for bits in itertools.product((0, 1), repeat=len(family))
     }
     expected = {alpha: cell for alpha, cell in product.items() if not cell.is_empty()}
-    for cells in (PatternCells.of(family), refined_cells(family)):
-        assert list(cells.cells) == list(expected)
-        assert cells.cells == expected
-        assert cells.hypothesis_ids == tuple(h.id for h in family)
+    for cells in (PatternCells.of(family).cells, refined_cells(family)):
+        assert list(cells) == list(expected)
+        assert cells == expected
+    assert PatternCells.of(family).hypothesis_ids == tuple(h.id for h in family)
 
 
 @settings(max_examples=200, deadline=None)
@@ -513,13 +513,13 @@ def test_class_regions_equal_four_regions(cls):
     for i, j in itertools.combinations(range(len(cls.members)), 2):
         h, g = cls.members[i], cls.members[j]
         cells = class_pair_cells(cls, i, j)
-        assert cells == PatternCells.of((h, g))
-        assert list(cells.cells) == list(PatternCells.of((h, g)).cells)
-        assert cells.cells == reference_cells(four_regions(h, g))
+        assert cells == PatternCells.of((h, g)).cells
+        assert list(cells) == list(PatternCells.of((h, g)).cells)
+        assert cells == reference_cells(four_regions(h, g))
         regions = cls.table.regions(i, j)  # the class cells in each region, in the same order
-        assert list(regions) == list(cells.cells)
+        assert list(regions) == list(cells)
         assert [cls.table.least_of(r) for r in regions.values()] == [
-            cell.min_element() for cell in cells.cells.values()]
+            cell.min_element() for cell in cells.values()]
 
 
 proper_supports = supports().filter(lambda s: not s.is_empty() and not s.complement().is_empty())

@@ -104,8 +104,9 @@ def test_one_closure_per_distinct_version_space(make, monkeypatch):
     # a fresh class, so that no meet memoised by another test hides a call
     cls = pinned_core_class(4, (1, 6), (3,))
     calls = []
-    real = classes.intersection_of
-    monkeypatch.setattr(classes, "intersection_of", lambda sets: calls.append(sets) or real(sets))
+    real = classes.PatternCells.meet  # the meet memo's miss path
+    monkeypatch.setattr(classes.PatternCells, "meet",
+                        lambda table, space: calls.append(space) or real(table, space))
     target = cls.members[1]
     script = list(sampled_contrastive(target, seed=4, horizon=30).prefix(12).items)
     stream = scripted_contrastive(target, script, tail="repeat")

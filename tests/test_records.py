@@ -42,6 +42,7 @@ from crosslimit.streams import Pair, Prefix, Stream, ValidityReport
 EVENS = SymbolicSet.build(2, {0})
 S_REPR = "SymbolicSet(modulus=2, mask=1, plus=frozenset({1}), minus=frozenset({4}))"
 EVENS_REPR = "SymbolicSet(modulus=2, mask=1, plus=frozenset(), minus=frozenset())"
+ODDS_REPR = "SymbolicSet(modulus=2, mask=2, plus=frozenset(), minus=frozenset())"
 H = Hypothesis("h", EVENS)
 H_REPR = f"Hypothesis(id='h', support={EVENS_REPR})"
 
@@ -91,8 +92,9 @@ CASES = {
                        ("xor_violations", "coverage_deficit", "horizon"), (), True,
                        f"ValidityReport(xor_violations=(2,), coverage_deficit={EVENS_REPR}, "
                        f"horizon=6)"),
-    "PatternCells": (lambda: PatternCells(("h", "g"), {1: EVENS}), ("hypothesis_ids", "cells"),
-                     (), True, f"PatternCells(hypothesis_ids=('h', 'g'), cells={{1: {EVENS_REPR}}})"),
+    "PatternCells": (lambda: PatternCells.of((H,)), ("hypothesis_ids", "cells"), (), True,
+                     f"PatternCells(hypothesis_ids=('h',), cells={{0: {ODDS_REPR}, "
+                     f"1: {EVENS_REPR}}})"),
     "EliminabilityVerdict": (lambda: EliminabilityVerdict(True, "eliminable", 4),
                              ("eliminable", "regime", "witness"), (), True,
                              "EliminabilityVerdict(eliminable=True, regime='eliminable', "
