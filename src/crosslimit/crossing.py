@@ -175,8 +175,7 @@ def shared_presentation_pair(h: Hypothesis, g: Hypothesis) -> Stream | None:
         raise ValueError(f"{h.id} and {g.id} have identical supports")
     if stream is None:
         return None
-    return Stream(stream.kind, f"shared-pair({h.id},{g.id})", stream.item_fn, stream.walk,
-                  stream.targets)
+    return Stream(stream.kind, f"shared-pair({h.id},{g.id})", stream.walk, stream.targets)
 
 
 def shared_presentation_family(family: list[Hypothesis]) -> Stream | None:

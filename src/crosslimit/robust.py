@@ -17,7 +17,7 @@ identifier on that one stream.
 from __future__ import annotations
 
 from .classes import Hypothesis, HypothesisClass, block_elements
-from .crossing import PatternCells, eliminable, pair_cells
+from .crossing import PatternCells, eliminable, pair_cells, shared_presentation_family
 from .learners import IDENTIFIER, Learner, RunRecord, run
 from .space import Cardinality, Record, SymbolicSet
 from .streams import CONTRASTIVE, TEXT, Pair, Stream, crosses, paired_stream, validate
@@ -207,8 +207,6 @@ def confusion_demo(
     Requires the family to admit one (raises otherwise).  The fixed output
     sequence cannot name more than one member, so at least all others fail.
     """
-    from .crossing import shared_presentation_family
-
     if learner.role != IDENTIFIER or learner.kind != CONTRASTIVE:
         raise ValueError("confusion demos take contrastive identifiers")
     stream = shared_presentation_family(family)

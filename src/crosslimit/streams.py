@@ -7,24 +7,23 @@ Three presentation kinds feed the learners:
 * contrastive: unordered pairs whose endpoints disagree under the target
   (each pair crosses the support/complement cut), covering every positive.
 
-Streams are immutable descriptions; `item(t)` is a pure function of the
-1-based index, so adversarial experiments replay bit-for-bit.  Each stream
-also has a walk, which `items()` and `prefix()` play: it yields the same
-items in order at O(1) amortised each, cycling a finite support's sorted
-elements and stepping through an infinite one with `SymbolicSet.members()`
-instead of locating each item from its index.  The even items of a sampled
-stream are still drawn from a generator seeded by their index.  Corruption
-is replacement at scripted indices: the displaced honest item is re-emitted
-at the next free index, which keeps coverage intact while adding exactly
-the scripted bad items; its walk interleaves the injections with the inner
-stream's walk.
+A stream is an immutable description whose items are its walk: learners see
+a presentation only as a prefix, one observation per round, and `items()`
+and `prefix()` play the walk from its start at O(1) amortised per item.  A
+walk cycles a finite support's sorted elements and steps through an
+infinite one with `SymbolicSet.members()`.  `item(t)` plays the walk up to
+the 1-based index t, so it costs O(t).  Every walk is a pure function of the
+stream's description, so adversarial experiments replay bit-for-bit: each
+even item of a sampled stream is drawn from a generator seeded by the
+stream's seed and the item's index.  Corruption is replacement at scripted
+indices: the displaced honest item is re-emitted at the next free index,
+which keeps coverage intact while adding exactly the scripted bad items.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_right
 from collections import namedtuple
 from typing import Callable, Iterator
 
@@ -103,21 +102,21 @@ class Prefix(Record):
 
 
 class Stream(Record):
-    """An immutable presentation: kind, provenance, a pure index rule, and a
-    walk that yields the same items in order, O(1) amortised each."""
+    """An immutable presentation: kind, provenance, and a walk that yields its
+    items in order, O(1) amortised each.  The stream is its walk: item t is
+    the walk's t-th item, found in O(t)."""
 
-    _compared = ("kind", "provenance", "item_fn", "walk", "targets")
+    _compared = ("kind", "provenance", "walk", "targets")
     _shown = ("kind", "provenance", "targets")
 
-    def __init__(self, kind: str, provenance: str, item_fn: Callable[[int], object],
-                 walk: Callable[[], Iterator], targets: tuple[Hypothesis, ...] = ()):
-        self.__dict__.update(kind=kind, provenance=provenance, item_fn=item_fn, walk=walk,
-                             targets=targets)
+    def __init__(self, kind: str, provenance: str, walk: Callable[[], Iterator],
+                 targets: tuple[Hypothesis, ...] = ()):
+        self.__dict__.update(kind=kind, provenance=provenance, walk=walk, targets=targets)
 
     def item(self, t: int):
         if t < 1:
             raise ValueError("stream indices are 1-based")
-        return self.item_fn(t)
+        return next(itertools.islice(self.walk(), t - 1, None))
 
     def items(self) -> Iterator:
         yield from self.walk()
@@ -130,15 +129,14 @@ class Stream(Record):
 # canonical streams
 # ----------------------------------------------------------------------
 
-def _support_enumerator(support: SymbolicSet) -> tuple[Callable, Callable]:
-    """0-based ascending enumeration of a support, wrapping when finite, as an
-    index rule and as a walk."""
+def _support_walk(support: SymbolicSet) -> Callable[[], Iterator[int]]:
+    """Ascending enumeration of a support, wrapping when finite."""
     if support.is_finite():
         elems = support.sorted_parts[1]
         if not elems:
             raise ValueError("cannot enumerate an empty support")
-        return (lambda i: elems[i % len(elems)]), (lambda: itertools.cycle(elems))
-    return support.nth_member, support.members
+        return lambda: itertools.cycle(elems)
+    return support.members
 
 
 def canonical_contrastive(h: Hypothesis) -> Stream:
@@ -161,28 +159,21 @@ def paired_stream(elements: SymbolicSet, partner_of: Callable[[int], int], prove
     The elements are enumerated ascending when infinite and cycled when
     finite, so every element is covered.
     """
-    enum, members = _support_enumerator(elements)
-
-    def item(t: int) -> Pair:
-        if t <= len(head):
-            return head[t - 1]
-        x = enum(t - len(head) - 1)
-        return Pair.of(x, partner_of(x))
+    members = _support_walk(elements)
 
     def walk() -> Iterator[Pair]:
         yield from head
         for x in members():
             yield Pair.of(x, partner_of(x))
 
-    return Stream(CONTRASTIVE, provenance, item, walk, targets)
+    return Stream(CONTRASTIVE, provenance, walk, targets)
 
 
 def canonical_text(h: Hypothesis) -> Stream:
     """Enumerate the support in ascending order, wrapping when finite."""
     if h.support.is_empty():
         raise ValueError(f"{h.id} has empty support, no text exists")
-    enum, members = _support_enumerator(h.support)
-    return Stream(TEXT, f"canonical-text({h.id})", lambda t: enum(t - 1), members, targets=(h,))
+    return Stream(TEXT, f"canonical-text({h.id})", _support_walk(h.support), targets=(h,))
 
 
 def canonical_informant(h: Hypothesis) -> Stream:
@@ -190,7 +181,6 @@ def canonical_informant(h: Hypothesis) -> Stream:
     return Stream(
         INFORMANT,
         f"canonical-informant({h.id})",
-        lambda t: (t - 1, 1 if h.contains(t - 1) else 0),
         lambda: ((x, 1 if h.contains(x) else 0) for x in itertools.count()),
         targets=(h,),
     )
@@ -205,21 +195,13 @@ def scripted(kind: str, items: list, tail: Stream | None = None, provenance: str
     if not items and tail is None:
         raise ValueError("scripted stream needs items or a tail")
     fixed = tuple(items)
-    n = len(fixed)
     if tail is not None and tail.kind != kind:
         raise ValueError(f"tail kind {tail.kind!r} does not match {kind!r}")
-
-    def item(t: int):
-        if t <= n:
-            return fixed[t - 1]
-        if tail is None:
-            return fixed[(t - 1) % n]
-        return tail.item(t - n)
 
     def walk() -> Iterator:
         return itertools.cycle(fixed) if tail is None else itertools.chain(fixed, tail.walk())
 
-    return Stream(kind, provenance, item, walk, targets=targets)
+    return Stream(kind, provenance, walk, targets=targets)
 
 
 def scripted_contrastive(h: Hypothesis, pairs: list[Pair], tail: str = "canonical") -> Stream:
@@ -239,56 +221,45 @@ def scripted_contrastive(h: Hypothesis, pairs: list[Pair], tail: str = "canonica
 
 
 def sampled_contrastive(h: Hypothesis, seed: int, horizon: int = 64) -> Stream:
-    """A pseudorandom valid contrastive stream for h, index-addressable.
+    """A pseudorandom valid contrastive stream for h.
 
-    Odd indices walk the canonical coverage schedule; even indices emit a
-    random crossing pair drawn below `horizon` from a per-index generator, so
-    item(t) is reproducible without materializing the prefix.
+    Odd items walk the canonical coverage schedule.  Each even item t is a
+    random crossing pair drawn below `horizon` from a generator seeded by
+    `seed` and t, so the stream replays bit-for-bit.  An empty side is not
+    drawn from: it gives the least positive or z* without using the
+    generator.
     """
     if not h.is_proper_nontrivial():
         raise ValueError(f"{h.id} is not proper nontrivial")
-    enum, members = _support_enumerator(h.support)
-    zstar = h.support.complement().min_element()
+    members = _support_walk(h.support)
+    least, zstar = h.support.min_element(), h.support.complement().min_element()
     positives = h.support.enumerate_below(horizon)
     negatives = h.support.complement().enumerate_below(horizon)
-
-    def item(t: int) -> Pair:
-        if t % 2 == 1:
-            return Pair.of(enum((t - 1) // 2), zstar)
-        rng = random.Random(f"{seed}:{t}")
-        x = rng.choice(positives) if positives else enum(0)
-        z = rng.choice(negatives) if negatives else zstar
-        return Pair.of(x, z)
 
     def walk() -> Iterator[Pair]:
         for t, x in zip(itertools.count(2, 2), members()):
             yield Pair.of(x, zstar)
-            yield item(t)
+            rng = random.Random(f"{seed}:{t}")
+            drawn = rng.choice(positives) if positives else least
+            yield Pair.of(drawn, rng.choice(negatives) if negatives else zstar)
 
-    return Stream(
-        CONTRASTIVE, f"sampled-contrastive({h.id},seed={seed})", item, walk, targets=(h,)
-    )
+    return Stream(CONTRASTIVE, f"sampled-contrastive({h.id},seed={seed})", walk, targets=(h,))
 
 
 def sampled_text(h: Hypothesis, seed: int, horizon: int = 64) -> Stream:
     """A pseudorandom text for h: coverage walk interleaved with repeats."""
     if h.support.is_empty():
         raise ValueError(f"{h.id} has empty support, no text exists")
-    enum, members = _support_enumerator(h.support)
+    members = _support_walk(h.support)
+    least = h.support.min_element()
     positives = h.support.enumerate_below(horizon)
-
-    def item(t: int) -> int:
-        if t % 2 == 1:
-            return enum((t - 1) // 2)
-        rng = random.Random(f"{seed}:{t}")
-        return rng.choice(positives) if positives else enum(0)
 
     def walk() -> Iterator[int]:
         for t, x in zip(itertools.count(2, 2), members()):
             yield x
-            yield item(t)
+            yield random.Random(f"{seed}:{t}").choice(positives) if positives else least
 
-    return Stream(TEXT, f"sampled-text({h.id},seed={seed})", item, walk, targets=(h,))
+    return Stream(TEXT, f"sampled-text({h.id},seed={seed})", walk, targets=(h,))
 
 
 # ----------------------------------------------------------------------
@@ -313,11 +284,6 @@ def corrupt(inner: Stream, injections: list[tuple[int, object]]) -> Stream:
     table = dict(injections)
     ordered = sorted(indices)
 
-    def item(t: int):
-        if t in table:
-            return table[t]
-        return inner.item(t - bisect_right(ordered, t))
-
     def walk() -> Iterator:
         honest, last = inner.walk(), 0
         for t in ordered:
@@ -330,7 +296,6 @@ def corrupt(inner: Stream, injections: list[tuple[int, object]]) -> Stream:
     return Stream(
         inner.kind,
         f"corrupt({inner.provenance};[{tag}])",
-        item,
         walk,
         targets=inner.targets,
     )

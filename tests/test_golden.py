@@ -18,6 +18,7 @@ from crosslimit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 PINNED = str(GOLDEN / "pinned-core.json")  # pinned_core_class(4, (1, 6), (3,))
+FINITE = str(GOLDEN / "finite-supports.json")  # h1 = {2, 5, 7}, h2 = the multiples of 3
 
 CASES = {
     "identify-absence-count-corrupt.json": [
@@ -73,6 +74,23 @@ CASES = {
     "generate-eventual-core-gen-punctured-canonical.json": [
         "generate", "--witness", "punctured:8", "--learner", "eventual-core-gen",
         "--target", "h2", "--steps", "60"],
+    "stream-text-sampled-overlap.txt": [
+        "stream", "--witness", "overlap-cover", "--target", "h2", "--kind", "text",
+        "--sampled", "--take", "60"],
+    "stream-informant-overlap.txt": [
+        "stream", "--witness", "overlap-cover", "--target", "h1", "--kind", "inf",
+        "--take", "30"],
+    "stream-text-corrupt-cosingleton.txt": [
+        "stream", "--witness", "co-singleton", "--target", "3", "--kind", "text",
+        "--corrupt", "2:3", "--corrupt", "5:9", "--take", "30"],
+    "stream-finite-wraps.txt": [
+        "stream", "--class", FINITE, "--target", "h1", "--take", "20"],
+    # below the horizon h1 has no positive, so each even item draws only a negative
+    "stream-finite-sampled-past-the-horizon.txt": [
+        "stream", "--class", FINITE, "--target", "h1", "--sampled", "--horizon", "2",
+        "--take", "20"],
+    "shared-six-cell.json": [
+        "shared", "--witness", "six-cell", "--family", "h1,h2,h3", "--take", "30"],
 }
 
 

@@ -282,7 +282,10 @@ def test_canonical_closure_gen_run_walks_its_stream(monkeypatch):
     # a state carries its closure while its version space stays: a mask only
     # loses bits, so there are at most one more masks than members
     assert 0 < len(closures) == len(set(closures)) <= len(cls.members) + 1
-    assert stream.item(steps) == list(stream.prefix(steps).items)[-1] and lookups
+    last = stream.prefix(steps).items[-1]  # the walk locates no item by its index
+    zstar = target.support.complement().min_element()
+    assert lookups == [] and last == Pair.of(target.support.nth_member(steps - 1), zstar)
+    assert lookups == [steps - 1]  # while a lookup by index is counted
 
 
 def test_a_punctured_closure_is_not_carried_past_a_new_edge():

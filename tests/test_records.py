@@ -47,10 +47,6 @@ H = Hypothesis("h", EVENS)
 H_REPR = f"Hypothesis(id='h', support={EVENS_REPR})"
 
 
-def _item(t):
-    return t
-
-
 def _walk():
     return iter(())
 
@@ -85,8 +81,8 @@ CASES = {
                         f"family=FamilyInfo(kind='x', params=()))"),
     "Prefix": (lambda: Prefix("text", (1, 2)), ("kind", "items"), (), True,
                "Prefix(kind='text', items=(1, 2))"),
-    "Stream": (lambda: Stream("text", "p", _item, _walk, (H,)),
-               ("kind", "provenance", "item_fn", "walk", "targets"), (), True,
+    "Stream": (lambda: Stream("text", "p", _walk, (H,)),
+               ("kind", "provenance", "walk", "targets"), (), True,
                f"Stream(kind='text', provenance='p', targets=({H_REPR},))"),
     "ValidityReport": (lambda: ValidityReport((2,), EVENS, 6),
                        ("xor_violations", "coverage_deficit", "horizon"), (), True,

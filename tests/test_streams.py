@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import small_sets
 from crosslimit.classes import Hypothesis, co_singleton_class
-from crosslimit.crossing import shared_presentation_family
+from crosslimit.crossing import pair_cells, pattern_cells, shared_presentation_family
 from crosslimit.robust import defect
 from crosslimit.space import SymbolicSet
 from crosslimit.streams import (
@@ -25,6 +26,7 @@ from crosslimit.streams import (
     corrupt,
     crosses,
     format_prefix,
+    paired_stream,
     parse_injection,
     parse_prefix,
     sampled_contrastive,
@@ -37,6 +39,83 @@ from crosslimit.streams import (
 
 EVENS_H = Hypothesis("evens", SymbolicSet.residue_class(2, {0}))
 H3 = co_singleton_class().member(3)
+
+
+# ----------------------------------------------------------------------
+# closed-form index rules: item t of each constructor's stream, the
+# reference that the walks are checked against
+# ----------------------------------------------------------------------
+
+def _nth(support: SymbolicSet, i: int) -> int:
+    """The support's i-th element (0-based) in ascending order, wrapping when finite."""
+    if support.is_finite():
+        elems = support.sorted_parts[1]
+        return elems[i % len(elems)]
+    return support.nth_member(i)
+
+
+def paired_rule(elements, partner_of, head=()):
+    def item(t):
+        if t <= len(head):
+            return head[t - 1]
+        x = _nth(elements, t - len(head) - 1)
+        return Pair.of(x, partner_of(x))
+    return item
+
+
+def canonical_contrastive_rule(h):
+    zstar = h.support.complement().min_element()
+    return paired_rule(h.support, lambda x: zstar)
+
+
+def canonical_text_rule(h):
+    return lambda t: _nth(h.support, t - 1)
+
+
+def canonical_informant_rule(h):
+    return lambda t: (t - 1, 1 if h.contains(t - 1) else 0)
+
+
+def scripted_rule(items, tail_rule=None):
+    def item(t):
+        if t <= len(items):
+            return items[t - 1]
+        if tail_rule is None:
+            return items[(t - 1) % len(items)]
+        return tail_rule(t - len(items))
+    return item
+
+
+def sampled_contrastive_rule(h, seed, horizon):
+    zstar = h.support.complement().min_element()
+    positives = h.support.enumerate_below(horizon)
+    negatives = h.support.complement().enumerate_below(horizon)
+
+    def item(t):
+        if t % 2 == 1:
+            return Pair.of(_nth(h.support, (t - 1) // 2), zstar)
+        # an empty side is not drawn from: a one-item stand-in would use random bits
+        rng = random.Random(f"{seed}:{t}")
+        x = rng.choice(positives) if positives else _nth(h.support, 0)
+        z = rng.choice(negatives) if negatives else zstar
+        return Pair.of(x, z)
+    return item
+
+
+def sampled_text_rule(h, seed, horizon):
+    positives = h.support.enumerate_below(horizon)
+
+    def item(t):
+        if t % 2 == 1:
+            return _nth(h.support, (t - 1) // 2)
+        rng = random.Random(f"{seed}:{t}")
+        return rng.choice(positives) if positives else _nth(h.support, 0)
+    return item
+
+
+def corrupt_rule(inner_rule, injections):
+    table, ordered = dict(injections), sorted(t for t, _ in injections)
+    return lambda t: table[t] if t in table else inner_rule(t - bisect_right(ordered, t))
 
 
 def test_pair_is_unordered():
@@ -258,27 +337,64 @@ def test_walks_play_the_index_rule(support, other, horizon, n, data):
     h, g = Hypothesis("h", support), Hypothesis("g", other)
     seed = data.draw(st.integers(-5, 5))
     at = data.draw(st.lists(st.integers(1, 30), unique=True, max_size=4))
-    streams = [canonical_informant(h)]
+    cases = [(canonical_informant(h), canonical_informant_rule(h))]
     if not support.is_empty():
-        text = canonical_text(h)
-        streams += [text, sampled_text(h, seed, horizon),
-                    corrupt(text, [(t, t + 100) for t in at]),
-                    scripted(TEXT, [5, 1, 5]), scripted(TEXT, [2], tail=text)]
+        text, text_rule = canonical_text(h), canonical_text_rule(h)
+        bad = [(t, t + 100) for t in at]
+        cases += [(text, text_rule),
+                  (sampled_text(h, seed, horizon), sampled_text_rule(h, seed, horizon)),
+                  (corrupt(text, bad), corrupt_rule(text_rule, bad)),
+                  (scripted(TEXT, [5, 1, 5]), scripted_rule([5, 1, 5])),
+                  (scripted(TEXT, [2], tail=text), scripted_rule([2], text_rule))]
     if h.is_proper_nontrivial():
-        pairs = canonical_contrastive(h)
-        script = list(pairs.prefix(3).items)
-        streams += [pairs, sampled_contrastive(h, seed, horizon),
-                    corrupt(pairs, [(t, Pair.of(t, 200)) for t in at]),
-                    corrupt(sampled_contrastive(h, seed, horizon), [(t, Pair.of(0, t)) for t in at]),
-                    scripted_contrastive(h, script, tail="canonical"),
-                    scripted_contrastive(h, script, tail="repeat")]
+        pairs, pairs_rule = canonical_contrastive(h), canonical_contrastive_rule(h)
+        sampled_rule = sampled_contrastive_rule(h, seed, horizon)
+        script = [pairs_rule(t) for t in (1, 2, 3)]
+        bad, worse = [(t, Pair.of(t, 200)) for t in at], [(t, Pair.of(0, t)) for t in at]
+        cases += [(pairs, pairs_rule),
+                  (sampled_contrastive(h, seed, horizon), sampled_rule),
+                  (corrupt(pairs, bad), corrupt_rule(pairs_rule, bad)),
+                  (corrupt(sampled_contrastive(h, seed, horizon), worse),
+                   corrupt_rule(sampled_rule, worse)),
+                  (scripted_contrastive(h, script, tail="canonical"),
+                   scripted_rule(script, pairs_rule)),
+                  (scripted_contrastive(h, script, tail="repeat"), scripted_rule(script))]
         if g.is_proper_nontrivial() and other != support:
             report = defect(h, g)  # a paired stream with a head of defect pairs
+            if report.min_violation_stream is not None:
+                cells, z = pair_cells(h, g), h.support.complement().min_element()
+                head = tuple(Pair.of(x, z) for x in sorted(report.defect_set.plus))
+                rule = paired_rule(support.difference(report.defect_set), cells.partner, head)
+                cases.append((report.min_violation_stream, rule))
             shared = shared_presentation_family([h, g])
-            streams += [s for s in (report.min_violation_stream, shared) if s is not None]
-    for stream in streams:
+            if shared is not None:
+                cells = pattern_cells([h, g])
+                cases.append((shared, paired_rule(cells.union(bool), cells.partner)))
+    for stream, rule in cases:
         walked = list(itertools.islice(stream.items(), n))
-        indexed = [stream.item(t) for t in range(1, n + 1)]
+        indexed = [rule(t) for t in range(1, n + 1)]
         assert walked == indexed, stream.provenance
         assert list(map(type, walked)) == list(map(type, indexed))  # a Pair is never a tuple
         assert stream.prefix(n).items == tuple(walked)
+
+
+def test_constructors_fail_when_built():
+    empty = Hypothesis("e", SymbolicSet.empty())
+    everything = Hypothesis("x", SymbolicSet.universe())
+    for h in (empty, everything):
+        for build in (canonical_contrastive, lambda h: sampled_contrastive(h, 0)):
+            with pytest.raises(ValueError, match="is not proper nontrivial"):
+                build(h)
+    for build in (lambda: canonical_text(empty), lambda: sampled_text(empty, 0)):
+        with pytest.raises(ValueError, match="has empty support, no text exists"):
+            build()
+    with pytest.raises(ValueError, match="^cannot enumerate an empty support$"):
+        paired_stream(SymbolicSet.empty(), lambda x: x + 1, "p", ())
+    with pytest.raises(ValueError, match="^scripted stream needs items or a tail$"):
+        scripted(TEXT, [])
+    with pytest.raises(ValueError, match="does not match"):
+        scripted(CONTRASTIVE, [Pair.of(0, 1)], tail=canonical_text(H3))
+    with pytest.raises(ValueError, match="^injection indices are 1-based$"):
+        corrupt(canonical_text(H3), [(0, 5)])
+    with pytest.raises(ValueError, match="^stream indices are 1-based$"):
+        canonical_text(H3).item(0)
