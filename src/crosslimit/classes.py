@@ -21,7 +21,7 @@ never test which family a class comes from.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable
@@ -138,18 +138,22 @@ class PuncturedFamily(FamilyInfo):
         return Hypothesis(f"h{hole // 2 + 1}", self.base.difference(SymbolicSet.finite({hole})))
 
     def closure(self, cls: HypothesisClass, space: int, edges) -> SymbolicSet | None:
-        """Closed form from the edges alone: the limit and every puncture whose
-        hole avoids the edge vertices meet the same crossing constraints, so
-        only the punctures at edge vertices need a test of their own."""
-        edges = tuple(edges)
-
-        def fits(h: Hypothesis) -> bool:
-            return all(h.contains(lo) != h.contains(hi) for lo, hi in edges)
-
-        holes = {x for pair in edges for x in pair if self.base.contains(x)}
-        passing = {x for x in holes if fits(self.member(x))}
-        if fits(self.limit()):  # so does every untouched puncture: only failing holes survive
-            return SymbolicSet.finite(holes - passing)
+        """Closed form from one pass over the edges.  An edge is bad when both
+        its ends lie on one side of the base, so the limit fits unless some
+        edge is bad.  The puncture at hole a crosses an edge at a iff it is bad
+        and any other edge as the limit does: it fits iff the edges at a are
+        exactly the bad edges.  Where the limit fits, the touched holes remain."""
+        in_base, bad, at_bad, at_good = self.base.contains, 0, Counter(), set()
+        for pair in edges:
+            holes = [x for x in pair if in_base(x)]
+            if len(holes) == 1:
+                at_good.add(holes[0])
+            else:
+                bad += 1
+                at_bad.update(holes)  # the bad edges at each hole
+        if not bad:
+            return SymbolicSet.finite(at_good)
+        passing = [a for a, n in at_bad.items() if n == bad and a not in at_good]
         return self.base.difference(SymbolicSet.finite(passing)) if passing else None
 
     def intersection(self, cls: HypothesisClass) -> SymbolicSet:

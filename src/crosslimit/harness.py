@@ -209,9 +209,9 @@ def _ctr_gen_positive(cls: HypothesisClass, ctr_id: Verdict, bounds: Bounds) -> 
             mechanism="eventual-core",
             witness={"core": core.literal(), "rule": "ascending enumeration of the base"},
         )
-    report = closure_dimension(
-        cls, bounds.dimension_max_size, bounds.dimension_vertex_horizon
-    )
+    # only an exact dimension counts here, and the bounded search reports at-least: no budget
+    report = closure_dimension(cls, bounds.dimension_max_size, bounds.dimension_vertex_horizon,
+                               search_budget=0)
     if report.outcome == EXACT:
         return Verdict(
             YES,

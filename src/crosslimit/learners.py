@@ -8,20 +8,22 @@ never mutated, so identical prefixes always reproduce identical outputs and
 every run record replays bit-for-bit.
 
 Per-step cost: `advance` and `read` cost O(1) amortised, growing with the
-class and the size of the answer but not with the steps before, and `run`
-plays the stream's walk, O(1) amortised per item.  States are slotted
-record classes built once per step, share their history through append-only
-logs and carry the values their reads need (the absence-count guess, the
-members whose tell-tale is seen, a generator's closures while its version
-spaces stay), passed on while they cannot change; a generator's read is
-memoised on its state for `advance` to reuse.  A version space is a member
-bitmask, ANDed with each new edge's crossing mask (from the class's memoised
-member patterns); :func:`~crosslimit.closure.closure_of` gives its closure by
-the class's family descriptor, from the memoised meets or, where the
-family's closures read the edges, from the edges too.  The breaker asks the
-descriptor for the family's members past the member list.  Tell-tales come
-from the class's cell table.  Caches live in fields left out of equality, so
-they never change what compares equal or is recorded.
+class and the size of the answer but not with the steps before, except that
+a punctured closure is one pass over the edges, O(t) per read; `run` plays
+the stream's walk, O(1) amortised per item.  States are slotted record
+classes built once per step, share their history through append-only logs
+and carry the values their reads need (the absence-count guess, the members
+whose tell-tale is seen, a generator's closures while its version spaces
+stay), passed on while they cannot change; a generator's read is memoised
+on its state, and `advance` records the output from that memo.  A version
+space is a member bitmask, ANDed with each new edge's crossing mask (from
+the class's memoised member patterns); :func:`~crosslimit.closure.closure_of`
+gives its closure by the class's family descriptor, from the memoised meets
+or, where the family's closures read the edges, from the edges.  The breaker
+asks the descriptor for the family's members past the member list, and
+tell-tales come from the class's cell table.  Equality is `Record`'s, over
+compared fields that leave the caches out, so no cache changes what
+compares equal or is recorded.
 
 Uniform generation is the one-class case of non-uniform generation: the
 closure generator is the one-level threshold-and-defer chain, armed once the
@@ -202,7 +204,7 @@ class _State(Record):
     """A step state: a value, never changed but for the memos reads fill in.
 
     Slotted and not frozen, as every step builds one and slot stores are the
-    cheapest way to fill it; equality and hashing are written out for the
+    cheapest way to fill it; equality and hashing are Record's, over the
     compared fields, and repr shows every field.
     """
 
@@ -219,14 +221,6 @@ class _EligState(_State):
         self.seen = seen  # the tell-tale elements seen so far; no other matters
         self.space = space  # members whose cut every pair crosses, as a member bitmask
         self.ready = ready  # members whose tell-tale is in `seen`
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.seen, self.space) == (other.seen, other.space)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.seen, self.space))
 
 
 class EligibilityIdentifier(Learner):
@@ -325,14 +319,6 @@ class _AbsenceState(_State):
         self.pairs = pairs  # the pairs so far
         self.best = best  # most frequent element so far, ties to the least
         self.guess = guess  # the member read gives
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pairs, self.best) == (other.pairs, other.best)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.pairs, self.best))
 
 
 class AbsenceCountIdentifier(Learner):
@@ -433,16 +419,7 @@ class _GenState(_State):
         # closure per class, filled by the first read and shared while the masks stay
         self._closures = _closures
         self._cursor = _cursor  # (support, last least fresh member)
-        self._output = _output  # the read, memoised; None before it
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.count, self.edges, self.outputs, self.inner)
-                    == (other.count, other.edges, other.outputs, other.inner))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.count, self.edges, self.outputs, self.inner))
+        self._output = _output  # the read or the EmptySafeChoice it raises; None before it
 
     def excludes(self, x: int) -> bool:
         """x was seen or already output."""
@@ -462,13 +439,15 @@ class _PairGenerator(Learner):
     role = GENERATOR
     kind = CONTRASTIVE
     classes: tuple[HypothesisClass, ...] = ()  # classes whose version spaces states track
+    inner: Learner | None = None  # the identifier identify-then-generate wraps
 
     def initial(self) -> _GenState:
         masks = tuple((1 << len(cls.members)) - 1 for cls in self.classes)
-        return _GenState(0, _Log(), _Log(), None, masks, [None] * len(masks))
+        inner = None if self.inner is None else self.inner.initial()
+        return _GenState(0, _Log(), _Log(), inner, masks, [None] * len(masks))
 
     def advance(self, state: _GenState, pair: Pair) -> _GenState:
-        output = self._emitted(state)
+        output = self._output(state) if state.count else None  # none before the first observation
         edges, masks, closures = state.edges, state._masks, state._closures
         if pair not in edges:
             edges = edges.appended(pair)
@@ -476,36 +455,27 @@ class _PairGenerator(Learner):
                 masks = tuple([m & crossing_mask(cls, pair) for cls, m in zip(self.classes, masks)])
                 if masks != state._masks:
                     closures = [None] * len(masks)
-        outputs = state.outputs if output is None else state.outputs.appended(output)
-        return _GenState(state.count + 1, edges, outputs, self._inner_after(state, pair),
-                         masks, closures, state._cursor)
-
-    def _inner_after(self, state: _GenState, pair: Pair):
-        """The successor's wrapped state; only identify-then-generate wraps one."""
-        return state.inner
+        # an EmptySafeChoice emitted nothing
+        outputs = state.outputs.appended(output) if isinstance(output, int) else state.outputs
+        inner = state.inner if self.inner is None else self.inner.advance(state.inner, pair)
+        return _GenState(state.count + 1, edges, outputs, inner, masks, closures, state._cursor)
 
     def read(self, state: _GenState) -> int:
-        return self._output(state)
-
-    def _output(self, state: _GenState) -> int:
-        output = state._output
-        if output is None:
-            try:
-                output = self._answer(state)
-            except EmptySafeChoice as exc:  # memoised too, and raised on every read
-                output = exc
-            state._output = output
+        output = self._output(state)
         if isinstance(output, EmptySafeChoice):
             raise output
         return output
 
-    def _emitted(self, state: _GenState) -> int | None:
-        if state.count == 0:
-            return None  # nothing was emitted before the first observation
-        try:
-            return self._output(state)
-        except EmptySafeChoice:
-            return None
+    def _output(self, state: _GenState) -> int | EmptySafeChoice:
+        """The read memoised on the state: an output, or the EmptySafeChoice `read` raises."""
+        output = state._output
+        if output is None:
+            try:
+                output = self._answer(state)
+            except EmptySafeChoice as exc:
+                output = exc
+            state._output = output
+        return output
 
     def _closure(self, state: _GenState, level: int = 0) -> ClosureResult:
         closure = state._closures[level]
@@ -655,12 +625,6 @@ class IdentifyThenGenerate(_PairGenerator):
             raise ValueError("wrap a contrastive identifier")
         self.inner = inner
         self.name = f"identify-then-generate({inner.name})"
-
-    def initial(self) -> _GenState:
-        return _GenState(0, _Log(), _Log(), self.inner.initial())
-
-    def _inner_after(self, state: _GenState, pair: Pair):
-        return self.inner.advance(state.inner, pair)
 
     def _answer(self, state: _GenState) -> int:
         guess = self.inner.read(state.inner)

@@ -48,8 +48,8 @@ class Record:
     compares those fields as a tuple; the hash is the hash of that tuple;
     repr is `Name(field=value, ...)` over `_shown` (the compared fields unless
     the class says otherwise).  Nothing is generated: each method reads the
-    field names at run time, and the records compared most often (sets,
-    hypotheses, step states) write `__eq__` and `__hash__` out instead.
+    field names at run time; sets and hypotheses, compared most often, write
+    `__eq__` and `__hash__` out instead (step states no longer do).
 
     Instances are immutable: `__init__` fills the instance dict directly (one
     field goes through object.__setattr__, cheaper than a dict update), and

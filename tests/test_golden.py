@@ -19,6 +19,8 @@ from crosslimit.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 PINNED = str(GOLDEN / "pinned-core.json")  # pinned_core_class(4, (1, 6), (3,))
 FINITE = str(GOLDEN / "finite-supports.json")  # h1 = {2, 5, 7}, h2 = the multiples of 3
+# seven random members (moduli 1-5, exceptions below 12) whose ctr_gen stays unknown
+RANDOM = str(GOLDEN / "random-seven.json")
 
 CASES = {
     "identify-absence-count-corrupt.json": [
@@ -62,6 +64,7 @@ CASES = {
         "--target", "h1", "--stream", "sampled:2", "--steps", "40", "--trace"],
     "classify-cosingleton.json": ["classify", "--witness", "co-singleton"],
     "classify-punctured.json": ["classify", "--witness", "punctured:6"],
+    "classify-random-seven.json": ["classify", "--class", RANDOM],
     "dimension-punctured.json": ["dimension", "--witness", "punctured:6"],
     "stream-cosingleton-past-the-slice.txt": [
         "stream", "--witness", "co-singleton", "--target", "50", "--take", "5"],

@@ -6,12 +6,14 @@ import itertools
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_proper_support, small_sets
+from crosslimit import closure as closure_module
 from crosslimit.classes import (
     Hypothesis,
     HypothesisClass,
@@ -19,6 +21,7 @@ from crosslimit.classes import (
     block_class,
     co_singleton_class,
     disjoint_support_class,
+    load_class,
     overlapping_cover_class,
     pinned_core_class,
     punctured_class,
@@ -246,6 +249,19 @@ def test_classify_large_punctured_witness_is_fast(capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert code == 0 and verdict["ctr_gen"]["mechanism"] == "eventual-core"
     assert elapsed < 5.0
+
+
+def test_classify_spends_no_search_on_a_dimension_it_cannot_use(monkeypatch):
+    # ctr_gen reads only an exact dimension; past six members the bounded
+    # search could only report at-least, so classify gives it no budget
+    cls = load_class(str(Path(__file__).parent / "golden" / "random-seven.json"))
+    calls = []
+    real = closure_module.closure_of
+    monkeypatch.setattr(closure_module, "closure_of",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    verdict = classify(cls)
+    assert verdict.ctr_gen == Verdict(UNKNOWN, mechanism="no-characterization")
+    assert 0 < len(calls) <= 2  # the root closure and the first candidate edge
 
 
 def _obstruction_by_enumeration(cls: HypothesisClass, bounds: Bounds) -> Verdict | None:

@@ -304,6 +304,20 @@ def test_a_punctured_closure_is_not_carried_past_a_new_edge():
     assert moved > 0
 
 
+def test_a_punctured_safe_core_run_builds_no_puncture(monkeypatch):
+    # the closure is one pass over the edges, with no member tested against them
+    cls = punctured_class(10)
+    target = cls.by_id("h3")
+    streams = (canonical_contrastive(target), sampled_contrastive(target, seed=1, horizon=40))
+    built = []
+    real = classes.PuncturedFamily.member
+    monkeypatch.setattr(classes.PuncturedFamily, "member",
+                        lambda self, hole: built.append(hole) or real(self, hole))
+    for stream in streams:
+        record = run(SafeCoreGenerator(cls), stream, 200, target=target)
+        assert len(record.outputs) == 200 and built == []
+
+
 def test_eligibility_recomputes_ready_only_when_seen_grows(monkeypatch):
     learner = eligibility()
     target = OVERLAP.members[2]
