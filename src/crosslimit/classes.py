@@ -56,8 +56,9 @@ class Hypothesis(Record):
     def contains(self, x: int) -> bool:
         return self.support.contains(x)
 
-    def is_proper_nontrivial(self) -> bool:
-        return not self.support.is_empty() and not self.support.complement().is_empty()
+    def is_proper_nontrivial(self) -> bool:  # all of X: every residue, no point removed
+        s = self.support
+        return not s.is_empty() and (s.mask != (1 << s.modulus) - 1 or bool(s.minus))
 
     def __str__(self) -> str:
         return f"{self.id}: {self.support.literal()}"
@@ -66,6 +67,13 @@ class Hypothesis(Record):
 def is_proper_nontrivial(h: Hypothesis) -> bool:
     """Support is neither empty nor all of X (exact, via the set algebra)."""
     return h.is_proper_nontrivial()
+
+
+def require_proper(*hypotheses: Hypothesis) -> None:
+    """A ValueError naming the first of `hypotheses` whose support is empty or all of X."""
+    for h in hypotheses:
+        if not h.is_proper_nontrivial():
+            raise ValueError(f"{h.id} is not proper nontrivial")
 
 
 class FamilyInfo(Record):
@@ -235,8 +243,8 @@ class PatternCells(Record):
     hands out (a `union` of cells, a `meet`) takes one canonicalisation, and
     no cell's L-bit mask is stored.  `parts`, refined by :func:`cell_parts`
     on first read, holds each cell's least element and elements in the order
-    of `least` and of the bits of `columns`, ascending least elements; `cells`
-    and `realized` go in product order (bit 0 most significant, by `bits`).
+    of `least` and of the bits of a cell bitmask, ascending least elements;
+    `cells` and `realized` go in product order (bit 0 most significant, by `bits`).
     Meets read no refinement, so TABLE_CAP does not bound them.
     """
 
@@ -319,8 +327,9 @@ class PatternCells(Record):
     def cells(self) -> dict[int, SymbolicSet]:
         return {alpha: self.cell(alpha) for alpha in self.realized()}
 
-    def union(self, holds: Callable[[int], bool]) -> SymbolicSet:
-        """The union of the cells whose pattern `holds`, from the lifted masks."""
+    def union(self, cells: int) -> SymbolicSet:
+        """The union of `cells`, a cell bitmask, from the lifted masks."""
+        holds = {alpha for c, alpha in enumerate(self.parts) if cells >> c & 1}.__contains__
         mask = 0
         for alpha in filter(holds, self.parts):
             cell = (1 << self.width) - 1
@@ -331,15 +340,11 @@ class PatternCells(Record):
 
     def cell(self, alpha: int) -> SymbolicSet:
         """The cell of a pattern; the empty set when it is not realized."""
-        return self.union(lambda beta: beta == alpha)
-
-    def paired(self, alpha: int) -> bool:
-        """Whether the pattern complementary to `alpha` is realized."""
-        return self.full ^ alpha in self.parts
+        return self.union(sum(1 << c for c, beta in enumerate(self.parts) if beta == alpha))
 
     def gamma(self) -> SymbolicSet:
-        """The common-crossing vertex set: the union of the paired cells."""
-        return self.union(self.paired)
+        """The common-crossing vertex set: the union of the cells covered on every member."""
+        return self.union(self.covered(self.full))
 
     def partner(self, x: int) -> int:
         """The least element of the cell complementary to x's cell."""
@@ -363,6 +368,14 @@ class PatternCells(Record):
             for i in _residues_of(self.full ^ alpha if large >> c & 1 else alpha):
                 columns[i] ^= 1 << c
         return columns
+
+    def held(self, space: int) -> int:  # the cells some member in `space` holds
+        return sum(1 << c for c, alpha in enumerate(self.parts) if alpha & space)
+
+    def covered(self, space: int) -> int:
+        """The cells whose pattern a realized cell complements on `space`, a member bitmask."""
+        seen = {alpha & space for alpha in self.parts}
+        return sum(1 << c for c, alpha in enumerate(self.parts) if (alpha & space) ^ space in seen)
 
     def regions(self, i: int, j: int) -> dict[int, int]:
         """The cells of members i and j's realized regions (`crossing.REGIONS`, i bit 0)."""

@@ -229,11 +229,11 @@ def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) ->
             closure = cls.meet(space)
             if not closure.is_finite():
                 continue  # any edge set with this version space has infinite closure
+            forced = sum(1 << c for c, x in enumerate(table.least) if closure.contains(x))
+            if forced & ~table.covered(space):  # each forced positive needs a crossing edge
+                continue
             menu = [(a, b) for a, b in itertools.combinations(realized, 2)
                     if (a ^ b) & space == space]  # each version-space member crosses a-b edges
-            # every forced positive needs an incident menu edge
-            if not all(any(cls.pattern(x) in pair for pair in menu) for x in closure.plus):
-                continue
             infinite_pair = next(
                 ((a, b) for a, b in menu if parts[a][1] is None or parts[b][1] is None), None)
             if infinite_pair is not None:

@@ -8,13 +8,13 @@ common crossing graph.
 One model describes that graph: the partition of X into membership-pattern
 cells.  A pattern is a member bitmask (bit i for member i), as in
 `HypothesisClass.meet`, and only the realized (nonempty) cells are stored.
-A pair crosses every member iff its endpoints lie in complementary cells,
-so a cell is *paired* when its complementary pattern is realized and
-*lonely* otherwise, and every rule here reads that one test:
+A pair crosses every member of a set S iff its endpoints' patterns are
+complementary on S: a cell is *covered* on S when a realized cell complements
+it there (`PatternCells.covered`) and *lonely* otherwise.  Every rule reads that:
 
-* gamma, the common-crossing vertex set, is the union of the paired cells;
-* a family shares a contrastive presentation iff every cell with a positive
-  member is paired, and the presentation pairs each element with the least
+* gamma, the common-crossing vertex set, is the union of the covered cells;
+* a family shares a contrastive presentation iff every cell some member
+  holds is covered, and the presentation pairs each element with the least
   element of its complementary cell (:meth:`PatternCells.partner`);
 * a pair's regions are its 2-member cells A = both (0b11), B = first only
   (0b01), C = second only (0b10) and D = neither (0b00); g is eliminable
@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Container
 
-from .classes import Hypothesis, PatternCells
+from .classes import Hypothesis, PatternCells, require_proper
 from .space import Record
 from .streams import Pair, Stream, crosses, paired_stream
 
@@ -53,8 +53,7 @@ PATTERN_BOUND = 6  # family size cap for pattern cells and the exact cell dimens
 
 def delta_contains(h: Hypothesis, pair: Pair) -> bool:
     """True iff the pair crosses h's cut (exactly one endpoint positive)."""
-    if not h.is_proper_nontrivial():
-        raise ValueError(f"{h.id} is not proper nontrivial")
+    require_proper(h)
     return crosses(h, pair)
 
 
@@ -82,9 +81,7 @@ def pattern_cells(family: list[Hypothesis]) -> PatternCells:
 
 def pair_cells(h: Hypothesis, g: Hypothesis) -> PatternCells:
     """The regions of a proper nontrivial pair with distinct supports, else a ValueError."""
-    for x in (h, g):
-        if not x.is_proper_nontrivial():
-            raise ValueError(f"{x.id} is not proper nontrivial")
+    require_proper(h, g)
     if h.support == g.support:
         raise ValueError(f"{h.id} and {g.id} have identical supports")
     return PatternCells.of((h, g))
@@ -181,17 +178,15 @@ def shared_presentation_pair(h: Hypothesis, g: Hypothesis) -> Stream | None:
 def shared_presentation_family(family: list[Hypothesis]) -> Stream | None:
     """A contrastive stream valid for every family member, when one exists.
 
-    Exists iff every realized nonzero membership pattern is paired; each
-    support element is then paired with the least element of the cell
+    Exists iff every cell some member holds is covered on the whole family;
+    each support element is then paired with the least element of the cell
     complementary to its own pattern.
     """
-    for h in family:
-        if not h.is_proper_nontrivial():
-            raise ValueError(f"{h.id} is not proper nontrivial")
+    require_proper(*family)
     cells = pattern_cells(list(family))
-    if any(alpha and not cells.paired(alpha) for alpha in cells.parts):
+    if cells.held(cells.full) & ~cells.covered(cells.full):
         return None
 
-    union = cells.union(bool)  # of the supports: every cell some member holds
+    union = cells.union(cells.held(cells.full))  # of the supports
     ids = ",".join(h.id for h in family)
     return paired_stream(union, cells.partner, f"shared-family({ids})", tuple(family))

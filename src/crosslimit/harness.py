@@ -13,9 +13,9 @@ The four verdicts per class:
   otherwise;
 * contrastive generation: three sufficient mechanisms (infinite safe core,
   eventual core, exactly-known finite closure dimension), one obstruction
-  (a small subfamily sharing a presentation while intersecting finitely),
-  and an honest Unknown when neither side fires: no complete decision
-  procedure is claimed;
+  (a small subfamily sharing a presentation, read off the class's cell
+  table, while intersecting finitely), and an honest Unknown when neither
+  side fires: no complete decision procedure is claimed;
 * text generation: uniformly unbounded supports.
 
 Every yes/no carries a witness that replays through the corresponding
@@ -42,6 +42,7 @@ from .classes import (
     disjoint_support_class,
     overlapping_cover_class,
     punctured_class,
+    require_proper,
     six_cell_class,
 )
 from .closure import EXACT, closure_dimension
@@ -52,7 +53,6 @@ from .crossing import (
     common_crossing_edges,
     eliminability,
     pair_cells,
-    pattern_cells,
     shared_presentation_family,
 )
 from .learners import AbsenceCountIdentifier, compute_telltales, telltales_sound
@@ -227,19 +227,21 @@ def _ctr_gen_positive(cls: HypothesisClass, ctr_id: Verdict, bounds: Bounds) -> 
 
 
 def _finite_intersection_obstruction(cls: HypothesisClass, bounds: Bounds) -> Verdict | None:
-    members = cls.members
+    members, table = cls.members, cls.table
     if not cls.global_support_intersection().is_finite():
         return None  # every family's meet contains this infinite one, so none is finite
     for size in range(2, min(bounds.family_bound, len(members)) + 1):
         for combo in itertools.combinations(range(len(members)), size):
-            family = [members[i] for i in combo]
-            intersection = cls.meet(sum(1 << i for i in combo))
-            stream = shared_presentation_family(family) if intersection.is_finite() else None
-            if stream is not None:
-                return Verdict(NO, mechanism="finite-intersection-obstruction", witness={
-                    "family": [h.id for h in family],
-                    "intersection": intersection.literal(),
-                    "shared_stream": stream.provenance})
+            space = sum(1 << i for i in combo)
+            if table.held(space) & ~table.covered(space) or not cls.meet(space).is_finite():
+                continue  # some cell the family holds is lonely on it, or the meet is infinite
+            stream = shared_presentation_family([members[i] for i in combo])  # for its witness
+            if stream is None:
+                raise AssertionError("the class table and the family's own cells disagree")
+            return Verdict(NO, mechanism="finite-intersection-obstruction", witness={
+                "family": [members[i].id for i in combo],
+                "intersection": cls.meet(space).literal(),
+                "shared_stream": stream.provenance})
     return None
 
 
@@ -255,6 +257,7 @@ def classify(cls: HypothesisClass, bounds: Bounds | None = None) -> HierarchyVer
     Bound insufficiency never produces a wrong answer: verdicts the search
     cannot certify come back Unknown with a note.
     """
+    require_proper(*cls.members)  # no contrastive data exists for an empty or all-of-X target
     bounds = bounds or Bounds()
     txt_id = _txt_id_verdict(cls, bounds)
     ctr_id = _ctr_id_verdict(cls, txt_id)
@@ -432,8 +435,7 @@ def _reproduce_absence_trace() -> Report:
 def _reproduce_three_cell_family() -> Report:
     cls = six_cell_class()
     family = list(cls.members)
-    cells = pattern_cells(family)
-    realized = sorted(map(cells.bits, cells.realized()))
+    realized = sorted(map(cls.table.bits, cls.table.realized()))
     triple = intersection_of(h.support for h in family)
     pairwise_infinite = all(
         family[i].support.intersect(family[j].support).cardinality().is_infinite

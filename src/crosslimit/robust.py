@@ -17,7 +17,7 @@ identifier on that one stream.
 from __future__ import annotations
 
 from .classes import Hypothesis, HypothesisClass, block_elements
-from .crossing import PatternCells, eliminable, pair_cells, shared_presentation_family
+from .crossing import PatternCells, pair_cells, shared_presentation_family
 from .learners import IDENTIFIER, Learner, RunRecord, run
 from .space import Cardinality, Record, SymbolicSet
 from .streams import CONTRASTIVE, TEXT, Pair, Stream, crosses, paired_stream, validate
@@ -119,11 +119,6 @@ def verify_forced_violations(
         if count_violations(constructed.items, g) != report.kappa.count:
             return False
     return True
-
-
-def kappa_zero_iff_not_eliminable(h: Hypothesis, g: Hypothesis) -> bool:
-    """The defect number vanishes exactly on non-eliminable pairs."""
-    return defect(h, g).zero == (not eliminable(h, g).eliminable)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ import random
 from collections import namedtuple
 from typing import Callable, Iterator
 
-from .classes import Hypothesis
+from .classes import Hypothesis, require_proper
 from .space import Record, SymbolicSet
 
 TEXT = "text"
@@ -146,8 +146,7 @@ def canonical_contrastive(h: Hypothesis) -> Stream:
     limit (finite supports wrap around).  The fixed partner z* is the least
     element outside the support.
     """
-    if not h.is_proper_nontrivial():
-        raise ValueError(f"{h.id} is not proper nontrivial")
+    require_proper(h)
     zstar = h.support.complement().min_element()
     return paired_stream(h.support, lambda x: zstar, f"canonical-contrastive({h.id})", (h,))
 
@@ -229,8 +228,7 @@ def sampled_contrastive(h: Hypothesis, seed: int, horizon: int = 64) -> Stream:
     drawn from: it gives the least positive or z* without using the
     generator.
     """
-    if not h.is_proper_nontrivial():
-        raise ValueError(f"{h.id} is not proper nontrivial")
+    require_proper(h)
     members = _support_walk(h.support)
     least, zstar = h.support.min_element(), h.support.complement().min_element()
     positives = h.support.enumerate_below(horizon)

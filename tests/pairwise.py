@@ -4,16 +4,20 @@ Every answer here is built from `SymbolicSet` operations on the members'
 supports, one pair or one family at a time: the pairwise differences (the
 inclusion table), a pair's regions from them and the pair's meet, pattern
 cells by refinement member by member (a plain dict from pattern to cell),
-and the verdict rules that read them.
+the cells covered on a member set from the pairs that cross it, and the
+verdict rules that read them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from crosslimit.classes import HypothesisClass
+from crosslimit.closure import crossing_mask
 from crosslimit.crossing import A, B, C, D, EliminabilityVerdict, region_rule
 from crosslimit.space import SymbolicSet, intersection_of
+from crosslimit.streams import Pair
 
 
 def difference(cls: HypothesisClass, i: int, j: int) -> SymbolicSet:
@@ -56,6 +60,25 @@ def gamma(cells: dict[int, SymbolicSet], full: int) -> SymbolicSet:
         if full ^ alpha in cells:
             out = out.union(cell)
     return out
+
+
+def covered(cls: HypothesisClass, space: int, horizon: int) -> int:
+    """The cells met below `horizon`, as a bitmask in order of their least
+    elements, whose least element x has some y below `horizon` with a pair
+    {x, y} that crosses every member in `space` (a member bitmask)."""
+    return sum(1 << c for c, masks in enumerate(crossings(cls, horizon))
+               if any(mask & space == space for mask in masks))
+
+
+@functools.lru_cache(maxsize=1)
+def crossings(cls: HypothesisClass, horizon: int) -> tuple[frozenset[int], ...]:
+    """Per cell met below `horizon`, in order of least elements, the crossing
+    masks of the pairs {x, y}: x its least element, y any other point below `horizon`."""
+    least: dict[int, int] = {}  # pattern -> its least element
+    for x in range(horizon):
+        least.setdefault(cls.pattern(x), x)
+    return tuple(frozenset(crossing_mask(cls, Pair.of(x, y)) for y in range(horizon) if y != x)
+                 for x in least.values())
 
 
 def partner(cells: dict[int, SymbolicSet], full: int, x: int) -> int:

@@ -54,9 +54,12 @@ def test_cell_table_answers_equal_the_pairwise_reference(cls):
     assert compute_telltales(cls).entries == pairwise.telltales(cls)
     assert _first_barrier_pair(cls) == pairwise.first_barrier_pair(cls)
 
-    # every meet, finite or infinite, from the lifted masks alone
+    # every meet, finite or infinite, from the lifted masks alone, and every cover; both
+    # strategies keep exceptions below 40, so every cell has a point below 40 + L
+    horizon = 40 + table.width
     for space, meet in enumerate(pairwise.meets(cls)):
         assert cls.meet(space) == meet
+        assert table.covered(space) == pairwise.covered(cls, space, horizon)
 
     for i, j in itertools.permutations(range(n), 2):  # each pair's own table
         h, g = cls.members[i], cls.members[j]
@@ -145,7 +148,7 @@ def _wide_class(path) -> None:
     """Seven members whose pairs each lift to at most 1021 * 1019, which the
     pairwise rules handled, while the whole class's lcm is 6 * 1021 * 1019."""
     supports = ["mod 3 { 0 }", "mod 1 { 0 } - { 0 }", "mod 2 { 1 }", "mod 2 { 0 }",
-                "mod 1021 { 1 }", "mod 1019 { 2 }", "mod 1 { 0 }"]
+                "mod 1021 { 1 }", "mod 1019 { 2 }", "mod 1 { 0 } - { 1 }"]
     path.write_text(json.dumps({"hypotheses": [{"id": f"h{i}", "support": s}
                                                for i, s in enumerate(supports)]}))
 

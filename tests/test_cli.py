@@ -190,8 +190,8 @@ def test_telltales_past_the_default_horizon(tmp_path, capsys):
     # the tell-tale of `all` against `most` is 100, past the horizon of 64
     path = tmp_path / "all-most-evens.json"
     path.write_text(json.dumps({"hypotheses": [
-        {"id": "all", "support": "mod 1 { 0 }"},
-        {"id": "most", "support": "mod 1 { 0 } - { 100 }"},
+        {"id": "all", "support": "mod 1 { 0 } - { 301 }"},
+        {"id": "most", "support": "mod 1 { 0 } - { 100, 301 }"},
         {"id": "evens", "support": "mod 2 { 0 }"},
     ]}))
     code, out = run_cli(capsys, "classify", "--class", str(path))
@@ -199,8 +199,8 @@ def test_telltales_past_the_default_horizon(tmp_path, capsys):
     assert code == 0 and doc["bounds"]["horizon"] == 64
     assert doc["txt_id"] == {"status": "yes", "mechanism": "telltales",
                              "witness": {"all": [1, 100], "most": [], "evens": []}}
-    assert doc["ctr_id"]["status"] == "yes"
-    assert doc["ctr_id"]["mechanism"] == "overlapping-covers"
+    assert doc["ctr_id"] == {"status": "no", "mechanism": "barrier-pair",  # both miss 301
+                             "witness": {"pair": ["most", "evens"], "regime": "non-covering"}}
     code, _ = run_cli(capsys, "identify", "--class", str(path), "--learner", "eligibility",
                       "--target", "most")
     assert code == 0
@@ -312,6 +312,19 @@ def test_malformed_class_file_is_a_usage_error(tmp_path, capsys):
     code = main(["classify", "--class", str(path)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: hypothesis 'x': ")
+
+
+@pytest.mark.parametrize("supports, improper", [
+    (["mod 2 { 0 }", "mod 1 { }"], "h2"),  # empty
+    (["mod 1 { 0 }", "mod 2 { 0 }", "mod 3 { 0 }"], "h1"),  # all of X, every meet infinite
+])
+def test_classify_rejects_an_empty_or_full_member(tmp_path, capsys, supports, improper):
+    # no contrastive data exists for such a target, whatever the meets are
+    path = tmp_path / "improper.json"
+    path.write_text(json.dumps({"hypotheses": [{"id": f"h{i + 1}", "support": s}
+                                               for i, s in enumerate(supports)]}))
+    assert main(["classify", "--class", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {improper} is not proper nontrivial\n"
 
 
 def test_parser_built_once_keeps_no_state_between_calls(capsys):

@@ -583,8 +583,8 @@ def test_cell_and_lonely_cells():
     h2 = Hypothesis("h2", EVENS.union(SymbolicSet.finite({1})))
     cells = pair_cells(h1, h2)
     assert cells.cell(B).is_empty() and B not in cells.cells
-    assert cells.paired(A) and cells.paired(D)
-    assert cells.cell(C) == SymbolicSet.finite({1}) and not cells.paired(C)
+    assert list(cells.parts) == [A, C, D] and cells.covered(cells.full) == 0b101  # A and D
+    assert cells.cell(C) == SymbolicSet.finite({1}) and not cells.covered(cells.full) & 0b010
     # gamma leaves out the lonely C cell
     assert cells.gamma() == SymbolicSet.universe() - SymbolicSet.finite({1})
     assert cells.partner(4) == 3 and cells.partner(3) == 0  # A with D, D with A

@@ -14,13 +14,13 @@ from crosslimit.classes import (
     co_singleton_class,
     disjoint_support_class,
 )
+from crosslimit.crossing import eliminable
 from crosslimit.learners import AbsenceCountIdentifier, EligibilityIdentifier, compute_telltales, run
 from crosslimit.robust import (
     BlockTextIdentifier,
     confusion_demo,
     count_violations,
     defect,
-    kappa_zero_iff_not_eliminable,
     verify_forced_violations,
 )
 from crosslimit.space import Cardinality, SymbolicSet
@@ -101,7 +101,7 @@ def test_kappa_zero_iff_not_eliminable_random():
         if h.support == g.support:
             continue
         checked += 1
-        assert kappa_zero_iff_not_eliminable(h, g)
+        assert defect(h, g).zero == (not eliminable(h, g).eliminable)
 
 
 def test_first_covering_pair_injective():

@@ -369,7 +369,8 @@ def test_walks_play_the_index_rule(support, other, horizon, n, data):
             shared = shared_presentation_family([h, g])
             if shared is not None:
                 cells = pattern_cells([h, g])
-                cases.append((shared, paired_rule(cells.union(bool), cells.partner)))
+                union = cells.union(cells.held(cells.full))  # of the two supports
+                cases.append((shared, paired_rule(union, cells.partner)))
     for stream, rule in cases:
         walked = list(itertools.islice(stream.items(), n))
         indexed = [rule(t) for t in range(1, n + 1)]
