@@ -64,7 +64,6 @@ from .crossing import (
     eliminable,
     overlapping_cover,
     pair_cells,
-    pattern_cells,
     shared_presentation_family,
     shared_presentation_pair,
 )

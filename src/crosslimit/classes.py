@@ -245,7 +245,10 @@ class PatternCells(Record):
     on first read, holds each cell's least element and elements in the order
     of `least` and of the bits of a cell bitmask, ascending least elements;
     `cells` and `realized` go in product order (bit 0 most significant, by `bits`).
-    Meets read no refinement, so TABLE_CAP does not bound them.
+    Meets read no refinement, so TABLE_CAP does not bound them.  The rules read
+    cell bitmasks: `columns` (the cells a member holds), `held` and `covered`,
+    the one cover test, which answers gamma, shared presentations and
+    eliminability for a pair's table and a class's alike.
     """
 
     _compared = ("hypothesis_ids", "cells")
@@ -376,12 +379,6 @@ class PatternCells(Record):
         """The cells whose pattern a realized cell complements on `space`, a member bitmask."""
         seen = {alpha & space for alpha in self.parts}
         return sum(1 << c for c, alpha in enumerate(self.parts) if (alpha & space) ^ space in seen)
-
-    def regions(self, i: int, j: int) -> dict[int, int]:
-        """The cells of members i and j's realized regions (`crossing.REGIONS`, i bit 0)."""
-        a, b = self.columns[i], self.columns[j]
-        parts = ((0b00, self.everywhere & ~(a | b)), (0b10, b & ~a), (0b01, a & ~b), (0b11, a & b))
-        return {alpha: cells for alpha, cells in parts if cells}
 
     def least_of(self, cells: int) -> int:  # of the union of `cells`, a nonzero cell bitmask
         return self.least[(cells & -cells).bit_length() - 1]

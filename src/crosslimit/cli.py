@@ -376,7 +376,8 @@ def _cmd_run(args, role: str) -> int:
     cls = _load(args)
     learner = _build_learner(args.learner, cls, args)
     if learner.role != role:
-        raise ValueError(f"{args.learner} is a {learner.role}, not a {role}")
+        a = {"identifier": "an identifier", "generator": "a generator"}
+        raise ValueError(f"{args.learner} is {a[learner.role]}, not {a[role]}")
     target = _resolve_target(args, cls)
     stream = _build_run_stream(args, cls, target, learner.kind, args.stream)
     record = run(

@@ -16,13 +16,15 @@ it there (`PatternCells.covered`) and *lonely* otherwise.  Every rule reads that
 * a family shares a contrastive presentation iff every cell some member
   holds is covered, and the presentation pairs each element with the least
   element of its complementary cell (:meth:`PatternCells.partner`);
-* a pair's regions are its 2-member cells A = both (0b11), B = first only
-  (0b01), C = second only (0b10) and D = neither (0b00); g is eliminable
-  from h iff A or B is lonely, that is iff supp(h) is not inside gamma.
-  Otherwise one of three barrier regimes holds: the first support is a
-  proper subset of the second (superset, B unrealized), the supports are
-  incomparable and disjoint (A unrealized), or they are incomparable,
-  intersecting and jointly miss part of X (non-covering).
+* g is eliminable from h iff h holds a cell lonely on {h, g}, that is iff
+  supp(h) is not inside the pair's gamma (:func:`eliminability`), on a
+  pair's own cells or a class's alike.  A pair's regions are its 2-member
+  cells A = both (0b11), B = first only (0b01), C = second only (0b10) and
+  D = neither (0b00), so the lonely cells are A's when D is unrealized and
+  B's when C is.  Otherwise one of three barrier regimes holds: the first
+  support is a proper subset of the second (superset, B unrealized), the
+  supports are incomparable and disjoint (A unrealized), or they are
+  incomparable, intersecting and jointly miss part of X (non-covering).
 
 One type, :class:`~crosslimit.classes.PatternCells` (re-exported here), holds the
 cells of a pair, a family or a class: a class's own table of them
@@ -32,7 +34,6 @@ cells of a pair, a family or a class: a class's own table of them
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Container
 
 from .classes import Hypothesis, PatternCells, require_proper
 from .space import Record
@@ -48,7 +49,7 @@ ELIMINABLE = "eliminable"
 A, B, C, D = 0b11, 0b01, 0b10, 0b00
 REGIONS = {"A": A, "B": B, "C": C, "D": D}
 
-PATTERN_BOUND = 6  # family size cap for pattern cells and the exact cell dimension
+PATTERN_BOUND = 6  # family size cap for the exact cell dimension
 
 
 def delta_contains(h: Hypothesis, pair: Pair) -> bool:
@@ -65,18 +66,6 @@ def common_crossing_edges(h: Hypothesis, g: Hypothesis, vertices) -> set[Pair]:
         for x, y in itertools.combinations(verts, 2)
         if crosses(h, Pair.of(x, y)) and crosses(g, Pair.of(x, y))
     }
-
-
-# ----------------------------------------------------------------------
-# membership-pattern cells
-# ----------------------------------------------------------------------
-
-def pattern_cells(family: list[Hypothesis]) -> PatternCells:
-    if not 2 <= len(family) <= PATTERN_BOUND:
-        raise ValueError(
-            f"pattern cells support between 2 and {PATTERN_BOUND} hypotheses, got {len(family)}"
-        )
-    return PatternCells.of(family)
 
 
 def pair_cells(h: Hypothesis, g: Hypothesis) -> PatternCells:
@@ -107,27 +96,21 @@ class EliminabilityVerdict(Record):
 
 
 def eliminability(cells: PatternCells, i: int = 0, j: int = 1) -> EliminabilityVerdict:
-    """The eliminability rule (:func:`region_rule`) on the regions of members i
-    (h) and j (g) of `cells`, a proper pair with distinct supports."""
-    regions = cells.regions(i, j)
-    return region_rule(regions, lambda alpha: cells.least_of(regions[alpha]))
+    """The eliminability rule on members i (h) and j (g) of `cells`, a proper pair.
 
-
-def region_rule(realized: Container[int], least: Callable[[int], int]) -> EliminabilityVerdict:
-    """The eliminability rule on a proper pair's realized regions, given the
-    least element `least(alpha)` of each.
-
-    A lonely h-positive cell (A without D, or B without C) makes g
-    eliminable, with that cell's least element as the witness; a proper pair
-    has at most one.  Otherwise the unrealized region names the barrier.
+    A cell of h is lonely when no realized cell complements its pattern on
+    {h, g} (:meth:`PatternCells.covered`).  Any lonely cell makes g eliminable,
+    with the least element of the lonely cells as the witness.  They lie in one
+    region, A without D or B without C: both at once would make supp(h) all of
+    X.  Otherwise the unrealized region names the barrier.
     """
-    for alpha in (A, B):
-        if alpha in realized and alpha ^ A not in realized:  # A ^ A is D, B ^ A is C
-            return EliminabilityVerdict(True, ELIMINABLE, witness=least(alpha))
-    if B not in realized:
-        # supp(h) strictly below supp(g); D is realized because g is proper
+    h, g = cells.columns[i], cells.columns[j]
+    lonely = h & ~cells.covered(1 << i | 1 << j)
+    if lonely:
+        return EliminabilityVerdict(True, ELIMINABLE, witness=cells.least_of(lonely))
+    if not h & ~g:  # no B: supp(h) inside supp(g)
         return EliminabilityVerdict(False, SUPERSET)
-    if A not in realized:
+    if not h & g:  # no A
         return EliminabilityVerdict(False, DISJOINT)
     return EliminabilityVerdict(False, NON_COVERING)
 
@@ -183,7 +166,9 @@ def shared_presentation_family(family: list[Hypothesis]) -> Stream | None:
     complementary to its own pattern.
     """
     require_proper(*family)
-    cells = pattern_cells(list(family))
+    if len(family) < 2:
+        raise ValueError(f"a shared presentation needs at least 2 hypotheses, got {len(family)}")
+    cells = PatternCells.of(family)
     if cells.held(cells.full) & ~cells.covered(cells.full):
         return None
 

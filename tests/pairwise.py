@@ -15,7 +15,8 @@ import itertools
 
 from crosslimit.classes import HypothesisClass
 from crosslimit.closure import crossing_mask
-from crosslimit.crossing import A, B, C, D, EliminabilityVerdict, region_rule
+from crosslimit.crossing import (DISJOINT, ELIMINABLE, NON_COVERING, SUPERSET, A, B, C, D,
+                                 EliminabilityVerdict)
 from crosslimit.space import SymbolicSet, intersection_of
 from crosslimit.streams import Pair
 
@@ -88,8 +89,17 @@ def partner(cells: dict[int, SymbolicSet], full: int, x: int) -> int:
 
 
 def eliminability(cells: dict[int, SymbolicSet]) -> EliminabilityVerdict:
-    """The region rule on a pair's cells, each least element by `min_element`."""
-    return region_rule(cells, lambda alpha: cells[alpha].min_element())
+    """The region rule on a proper pair's regions: a lonely A (no D) or a lonely
+    B (no C) makes g eliminable, witnessed by its `min_element`; otherwise the
+    missing region names the barrier."""
+    for region, partner in ((A, D), (B, C)):
+        if region in cells and partner not in cells:
+            return EliminabilityVerdict(True, ELIMINABLE, witness=cells[region].min_element())
+    if B not in cells:
+        return EliminabilityVerdict(False, SUPERSET)
+    if A not in cells:
+        return EliminabilityVerdict(False, DISJOINT)
+    return EliminabilityVerdict(False, NON_COVERING)
 
 
 def telltales(cls: HypothesisClass) -> dict[str, frozenset[int]]:

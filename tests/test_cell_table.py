@@ -21,7 +21,7 @@ from crosslimit import classes, crossing, harness
 from crosslimit.classes import (CoSingletonClass, Hypothesis, HypothesisClass, augmented_class,
                                 load_class)
 from crosslimit.cli import main
-from crosslimit.crossing import B, PatternCells, eliminability, pair_cells
+from crosslimit.crossing import PatternCells, eliminability, pair_cells
 from crosslimit.harness import _first_barrier_pair, classify
 from crosslimit.learners import compute_telltales
 from crosslimit.space import SymbolicSet
@@ -44,12 +44,13 @@ def random_classes(draw) -> HypothesisClass:
 def test_cell_table_answers_equal_the_pairwise_reference(cls):
     table, n = cls.table, len(cls.members)
     for i, j in itertools.permutations(range(n), 2):
-        regions = table.regions(i, j)
-        assert (B not in regions) == pairwise.difference(cls, i, j).is_empty()
+        h, g = table.columns[i], table.columns[j]
+        assert (not h & ~g) == pairwise.difference(cls, i, j).is_empty()  # no B
         assert (i in table.strictly_below[j]) == pairwise.strictly_below(cls, i, j)
-        if B in regions and (B ^ 0b11) in regions:  # incomparable
+        # only a proper pair has its lonely cells in one region (A and B both lonely
+        # make supp(h) all of X), so past it the two rules may pick different witnesses
+        if cls.members[i].is_proper_nontrivial() and cls.members[j].is_proper_nontrivial():
             cells = pairwise.class_pair_cells(cls, i, j)
-            assert list(regions) == list(cells)
             assert eliminability(table, i, j) == pairwise.eliminability(cells)
     assert compute_telltales(cls).entries == pairwise.telltales(cls)
     assert _first_barrier_pair(cls) == pairwise.first_barrier_pair(cls)
@@ -172,12 +173,12 @@ def test_meets_share_the_whole_class_lcm_limit(tmp_path, capsys):
     assert "lcm of the moduli is 6242394" in capsys.readouterr().err
 
 
-def test_region_rule_runs_once_per_classify(monkeypatch):
+def test_eliminability_runs_once_per_classify(monkeypatch):
     # every co-singleton pair is eliminable, which the column tests settle alone
     calls = []
-    real = crossing.region_rule
+    real = crossing.eliminability
     for module in (crossing, harness):  # a caller may hold its own reference to the rule
-        monkeypatch.setattr(module, "region_rule",
+        monkeypatch.setattr(module, "eliminability",
                             lambda *args: calls.append(args) or real(*args), raising=False)
     verdict = classify(CoSingletonClass().explicit_slice(256))
     assert verdict.ctr_id.mechanism != "barrier-pair" and len(calls) <= 1

@@ -267,6 +267,17 @@ def test_verify_runs_acceptance_suite(capsys):
     assert all(line.startswith("[PASS]") for line in lines)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--witness", "co-singleton", "--learner", "absence-count", "--target", "3"],
+     "error: absence-count is an identifier, not a generator"),
+    (["identify", "--witness", "augmented:6", "--learner", "safe-core-gen", "--target", "h2"],
+     "error: safe-core-gen is a generator, not an identifier"),
+], ids=("identifier", "generator"))
+def test_learner_of_the_other_role_is_named(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_usage_errors_return_2(capsys):
     code, _ = run_cli(capsys, "regions", "--witness", "disjoint", "--pair", "hA")
     assert code == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass
 
@@ -19,8 +20,10 @@ from crosslimit.classes import (
     augmented_class,
     co_singleton_class,
     disjoint_support_class,
+    save_class,
     six_cell_class,
 )
+from crosslimit.cli import main
 from crosslimit.crossing import (
     DISJOINT,
     ELIMINABLE,
@@ -38,7 +41,6 @@ from crosslimit.crossing import (
     eliminable,
     overlapping_cover,
     pair_cells,
-    pattern_cells,
     shared_presentation_family,
     shared_presentation_pair,
 )
@@ -265,7 +267,7 @@ def test_shared_pair_four_point_uses_common_edges_only():
 
 
 def test_pattern_cells_six_cell():
-    cells = pattern_cells(list(six_cell_class().members))
+    cells = PatternCells.of(six_cell_class().members)
     # every pattern but none-of-three (0b000) and all-of-three (0b111)
     assert set(cells.realized()) == {0b001, 0b010, 0b011, 0b100, 0b101, 0b110}
     for alpha in cells.realized():
@@ -280,23 +282,43 @@ def test_pattern_cells_pair_matches_regions():
         g = Hypothesis("g", random_proper_support(rng))
         if h.support == g.support:
             continue
-        cells = pattern_cells([h, g])
+        cells = PatternCells.of((h, g))
         # bit 0 is h, bit 1 is g; an empty region has no cell
         assert cells.cells == reference_cells(four_regions(h, g))
 
 
 def test_pattern_cells_identical_members():
     h = Hypothesis("h", EVENS)
-    cells = pattern_cells([h, h])
+    cells = PatternCells.of((h, h))
     assert set(cells.realized()) == {0b11, 0b00}
 
 
-def test_pattern_cells_bounds():
-    h = Hypothesis("h", EVENS)
-    with pytest.raises(ValueError):
-        pattern_cells([h])
-    with pytest.raises(ValueError):
-        pattern_cells([h] * 7)
+def test_shared_family_of_seven_members(tmp_path, capsys):
+    # b_i holds the x whose residue mod 128 has bit i set, so every pattern is a cell
+    family = [Hypothesis(f"b{i}", SymbolicSet.residue_class(128, {r for r in range(128)
+                                                                  if r >> i & 1}))
+              for i in range(7)]
+    path = tmp_path / "bits.json"
+    save_class(HypothesisClass(tuple(family)), str(path))
+    ids = ",".join(h.id for h in family)
+    assert main(["shared", "--class", str(path), "--family", ids, "--take", "30"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["exists"] is True
+    prefix = shared_presentation_family(family).prefix(30)
+    assert payload["prefix"] == [str(pair) for pair in prefix.items]
+    for h in family:
+        assert validate(prefix, h, horizon=30).clean
+
+
+def test_shared_family_of_seven_cosingletons_is_none(capsys):
+    argv = ["shared", "--witness", "co-singleton:8", "--family", "h0,h1,h2,h3,h4,h5,h6"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["exists"] is False
+
+
+def test_shared_family_needs_two_members():
+    with pytest.raises(ValueError, match="at least 2 hypotheses, got 1"):
+        shared_presentation_family([Hypothesis("h", EVENS)])
 
 
 def test_shared_family_six_cell_exists_and_validates():
@@ -516,7 +538,10 @@ def test_class_regions_equal_four_regions(cls):
         assert cells == PatternCells.of((h, g)).cells
         assert list(cells) == list(PatternCells.of((h, g)).cells)
         assert cells == reference_cells(four_regions(h, g))
-        regions = cls.table.regions(i, j)  # the class cells in each region, in the same order
+        # the class cells in each region, from the columns, in the same order
+        a, b = cls.table.columns[i], cls.table.columns[j]
+        regions = {alpha: region for alpha, region in (
+            (D, cls.table.everywhere & ~(a | b)), (C, b & ~a), (B, a & ~b), (A, a & b)) if region}
         assert list(regions) == list(cells)
         assert [cls.table.least_of(r) for r in regions.values()] == [
             cell.min_element() for cell in cells.values()]

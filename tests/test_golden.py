@@ -94,6 +94,18 @@ CASES = {
         "--take", "20"],
     "shared-six-cell.json": [
         "shared", "--witness", "six-cell", "--family", "h1,h2,h3", "--take", "30"],
+    # the pair rule in all four regimes, with a lonely B and a lonely A
+    "eliminable-lonely-b.json": [
+        "eliminable", "--witness", "augmented:6", "--pair", "h1,h_inf"],
+    "eliminable-lonely-a.json": [
+        "eliminable", "--witness", "overlap-cover", "--pair", "h1,h2"],
+    "eliminable-superset.json": [
+        "eliminable", "--witness", "augmented:6", "--pair", "h_inf,h1"],
+    "eliminable-disjoint.json": [
+        "eliminable", "--witness", "disjoint", "--pair", "hA,hB"],
+    "eliminable-non-covering.json": [
+        "eliminable", "--witness", "augmented:6", "--pair", "h1,h2"],
+    "classify-augmented-barrier.json": ["classify", "--witness", "augmented:8"],
 }
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import small_sets
 from crosslimit.classes import Hypothesis, co_singleton_class
-from crosslimit.crossing import pair_cells, pattern_cells, shared_presentation_family
+from crosslimit.crossing import PatternCells, pair_cells, shared_presentation_family
 from crosslimit.robust import defect
 from crosslimit.space import SymbolicSet
 from crosslimit.streams import (
@@ -368,7 +368,7 @@ def test_walks_play_the_index_rule(support, other, horizon, n, data):
                 cases.append((report.min_violation_stream, rule))
             shared = shared_presentation_family([h, g])
             if shared is not None:
-                cells = pattern_cells([h, g])
+                cells = PatternCells.of((h, g))
                 union = cells.union(cells.held(cells.full))  # of the two supports
                 cases.append((shared, paired_rule(union, cells.partner)))
     for stream, rule in cases:
