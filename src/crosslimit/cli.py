@@ -3,9 +3,11 @@
 Classes come from a JSON class-spec file (--class) or a named witness
 builder (--witness name[:params]), the co-singleton slice when neither is
 given; parametric families missing parameters fall back to the global
---truncation / --budget flags.  Outputs are JSON by
-default; --format switches to a text summary, and --trace adds a per-step
-CSV for identify/generate runs.
+--budget / --truncation flags, which, like the other global flags, may come
+before or after the subcommand.  The learners and the stream builders are
+tables keyed by --learner and by stream kind.  Outputs are JSON by default;
+--format switches to a text summary, and --trace adds a per-step CSV for
+identify/generate runs.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable
 
 from .classes import HypothesisClass, WITNESS_BUILDERS, build_witness, load_class
 from .closure import closure_dimension
@@ -80,28 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="crosslimit",
         description="contrastive identification and generation in the limit",
     )
-    parser.add_argument("--horizon", type=_count, default=64,
-                        help="witness/validation horizon (default 64)")
-    parser.add_argument("--truncation", type=_count, default=8,
-                        help="default truncation for parametric witness families")
-    parser.add_argument("--budget", type=_count, default=1,
-                        help="default corruption budget where one is needed")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled streams")
-    parser.add_argument("--format", choices=["json", "text-summary", "csv-trace"],
-                        default="json", help="output format for reports")
+    _global_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        # accept the global flags after the subcommand too, without
-        # clobbering values given before it
-        p.add_argument("--horizon", type=_count, default=argparse.SUPPRESS)
-        p.add_argument("--truncation", type=_count, default=argparse.SUPPRESS)
-        p.add_argument("--budget", type=_count, default=argparse.SUPPRESS)
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        p.add_argument("--format", choices=["json", "text-summary", "csv-trace"],
-                       default=argparse.SUPPRESS)
+        _global_flags(p, argparse.SUPPRESS)
         return p
 
     p = add("regions", cmd_regions, "four-region partition for a hypothesis pair")
@@ -133,10 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt", action="append", default=[],
                    help="injection index:item, e.g. 3:{0,4}; repeatable")
 
-    p = add("identify", cmd_identify, "run an identifier and report the record")
+    p = add("identify", functools.partial(_cmd_run, role="identifier"),
+            "run an identifier and report the record")
     _run_args(p)
 
-    p = add("generate", cmd_generate, "run a generator and report the record")
+    p = add("generate", functools.partial(_cmd_run, role="generator"),
+            "run a generator and report the record")
     _run_args(p)
 
     p = add("defect", cmd_defect, "defect set, defect number, optimal stream")
@@ -159,6 +149,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("verify", cmd_verify, "run the acceptance suite; exit 0 iff all pass")
     return parser
+
+
+def _global_flags(p: argparse.ArgumentParser, default=None) -> None:
+    """The five global flags, each with its own default or with `default`: the
+    subcommands take them with argparse.SUPPRESS, so that they may follow the
+    subcommand without clobbering values given before it."""
+    own = lambda value: value if default is None else default  # noqa: E731
+    p.add_argument("--horizon", type=_count, default=own(64),
+                   help="witness/validation horizon (default 64)")
+    p.add_argument("--truncation", type=_count, default=own(8),
+                   help="default truncation for parametric witness families")
+    p.add_argument("--budget", type=_count, default=own(1),
+                   help="default corruption budget where one is needed")
+    p.add_argument("--seed", type=int, default=own(0), help="seed for sampled streams")
+    p.add_argument("--format", choices=["json", "text-summary", "csv-trace"],
+                   default=own("json"), help="output format for reports")
 
 
 def _class_args(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -185,13 +191,9 @@ def _load(args) -> HypothesisClass:
     if getattr(args, "class_path", None):
         return load_class(args.class_path)
     witness = getattr(args, "witness", None) or "co-singleton"
-    if ":" not in witness:
-        name = witness
-        _, arity = WITNESS_BUILDERS.get(name, (None, 0))
-        if arity == 1:
-            witness = f"{name}:{args.truncation}"
-        elif arity == 2:
-            witness = f"{name}:{args.budget},{args.truncation}"
+    _, arity = WITNESS_BUILDERS.get(witness, (None, 0))  # 0 too for a name with parameters
+    if arity:  # the missing parameters: the last `arity` of (--budget, --truncation)
+        witness += ":" + ",".join(str(n) for n in (args.budget, args.truncation)[2 - arity:])
     return build_witness(witness)
 
 
@@ -284,40 +286,38 @@ def cmd_stream(args) -> int:
     return 0
 
 
-LEARNER_CHOICES = (
-    "eligibility", "absence-count", "gold-informant", "synthetic-text", "block-text",
-    "closure-gen", "safe-core-gen", "eventual-core-gen", "identify-then-generate",
-)
+def _closure_gen(cls: HypothesisClass) -> Learner:
+    report = closure_dimension(cls)
+    if report.outcome != "exact":
+        raise ValueError(f"closure generator needs an exact dimension, got {report}")
+    return ClosureGenerator(cls, report.dimension)
 
 
-def _build_learner(name: str, cls: HypothesisClass, args) -> Learner:
-    if name == "absence-count":
-        return AbsenceCountIdentifier(cls.family)
-    if name == "eligibility":
-        return EligibilityIdentifier(cls, compute_telltales(cls))
-    if name == "gold-informant":
-        return GoldInformantIdentifier(cls)
-    if name == "synthetic-text":
-        return TextFromContrastiveIdentifier(
-            EligibilityIdentifier(cls, compute_telltales(cls))
-        )
-    if name == "block-text":
-        return BlockTextIdentifier(cls)
-    if name == "closure-gen":
-        report = closure_dimension(cls)
-        if report.outcome != "exact":
-            raise ValueError(f"closure generator needs an exact dimension, got {report}")
-        return ClosureGenerator(cls, report.dimension)
-    if name == "safe-core-gen":
-        return SafeCoreGenerator(cls)
-    if name == "eventual-core-gen":
-        base = cls.family.eventual_core(cls)
-        if base is None:
-            raise ValueError("no obvious eventual core: global intersection is finite")
-        return EventualCoreGenerator(lambda m: base.nth_member(m - 1))
-    if name == "identify-then-generate":
-        return IdentifyThenGenerate(_build_learner(cls.family.identifier, cls, args))
-    raise ValueError(f"unknown learner {name!r}; choose from {LEARNER_CHOICES}")
+def _eventual_core_gen(cls: HypothesisClass) -> Learner:
+    base = cls.family.eventual_core(cls)
+    if base is None:
+        raise ValueError("no obvious eventual core: global intersection is finite")
+    return EventualCoreGenerator(lambda m: base.nth_member(m - 1))
+
+
+#: each --learner name and its builder from the class
+LEARNERS: dict[str, Callable[[HypothesisClass], Learner]] = {
+    "eligibility": lambda cls: EligibilityIdentifier(cls, compute_telltales(cls)),
+    "absence-count": lambda cls: AbsenceCountIdentifier(cls.family),
+    "gold-informant": GoldInformantIdentifier,
+    "synthetic-text": lambda cls: TextFromContrastiveIdentifier(LEARNERS["eligibility"](cls)),
+    "block-text": BlockTextIdentifier,
+    "closure-gen": _closure_gen,
+    "safe-core-gen": SafeCoreGenerator,
+    "eventual-core-gen": _eventual_core_gen,
+    "identify-then-generate":
+        lambda cls: IdentifyThenGenerate(LEARNERS[cls.family.identifier](cls)),
+}
+
+#: the stream builders of each kind, sampled (target, seed, horizon) and canonical (target)
+SAMPLED = {CONTRASTIVE: sampled_contrastive, TEXT: sampled_text}
+CANONICAL = {CONTRASTIVE: canonical_contrastive, TEXT: canonical_text,
+             INFORMANT: canonical_informant}
 
 
 def _build_run_stream(args, cls, target, kind: str, spec: str):
@@ -331,19 +331,11 @@ def _build_run_stream(args, cls, target, kind: str, spec: str):
         _, _, seed = spec.partition(":")
         seed_val = int(seed) if seed else args.seed
         _check_horizon(args)
-        if kind == CONTRASTIVE:
-            stream = sampled_contrastive(target, seed_val, args.horizon)
-        elif kind == TEXT:
-            stream = sampled_text(target, seed_val, args.horizon)
-        else:
+        if kind not in SAMPLED:
             raise ValueError(f"no sampled {kind} stream; use the canonical one")
+        stream = SAMPLED[kind](target, seed_val, args.horizon)
     elif spec == "canonical":
-        if kind == CONTRASTIVE:
-            stream = canonical_contrastive(target)
-        elif kind == TEXT:
-            stream = canonical_text(target)
-        else:
-            stream = canonical_informant(target)
+        stream = CANONICAL[kind](target)
     else:
         raise ValueError(f"unknown stream spec {spec!r}")
     if args.corrupt:
@@ -374,7 +366,9 @@ def _record_payload(record: RunRecord) -> dict:
 
 def _cmd_run(args, role: str) -> int:
     cls = _load(args)
-    learner = _build_learner(args.learner, cls, args)
+    if args.learner not in LEARNERS:
+        raise ValueError(f"unknown learner {args.learner!r}; choose from {tuple(LEARNERS)}")
+    learner = LEARNERS[args.learner](cls)
     if learner.role != role:
         a = {"identifier": "an identifier", "generator": "a generator"}
         raise ValueError(f"{args.learner} is {a[learner.role]}, not {a[role]}")
@@ -389,14 +383,6 @@ def _cmd_run(args, role: str) -> int:
         sys.stdout.write(emit_report(report, "csv-trace", trace_rows=record.trace_rows))
         return 0
     return _emit(args, f"{role} run", _record_payload(record))
-
-
-def cmd_identify(args) -> int:
-    return _cmd_run(args, "identifier")
-
-
-def cmd_generate(args) -> int:
-    return _cmd_run(args, "generator")
 
 
 def cmd_defect(args) -> int:
@@ -419,10 +405,8 @@ def cmd_defect(args) -> int:
         trials = [canonical_contrastive(h), sampled_contrastive(h, args.seed, args.horizon)]
         ok = verify_forced_violations(report, h, g, trials, horizon=args.horizon)
         checks = (Check("forced-violation bound", True, ok),)
-    code = _emit(args, f"defect({h.id}->{g.id})", payload, checks)
-    if checks and not all(c.ok for c in checks):
-        return 1
-    return code
+    _emit(args, f"defect({h.id}->{g.id})", payload, checks)
+    return 0 if all(c.ok for c in checks) else 1
 
 
 def cmd_corrupt_id(args) -> int:

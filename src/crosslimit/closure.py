@@ -119,7 +119,11 @@ def positive_closure(cls: HypothesisClass, xs: list[int]) -> ClosureResult:
 def edge_version_space(cls: HypothesisClass, edge_set: EdgeSet) -> list[Hypothesis]:
     """The listed members crossed by every edge; `closure_of` also sees the
     family's members past the list."""
-    space = _edge_space(cls, edge_set.edges)
+    return _members_in(cls, _edge_space(cls, edge_set.edges))
+
+
+def _members_in(cls: HypothesisClass, space: int) -> list[Hypothesis]:
+    """The members whose bit is set in `space`, in class order."""
     return [h for i, h in enumerate(cls.members) if space >> i & 1]
 
 

@@ -24,7 +24,11 @@ it there (`PatternCells.covered`) and *lonely* otherwise.  Every rule reads that
   B's when C is.  Otherwise one of three barrier regimes holds: the first
   support is a proper subset of the second (superset, B unrealized), the
   supports are incomparable and disjoint (A unrealized), or they are
-  incomparable, intersecting and jointly miss part of X (non-covering).
+  incomparable, intersecting and jointly miss part of X (non-covering);
+* an incomparable pair can hold only A lonely, so it is an overlapping cover
+  iff it is eliminable, and the barrier scan (:func:`first_barrier`) finds
+  the first incomparable pair with no lonely cell; the defect set of (h, g)
+  is the union of h's lonely cells (:func:`crosslimit.robust.defect`).
 
 One type, :class:`~crosslimit.classes.PatternCells` (re-exported here), holds the
 cells of a pair, a family or a class: a class's own table of them
@@ -124,18 +128,32 @@ def eliminable(h: Hypothesis, g: Hypothesis) -> EliminabilityVerdict:
     return eliminability(pair_cells(h, g))
 
 
+def first_barrier(cells: PatternCells) -> tuple[int, int] | None:
+    """The first barrier pair i < j of `cells` in member order: incomparable
+    supports that are not an overlapping cover.  With B and C realized only A
+    can be lonely, and it is iff A is realized and D is not: column tests."""
+    columns, everywhere = cells.columns, cells.everywhere
+    for i, a in enumerate(columns):
+        for j, b in enumerate(columns[i + 1:], i + 1):
+            both = a & b
+            if both != a and both != b and not (both and a | b == everywhere):
+                return i, j
+    return None
+
+
 def overlapping_cover(h: Hypothesis, g: Hypothesis) -> bool:
     """Incomparable supports that intersect and jointly cover X.
 
     Undefined (raises) when one support contains the other.
     """
-    cells = pair_cells(h, g).parts
-    if B not in cells or C not in cells:
+    cells = pair_cells(h, g)
+    a, b = cells.columns
+    if not a & ~b or not b & ~a:
         raise ValueError(
             f"overlapping cover is defined for incomparable supports; "
             f"{h.id} and {g.id} are comparable"
         )
-    return A in cells and D not in cells
+    return first_barrier(cells) is None
 
 
 # ----------------------------------------------------------------------

@@ -52,6 +52,7 @@ from .crossing import (
     C,
     common_crossing_edges,
     eliminability,
+    first_barrier,
     pair_cells,
     shared_presentation_family,
 )
@@ -153,30 +154,19 @@ def _txt_id_verdict(cls: HypothesisClass, bounds: Bounds) -> Verdict:
 
 
 def _ctr_id_verdict(cls: HypothesisClass, txt_id: Verdict) -> Verdict:
-    barrier = _first_barrier_pair(cls)
+    table = cls.table
+    barrier = first_barrier(table)
     if barrier is not None:
-        first, second, regime = barrier
+        i, j = barrier
         return Verdict(
             NO,
             mechanism="barrier-pair",
-            witness={"pair": [first, second], "regime": regime},
+            witness={"pair": [cls.members[i].id, cls.members[j].id],
+                     "regime": eliminability(table, i, j).regime},
         )
     if txt_id.status == NO:
         return Verdict(NO, mechanism="txt-id-failure", witness=txt_id.witness)
     return Verdict(YES, mechanism="overlapping-covers", witness=txt_id.witness)
-
-
-def _first_barrier_pair(cls: HypothesisClass) -> tuple[str, str, str] | None:
-    """The first incomparable, non-eliminable pair in member order, by column tests:
-    such a pair is eliminable iff a cell holds both members and none misses both."""
-    table = cls.table
-    columns, everywhere = table.columns, table.everywhere
-    for i, a in enumerate(columns):
-        for j, b in enumerate(columns[i + 1:], i + 1):
-            both = a & b
-            if both != a and both != b and not (both and a | b == everywhere):
-                return (cls.members[i].id, cls.members[j].id, eliminability(table, i, j).regime)
-    return None
 
 
 def _ctr_gen_verdict(cls: HypothesisClass, ctr_id: Verdict, bounds: Bounds) -> Verdict:

@@ -47,6 +47,7 @@ from .classes import CoSingletonClass, FamilyInfo, Hypothesis, HypothesisClass
 from .closure import (
     ClosureResult,
     EdgeSet,
+    _members_in,
     closure_of,
     crossing_mask,
     edge_version_space,
@@ -189,11 +190,6 @@ def telltales_sound(cls: HypothesisClass, family: TellTaleFamily) -> bool:
             if telltale.is_subset(cls.members[i].support):
                 return False
     return True
-
-
-def _members_in(cls: HypothesisClass, space: int) -> list[Hypothesis]:
-    """The members whose bit is set in `space`, in class order."""
-    return [h for i, h in enumerate(cls.members) if space >> i & 1]
 
 
 # ----------------------------------------------------------------------
@@ -389,8 +385,7 @@ class GoldInformantIdentifier(Learner):
         return state & (pattern if label else ~pattern)
 
     def read(self, state: int) -> Hypothesis:
-        consistent = _members_in(self.cls, state)
-        return consistent[0] if consistent else self.cls.members[0]
+        return self.cls.members[(state & -state).bit_length() - 1 if state else 0]
 
     def is_default(self, state: int) -> bool:
         return not state

@@ -2,10 +2,12 @@
 
 The positive-side defect set of an ordered hypothesis pair (h, g) collects
 the positives of h with no incident pair valid for both; covering such an
-element forces a pair outside g's crossing set.  Its cardinality, the defect
-number, equals the minimum number of g-violations over all clean valid
-presentations of h: zero exactly when g is not eliminable from h, infinite
-when no finite corruption budget can make g's data look like h's.
+element forces a pair outside g's crossing set.  It is the union of h's
+lonely cells on the pair's table (:mod:`crosslimit.crossing`), and h's other
+cells make the clean part of a minimum-violation presentation.  Its
+cardinality, the defect number, equals the minimum number of g-violations over
+all clean valid presentations of h: zero exactly when g is not eliminable
+from h, infinite when no finite corruption budget can make g's data look like h's.
 
 The block text identifier and the confusion demo exercise the two sides of
 corrupted identification: blocks of size budget+1 make text identification
@@ -17,7 +19,7 @@ identifier on that one stream.
 from __future__ import annotations
 
 from .classes import Hypothesis, HypothesisClass, block_elements
-from .crossing import PatternCells, pair_cells, shared_presentation_family
+from .crossing import pair_cells, shared_presentation_family
 from .learners import IDENTIFIER, Learner, RunRecord, run
 from .space import Cardinality, Record, SymbolicSet
 from .streams import CONTRASTIVE, TEXT, Pair, Stream, crosses, paired_stream, validate
@@ -46,25 +48,22 @@ class DefectReport(Record):
 
 def defect(h: Hypothesis, g: Hypothesis) -> DefectReport:
     cells = pair_cells(h, g)
-    defect_set = h.support.difference(cells.gamma())
+    lonely = cells.columns[0] & ~cells.covered(cells.full)  # h's cells with no partner
+    defect_set = cells.union(lonely)
     kappa = defect_set.cardinality()
-    stream = _min_violation_stream(h, g, defect_set, cells) if kappa.is_finite else None
-    return DefectReport(h.id, g.id, defect_set, kappa, stream)
+    if not kappa.is_finite:
+        return DefectReport(h.id, g.id, defect_set, kappa, None)
 
-
-def _min_violation_stream(h: Hypothesis, g: Hypothesis, defect_set: SymbolicSet,
-                          cells: PatternCells) -> Stream:
+    # cover each defect once with h's least negative, then h's other cells
+    # (cycled when finite) through harmless common-crossing pairs
     h_negative = h.support.complement().min_element()
-
-    # cover each defect once, then the rest (cycled when finite) through
-    # harmless common-crossing pairs
     defect_pairs = tuple(Pair.of(x, h_negative) for x in sorted(defect_set.plus))
-    clean_part = h.support.difference(defect_set)
-    if clean_part.is_empty():
+    clean = cells.columns[0] ^ lonely
+    if not clean:
         raise AssertionError("proper nontrivial pair must have a non-defect positive")
-    return paired_stream(
-        clean_part, cells.partner, f"min-violation({h.id}->{g.id})", (h,), head=defect_pairs
-    )
+    stream = paired_stream(cells.union(clean), cells.partner, f"min-violation({h.id}->{g.id})",
+                           (h,), head=defect_pairs)
+    return DefectReport(h.id, g.id, defect_set, kappa, stream)
 
 
 def count_violations(prefix_items, g: Hypothesis) -> int:

@@ -22,7 +22,7 @@ from crosslimit.classes import (CoSingletonClass, Hypothesis, HypothesisClass, a
                                 load_class)
 from crosslimit.cli import main
 from crosslimit.crossing import PatternCells, eliminability, pair_cells
-from crosslimit.harness import _first_barrier_pair, classify
+from crosslimit.harness import classify
 from crosslimit.learners import compute_telltales
 from crosslimit.space import SymbolicSet
 
@@ -53,7 +53,9 @@ def test_cell_table_answers_equal_the_pairwise_reference(cls):
             cells = pairwise.class_pair_cells(cls, i, j)
             assert eliminability(table, i, j) == pairwise.eliminability(cells)
     assert compute_telltales(cls).entries == pairwise.telltales(cls)
-    assert _first_barrier_pair(cls) == pairwise.first_barrier_pair(cls)
+    barrier = crossing.first_barrier(table)
+    assert (barrier and (cls.members[barrier[0]].id, cls.members[barrier[1]].id,
+                         eliminability(table, *barrier).regime)) == pairwise.first_barrier_pair(cls)
 
     # every meet, finite or infinite, from the lifted masks alone, and every cover; both
     # strategies keep exceptions below 40, so every cell has a point below 40 + L

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from crosslimit.classes import overlapping_cover_class, save_class
-from crosslimit.cli import build_parser, main
+from crosslimit.cli import LEARNERS, build_parser, main
 from crosslimit.space import MAX_MODULUS
 
 
@@ -356,3 +358,31 @@ def test_parser_built_once_keeps_no_state_between_calls(capsys):
     assert build_parser() is parser
     assert alone[0] != alone[1] and alone[2] != alone[3]  # the flags do change the output
     assert alone[4][0] == 2
+
+
+ZOO = ("disjoint", "punctured:3", "augmented:3", "co-singleton:3", "block:1,2", "six-cell",
+       "overlap-cover")
+
+
+@pytest.mark.parametrize("command", ["identify", "generate"])
+def test_every_learner_on_every_witness_runs_or_fails_with_one_error_line(capsys, command):
+    for learner, witness in itertools.product(LEARNERS, ZOO):
+        code = main([command, "--witness", witness, "--learner", learner, "--target", "0"])
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 2 and err.startswith("error: ")
+                             and err.count("\n") == 1 and err.endswith("\n")), (learner, witness)
+
+
+def test_every_subcommand_help_describes_the_global_flags(capsys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name in sub.choices:
+        with pytest.raises(SystemExit) as done:
+            main([name, "--help"])
+        assert done.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for flag, text in (("--horizon", "witness/validation horizon"),
+                           ("--truncation", "default truncation"),
+                           ("--budget", "default corruption budget"),
+                           ("--seed", "seed for sampled streams"),
+                           ("--format", "output format for reports")):
+            assert flag in out and text in out, (name, flag)

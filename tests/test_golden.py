@@ -106,6 +106,15 @@ CASES = {
     "eliminable-non-covering.json": [
         "eliminable", "--witness", "augmented:6", "--pair", "h1,h2"],
     "classify-augmented-barrier.json": ["classify", "--witness", "augmented:8"],
+    # the defect number at 0, 1, 2 and infinity (no minimum-violation stream)
+    "defect-disjoint-zero.json": [
+        "defect", "--witness", "disjoint", "--pair", "hA,hB", "--verify", "--horizon", "12"],
+    "defect-augmented-one.json": [
+        "defect", "--witness", "augmented:6", "--pair", "h1,h_inf", "--verify"],
+    "defect-overlap-two.json": [
+        "defect", "--witness", "overlap-cover", "--pair", "h1,h2", "--verify"],
+    "defect-cosingleton-infinite.json": [
+        "defect", "--witness", "co-singleton", "--pair", "h2,h6"],
 }
 
 

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pairwise
 from conftest import random_proper_support
 from crosslimit.classes import (
     Hypothesis,
+    HypothesisClass,
     block_class,
     block_elements,
     co_singleton_class,
@@ -25,6 +30,7 @@ from crosslimit.robust import (
 )
 from crosslimit.space import Cardinality, SymbolicSet
 from crosslimit.streams import (
+    Pair,
     Prefix,
     TEXT,
     canonical_contrastive,
@@ -102,6 +108,35 @@ def test_kappa_zero_iff_not_eliminable_random():
             continue
         checked += 1
         assert defect(h, g).zero == (not eliminable(h, g).eliminable)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_defect_equals_h_minus_gamma_on_random_pairs(seed, near):
+    # the reference is the set formula on the pair's regions, not the lonely cells;
+    # a `near` g flips a few points of h, which makes most defect numbers finite
+    rng = random.Random(seed)
+    h = Hypothesis("h", random_proper_support(rng))
+    flips = SymbolicSet.finite({rng.randrange(12) for _ in range(rng.randint(1, 3))})
+    g = Hypothesis("g", h.support.difference(flips).union(flips.difference(h.support))
+                   if near else random_proper_support(rng))
+    if h.support == g.support or not g.is_proper_nontrivial():
+        return
+    regions = pairwise.class_pair_cells(HypothesisClass((h, g)), 0, 1)
+    expected = h.support.difference(pairwise.gamma(regions, 0b11))
+    report = defect(h, g)
+    assert report.defect_set == expected and report.kappa == expected.cardinality()
+    if report.kappa.is_infinite:
+        assert report.min_violation_stream is None
+        return
+    # each defect with h's least negative, then the rest of h ascending (cycled when
+    # finite), each with the least element of the region complementary to its own
+    negative = h.support.complement().min_element()
+    clean = h.support.difference(expected)
+    rest = itertools.cycle(sorted(clean.plus)) if clean.is_finite() else clean.members()
+    walk = itertools.chain((Pair.of(x, negative) for x in sorted(expected.plus)),
+                           (Pair.of(x, pairwise.partner(regions, 0b11, x)) for x in rest))
+    assert report.min_violation_stream.prefix(12).items == tuple(itertools.islice(walk, 12))
 
 
 def test_first_covering_pair_injective():
