@@ -246,9 +246,9 @@ class PatternCells(Record):
     of `least` and of the bits of a cell bitmask, ascending least elements;
     `cells` and `realized` go in product order (bit 0 most significant, by `bits`).
     Meets read no refinement, so TABLE_CAP does not bound them.  The rules read
-    cell bitmasks: `columns` (the cells a member holds), `held` and `covered`,
-    the one cover test, which answers gamma, shared presentations and
-    eliminability for a pair's table and a class's alike.
+    cell bitmasks: `columns` (the cells a member holds), `held`, `inside` and
+    `covered`, the one cover test, which answers gamma, shared presentations,
+    eliminability and the cell dimension for a pair's table and a class's alike.
     """
 
     _compared = ("hypothesis_ids", "cells")
@@ -374,6 +374,9 @@ class PatternCells(Record):
 
     def held(self, space: int) -> int:  # the cells some member in `space` holds
         return sum(1 << c for c, alpha in enumerate(self.parts) if alpha & space)
+
+    def inside(self, space: int) -> int:  # the cells every member in `space` holds: meet(space)'s
+        return sum(1 << c for c, alpha in enumerate(self.parts) if alpha & space == space)
 
     def covered(self, space: int) -> int:
         """The cells whose pattern a realized cell complements on `space`, a member bitmask."""

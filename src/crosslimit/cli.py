@@ -6,8 +6,8 @@ given; parametric families missing parameters fall back to the global
 --budget / --truncation flags, which, like the other global flags, may come
 before or after the subcommand.  The learners and the stream builders are
 tables keyed by --learner and by stream kind.  Outputs are JSON by default;
---format switches to a text summary, and --trace adds a per-step CSV for
-identify/generate runs.
+--format switches to a text summary, and --trace prints a per-step CSV of
+an identify/generate run instead.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ KIND_ALIASES = {"ctr": CONTRASTIVE, "contrastive": CONTRASTIVE, "text": TEXT,
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format == "csv-trace":  # only `--trace` runs print CSV; reports print JSON
-        args.format = "json"
     try:
         return args.handler(args)
     except (ValueError, KeyError, OSError) as exc:
@@ -136,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check the forced-violation bound on trial streams")
 
     p = add("corrupt-id", cmd_corrupt_id, "absence-count run on a corrupted star")
-    p.add_argument("--witness", default="co-singleton")
     p.add_argument("--target", type=int, required=True, help="the hidden hole")
     p.add_argument("--steps", type=_count, default=200)
     p.add_argument("--window", type=_count, default=20)
@@ -163,7 +160,7 @@ def _global_flags(p: argparse.ArgumentParser, default=None) -> None:
     p.add_argument("--budget", type=_count, default=own(1),
                    help="default corruption budget where one is needed")
     p.add_argument("--seed", type=int, default=own(0), help="seed for sampled streams")
-    p.add_argument("--format", choices=["json", "text-summary", "csv-trace"],
+    p.add_argument("--format", choices=["json", "text-summary"],
                    default=own("json"), help="output format for reports")
 
 
@@ -379,8 +376,8 @@ def _cmd_run(args, role: str) -> int:
         target=target, collect_trace=args.trace,
     )
     if args.trace:
-        report = Report(f"{role} run", (), {"record": _record_payload(record)})
-        sys.stdout.write(emit_report(report, "csv-trace", trace_rows=record.trace_rows))
+        sys.stdout.write(emit_report(Report(f"{role} run", ()), "csv-trace",
+                                     trace_rows=record.trace_rows))
         return 0
     return _emit(args, f"{role} run", _record_payload(record))
 
@@ -410,7 +407,7 @@ def cmd_defect(args) -> int:
 
 
 def cmd_corrupt_id(args) -> int:
-    learner = AbsenceCountIdentifier(_load(args).family)  # the co-singleton family only
+    learner = AbsenceCountIdentifier()  # over the co-singleton family
     target = learner.family.member(args.target)
     avoid = {args.target}
     injections = []

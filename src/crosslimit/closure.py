@@ -18,7 +18,8 @@ family the members truncate.
 The dimension search is likewise layered.  For classes of at most
 PATTERN_BOUND members whose closures read only the mask, the cells of
 the class's cell table reduce the dimension to a finite computation
-(patterns are member bitmasks too, and only realized cells are stored): a
+(patterns are member bitmasks too, only realized cells are stored, and each
+version space reads the table's `inside` and `covered` cell bitmasks): a
 hollow set with a vertex in an infinite cell can be regrown edge by edge
 (fresh same-cell vertices never change the version space), so the dimension
 is infinite as soon as such a set exists; otherwise all hollow sets live
@@ -225,28 +226,31 @@ def closure_dimension(
 def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) -> DimensionReport:
     members, table, bounds = cls.members, cls.table, (max_size, vertex_horizon)
     realized, parts = table.realized(), table.parts  # parts: (least, elements or None: infinite)
+    infinite = sum(1 << c for c, (_, elements) in enumerate(parts.values()) if elements is None)
     best_size = None  # None: no hollow set at all
     best_edges: EdgeSet | None = None
     for r in range(1, len(members) + 1):
         for subset in itertools.combinations(range(len(members)), r):
             space = sum(1 << i for i in subset)
-            closure = cls.meet(space)
-            if not closure.is_finite():
-                continue  # any edge set with this version space has infinite closure
-            forced = sum(1 << c for c, x in enumerate(table.least) if closure.contains(x))
-            if forced & ~table.covered(space):  # each forced positive needs a crossing edge
-                continue
+            inside = table.inside(space)  # the cells of the closure, meet(space)
+            if inside & (infinite | ~table.covered(space)):
+                continue  # an infinite closure, or a forced positive that no edge crosses
             menu = [(a, b) for a, b in itertools.combinations(realized, 2)
                     if (a ^ b) & space == space]  # each version-space member crosses a-b edges
             infinite_pair = next(
                 ((a, b) for a, b in menu if parts[a][1] is None or parts[b][1] is None), None)
             if infinite_pair is not None:
                 desc = (f"version space {{{', '.join(members[i].id for i in subset)}}} keeps "
-                        f"closure {closure.literal()} while edges between cells "
+                        f"closure {cls.meet(space).literal()} while edges between cells "
                         f"{table.bits(infinite_pair[0])} and {table.bits(infinite_pair[1])} "
                         f"can be added without bound")
-                return DimensionReport(INFINITE, None, _cover_witness(cls, closure, menu),
-                                       bounds, infinite_description=desc,
+                # the starter: each forced positive with the least of its first menu partner
+                starter = EdgeSet.of(
+                    Pair.of(x, next(parts[b if a == alpha else a][0]
+                                    for a, b in menu if alpha in (a, b)))
+                    for c, (alpha, (_, elements)) in enumerate(parts.items())
+                    if inside >> c & 1 for x in elements)
+                return DimensionReport(INFINITE, None, starter, bounds, infinite_description=desc,
                                        notes=("certified by cell analysis",))
             total = sum(len(parts[a][1]) * len(parts[b][1]) for a, b in menu)
             if best_size is None or total > best_size:
@@ -261,18 +265,6 @@ def _cell_dimension(cls: HypothesisClass, max_size: int, vertex_horizon: int) ->
     if report.witness is not None and not is_hollow(cls, report.witness):
         raise AssertionError("cell analysis produced a non-hollow witness")
     return report
-
-
-def _cover_witness(cls: HypothesisClass, closure: SymbolicSet, menu: list) -> EdgeSet:
-    """A starter hollow set: one covering edge per forced positive."""
-    pairs, parts = set(), cls.table.parts
-    for x in sorted(closure.plus):
-        alpha = cls.pattern(x)
-        partners = (parts[b if a == alpha else a][0] for a, b in menu if alpha in (a, b))
-        partner = next((y for y in partners if y != x), None)
-        if partner is not None:
-            pairs.add(Pair.of(x, partner))
-    return EdgeSet.of(pairs)
 
 
 def _bounded_search_dimension(

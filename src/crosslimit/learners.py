@@ -54,7 +54,7 @@ from .closure import (
     is_hollow,
 )
 from .space import Record, SymbolicSet
-from .streams import CONTRASTIVE, INFORMANT, TEXT, Pair, Stream
+from .streams import CONTRASTIVE, INFORMANT, ITEM_RULES, TEXT, Pair, Stream
 
 IDENTIFIER = "identifier"
 GENERATOR = "generator"
@@ -761,19 +761,13 @@ def run(
     flags: list[tuple[str, ...]] = []
     step_ok: list[bool] = []
     trace_rows: list[dict] = []
-    seen: set[int] = set()
+    seen: set[int] = set()  # the examples shown so far, which only generators are judged on
     advance, read, is_default = learner.advance, learner.read, learner.is_default  # fixed per run
     generating = learner.role == GENERATOR
     holds = target.support.contains if target is not None else None
-    if stream.kind == CONTRASTIVE:
-        note = seen.update  # a pair is a tuple of its two elements
-    elif stream.kind == INFORMANT:
-        note = lambda item: seen.add(item[0])  # noqa: E731
-    else:
-        note = seen.add
+    shows = ITEM_RULES[stream.kind].shows
     state = learner.initial()
     for n, item in zip(range(1, steps + 1), stream.items()):
-        note(item)
         state = advance(state, item)
         step_flags: tuple[str, ...] = ()
         try:
@@ -785,6 +779,7 @@ def run(
             step_flags += ("default-output",)
 
         if generating:
+            seen.update(shows(item))
             novel = member = output is not None
             if novel:
                 novel, member = output not in seen, holds is None or holds(output)

@@ -1,11 +1,16 @@
 """Lazy presentation streams, coverage schedules, corruption, validation.
 
-Three presentation kinds feed the learners:
+Three presentation kinds feed the learners, each a stream of items over the
+examples X = {0, 1, 2, ...}:
 
 * text: positives of the target, covering its support in the limit;
 * informant: all of X with true labels;
 * contrastive: unordered pairs whose endpoints disagree under the target
   (each pair crosses the support/complement cut), covering every positive.
+
+`ITEM_RULES` says once per kind what an item is (a text or informant example
+is a natural, as both ends of a `Pair` are), the examples it shows, when it
+is valid, what a presentation must cover, and its line form both ways.
 
 A stream is an immutable description whose items are its walk: learners see
 a presentation only as a prefix, one observation per round, and `items()`
@@ -33,7 +38,6 @@ from .space import Record, SymbolicSet
 TEXT = "text"
 INFORMANT = "informant"
 CONTRASTIVE = "contrastive"
-KINDS = (TEXT, INFORMANT, CONTRASTIVE)
 
 
 class Pair(namedtuple("Pair", "lo hi")):
@@ -75,14 +79,59 @@ def crosses(h: Hypothesis, pair: Pair) -> bool:
     return h.contains(pair.lo) != h.contains(pair.hi)
 
 
+# an item of one kind: the noun of error messages, its shape test, the examples it
+# shows, its validity for a target h, the set that a presentation for h must cover,
+# and its line (`line` writes it, `parse` reads it back before the shape test)
+ItemRule = namedtuple("ItemRule", "noun shape shows valid covers line parse")
+
+
+def _natural(x) -> bool:
+    return isinstance(x, int) and x >= 0
+
+
+def _parse_pair(text: str) -> Pair:
+    if not (text.startswith("{") and text.endswith("}")):
+        raise ValueError(f"expected {{x,y}}, got {text!r}")
+    parts = text[1:-1].split(",")
+    if len(parts) != 2:
+        raise ValueError(f"expected two elements, got {text!r}")
+    return Pair.of(int(parts[0]), int(parts[1]))
+
+
+def _parse_labelled(text: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2 or parts[1].strip() not in ("0", "1"):
+        raise ValueError(f"expected x,label with label 0 or 1, got {text!r}")
+    return (int(parts[0]), int(parts[1]))
+
+
+ITEM_RULES = {
+    TEXT: ItemRule("naturals", _natural, lambda x: (x,), lambda h, x: h.contains(x),
+                   lambda h: h.support, str, int),
+    INFORMANT: ItemRule(
+        "(example, label)",
+        lambda item: (isinstance(item, tuple) and not isinstance(item, Pair) and len(item) == 2
+                      and _natural(item[0]) and item[1] in (0, 1)),
+        lambda item: item[:1], lambda h, item: bool(item[1]) == h.contains(item[0]),
+        lambda h: SymbolicSet.universe(), lambda item: f"{item[0]},{item[1]}", _parse_labelled),
+    CONTRASTIVE: ItemRule("pairs", lambda item: isinstance(item, Pair), Pair.elements, crosses,
+                          lambda h: h.support, str, _parse_pair),
+}
+
+
+def _rule(kind: str) -> ItemRule:
+    if kind not in ITEM_RULES:
+        raise ValueError(f"unknown prefix kind {kind!r}")
+    return ITEM_RULES[kind]
+
+
 class Prefix(Record):
     """A finite initial segment of a presentation, in observation order."""
 
     _compared = ("kind", "items")
 
     def __init__(self, kind: str, items: tuple):
-        if kind not in KINDS:
-            raise ValueError(f"unknown prefix kind {kind!r}")
+        _rule(kind)  # a ValueError for an unknown kind
         self.__dict__.update(kind=kind, items=items)
 
     def __len__(self) -> int:
@@ -90,15 +139,8 @@ class Prefix(Record):
 
     def seen(self) -> frozenset[int]:
         """All example-space elements observed in the prefix."""
-        out: set[int] = set()
-        for item in self.items:
-            if self.kind == CONTRASTIVE:
-                out.update(item.elements())
-            elif self.kind == INFORMANT:
-                out.add(item[0])
-            else:
-                out.add(item)
-        return frozenset(out)
+        shows = ITEM_RULES[self.kind].shows
+        return frozenset(x for item in self.items for x in shows(item))
 
 
 class Stream(Record):
@@ -300,15 +342,9 @@ def corrupt(inner: Stream, injections: list[tuple[int, object]]) -> Stream:
 
 
 def _check_item_kind(kind: str, item) -> None:
-    if kind == CONTRASTIVE and not isinstance(item, Pair):
-        raise ValueError(f"contrastive streams carry pairs, got {item!r}")
-    if kind == TEXT and not isinstance(item, int):
-        raise ValueError(f"text streams carry naturals, got {item!r}")
-    if kind == INFORMANT:
-        ok = (isinstance(item, tuple) and not isinstance(item, Pair)
-              and len(item) == 2 and item[1] in (0, 1))
-        if not ok:
-            raise ValueError(f"informant streams carry (example, label), got {item!r}")
+    rule = _rule(kind)
+    if not rule.shape(item):
+        raise ValueError(f"{kind} streams carry {rule.noun}, got {item!r}")
 
 
 # ----------------------------------------------------------------------
@@ -340,27 +376,13 @@ class ValidityReport(Record):
 
 def validate(prefix: Prefix, h: Hypothesis, horizon: int) -> ValidityReport:
     """Check a prefix against a target: violations plus coverage deficit."""
-    bad: list[int] = []
-    if prefix.kind == CONTRASTIVE:
-        for t, pair in enumerate(prefix.items, 1):
-            if not crosses(h, pair):
-                bad.append(t)
-        must_cover = h.support
-    elif prefix.kind == TEXT:
-        for t, x in enumerate(prefix.items, 1):
-            if not h.contains(x):
-                bad.append(t)
-        must_cover = h.support
-    else:
-        for t, (x, label) in enumerate(prefix.items, 1):
-            if bool(label) != h.contains(x):
-                bad.append(t)
-        must_cover = SymbolicSet.universe()
+    rule = ITEM_RULES[prefix.kind]
+    bad = tuple(t for t, item in enumerate(prefix.items, 1) if not rule.valid(h, item))
     seen = prefix.seen()
     deficit = SymbolicSet.finite(
-        x for x in must_cover.enumerate_below(horizon) if x not in seen
+        x for x in rule.covers(h).enumerate_below(horizon) if x not in seen
     )
-    return ValidityReport(tuple(bad), deficit, horizon)
+    return ValidityReport(bad, deficit, horizon)
 
 
 # ----------------------------------------------------------------------
@@ -393,8 +415,7 @@ def synthetic_contrastive_from_text(prefix: Prefix) -> Prefix:
 # ----------------------------------------------------------------------
 
 def format_prefix(prefix: Prefix) -> str:
-    lines = [f"{item[0]},{item[1]}" if prefix.kind == INFORMANT else str(item)
-             for item in prefix.items]
+    lines = list(map(ITEM_RULES[prefix.kind].line, prefix.items))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -412,20 +433,9 @@ def parse_prefix(text: str, kind: str) -> Prefix:
 
 
 def parse_item(text: str, kind: str):
-    text = text.strip()
-    if kind == CONTRASTIVE:
-        if not (text.startswith("{") and text.endswith("}")):
-            raise ValueError(f"expected {{x,y}}, got {text!r}")
-        parts = text[1:-1].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected two elements, got {text!r}")
-        return Pair.of(int(parts[0]), int(parts[1]))
-    if kind == INFORMANT:
-        parts = text.split(",")
-        if len(parts) != 2 or parts[1].strip() not in ("0", "1"):
-            raise ValueError(f"expected x,label with label 0 or 1, got {text!r}")
-        return (int(parts[0]), int(parts[1]))
-    return int(text)
+    item = _rule(kind).parse(text.strip())
+    _check_item_kind(kind, item)
+    return item
 
 
 def parse_injection(spec: str, kind: str) -> tuple[int, object]:

@@ -4,8 +4,9 @@ Every answer here is built from `SymbolicSet` operations on the members'
 supports, one pair or one family at a time: the pairwise differences (the
 inclusion table), a pair's regions from them and the pair's meet, pattern
 cells by refinement member by member (a plain dict from pattern to cell),
-the cells covered on a member set from the pairs that cross it, and the
-verdict rules that read them.
+the cells covered on a member set from the pairs that cross it, the
+verdict rules that read them, and the cell dimension from each version
+space's meet.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 import itertools
 
 from crosslimit.classes import HypothesisClass
-from crosslimit.closure import crossing_mask
+from crosslimit.closure import EXACT, INFINITE, DimensionReport, EdgeSet, crossing_mask
 from crosslimit.crossing import (DISJOINT, ELIMINABLE, NON_COVERING, SUPERSET, A, B, C, D,
                                  EliminabilityVerdict)
 from crosslimit.space import SymbolicSet, intersection_of
@@ -134,3 +135,59 @@ def meets(cls: HypothesisClass) -> list[SymbolicSet]:
         top = space.bit_length() - 1
         out.append(out[space ^ 1 << top].intersect(cls.members[top].support))
     return out
+
+
+def cell_dimension(cls: HypothesisClass, max_size: int = 8,
+                   vertex_horizon: int = 24) -> DimensionReport:
+    """The cell analysis of a class of 1-6 members whose closures read only
+    the mask, from each version space's meet: a finite meet whose least
+    cell elements are all covered on the space gives a hollow set, an
+    infinite cell on its menu of crossing cell pairs an infinite dimension,
+    and otherwise the menu's size counts its edges."""
+    members, table, bounds = cls.members, cls.table, (max_size, vertex_horizon)
+    realized, parts = table.realized(), table.parts
+    best_size, best_edges = None, None
+    for r in range(1, len(members) + 1):
+        for subset in itertools.combinations(range(len(members)), r):
+            space = sum(1 << i for i in subset)
+            closure = meet(cls, space)
+            if not closure.is_finite():
+                continue
+            forced = sum(1 << c for c, x in enumerate(table.least) if closure.contains(x))
+            if forced & ~table.covered(space):
+                continue
+            menu = [(a, b) for a, b in itertools.combinations(realized, 2)
+                    if (a ^ b) & space == space]
+            infinite_pair = next(
+                ((a, b) for a, b in menu if parts[a][1] is None or parts[b][1] is None), None)
+            if infinite_pair is not None:
+                desc = (f"version space {{{', '.join(members[i].id for i in subset)}}} keeps "
+                        f"closure {closure.literal()} while edges between cells "
+                        f"{table.bits(infinite_pair[0])} and {table.bits(infinite_pair[1])} "
+                        f"can be added without bound")
+                return DimensionReport(INFINITE, None, cover_witness(cls, closure, menu),
+                                       bounds, infinite_description=desc,
+                                       notes=("certified by cell analysis",))
+            total = sum(len(parts[a][1]) * len(parts[b][1]) for a, b in menu)
+            if best_size is None or total > best_size:
+                best_size = total
+                best_edges = EdgeSet.of(Pair.of(x, y) for a, b in menu
+                                        for x in parts[a][1] for y in parts[b][1])
+    if best_size is None:
+        return DimensionReport(EXACT, 0, None, bounds, notes=(
+            "certified by cell analysis; no hollow edge sets exist",))
+    return DimensionReport(EXACT, best_size, best_edges, bounds,
+                           notes=("certified by cell analysis",))
+
+
+def cover_witness(cls: HypothesisClass, closure: SymbolicSet, menu: list) -> EdgeSet:
+    """A starter hollow set: one covering edge per forced positive, to the
+    least element of the first menu cell that pairs with its cell."""
+    pairs, parts = set(), cls.table.parts
+    for x in sorted(closure.plus):
+        alpha = cls.pattern(x)
+        partners = (parts[b if a == alpha else a][0] for a, b in menu if alpha in (a, b))
+        first = next((y for y in partners if y != x), None)
+        if first is not None:
+            pairs.add(Pair.of(x, first))
+    return EdgeSet.of(pairs)

@@ -142,13 +142,41 @@ def test_defect_with_verification(capsys):
 
 def test_corrupt_id(capsys):
     code, out = run_cli(
-        capsys, "corrupt-id", "--witness", "co-singleton", "--target", "3",
-        "--budget", "5", "--steps", "200",
+        capsys, "corrupt-id", "--target", "3", "--budget", "5", "--steps", "200",
     )
     payload = json.loads(out)["payload"]
     assert code == 0
     assert payload["final_output"] == "h3"
     assert len(payload["injections"]) == 5
+
+
+def test_corrupt_id_runs_over_the_whole_co_singleton_family(capsys):
+    # no slice is built, so --truncation changes nothing and --witness is no option
+    assert run_cli(capsys, "corrupt-id", "--target", "3", "--truncation", "1") == \
+        run_cli(capsys, "corrupt-id", "--target", "3")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["corrupt-id", "--witness", "co-singleton", "--target", "3"])
+    assert exit_info.value.code == 2
+
+
+def test_csv_trace_is_no_format(capsys):
+    # a --trace run prints CSV whatever --format says; reports print JSON or text
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--format", "csv-trace", "classify", "--witness", "disjoint"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'csv-trace'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, item, message", [
+    ("text", "2:-1", "text streams carry naturals, got -1"),
+    ("inf", "2:-4,1", "informant streams carry (example, label), got (-4, 1)"),
+    ("ctr", "2:{-1,3}", "pair needs two distinct naturals, got (-1, 3)"),
+], ids=["text", "informant", "contrastive"])
+def test_a_negative_example_is_no_item(capsys, kind, item, message):
+    code = main(["stream", "--witness", "disjoint", "--target", "hA", "--kind", kind,
+                 "--corrupt", item])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("witness", ["punctured:6", "augmented:6", "overlap-cover"])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pairwise
 from conftest import random_proper_support
 from crosslimit import classes as classes_module
 from crosslimit import closure as closure_module
@@ -467,6 +468,36 @@ def test_dimension_cell_analysis_cross_validates_with_search():
             assert cell.outcome == INFINITE
             assert search.dimension == 4, (
                 [h.support.literal() for h in members], str(cell), str(search))
+
+
+@st.composite
+def pinned_like_classes(draw) -> HypothesisClass:
+    """3-6 members shaped as `pinned_core_class`: member i all of X but the
+    residue i mod the member count, with a drawn core added and drawn anchors
+    removed, then at most one point of its own flipped."""
+    span = draw(st.integers(3, 6))
+    points = st.frozensets(st.integers(0, VERTICES - 1), min_size=1, max_size=3)
+    core, anchors = SymbolicSet.finite(draw(points)), SymbolicSet.finite(draw(points))
+    members = []
+    for i in range(span):
+        support = SymbolicSet.residue_class(span, {i}).complement().union(core).difference(anchors)
+        for x in draw(st.frozensets(st.integers(0, VERTICES - 1), max_size=1)):
+            point = SymbolicSet.finite({x})
+            support = support.difference(point) if support.contains(x) else support.union(point)
+        members.append(Hypothesis(f"h{i}", support))
+    return HypothesisClass(tuple(members))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(pinned_like_classes(),
+                 explicit_classes().filter(lambda cls: len(cls.members) <= 6)))
+def test_cell_dimension_equals_the_meet_based_reference(cls):
+    # the cell analysis reads `inside` and `covered` bitmasks; the reference
+    # builds each version space's meet and scans the cells' least elements
+    table = cls.table
+    for space in range(1, 1 << len(cls.members)):
+        assert table.union(table.inside(space)) == pairwise.meet(cls, space)
+    assert closure_dimension(cls) == pairwise.cell_dimension(cls)
 
 
 def test_bounded_search_evaluates_each_version_space_once(monkeypatch):

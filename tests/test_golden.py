@@ -66,6 +66,11 @@ CASES = {
     "classify-punctured.json": ["classify", "--witness", "punctured:6"],
     "classify-random-seven.json": ["classify", "--class", RANDOM],
     "dimension-punctured.json": ["dimension", "--witness", "punctured:6"],
+    # the cell analysis: infinite with an empty and a three-edge starter, exact 2 and 0
+    "dimension-six-cell.json": ["dimension", "--witness", "six-cell"],
+    "dimension-finite-supports.json": ["dimension", "--class", FINITE],
+    "dimension-pinned-core.json": ["dimension", "--class", PINNED],
+    "dimension-overlap-cover.json": ["dimension", "--witness", "overlap-cover"],
     "stream-cosingleton-past-the-slice.txt": [
         "stream", "--witness", "co-singleton", "--target", "50", "--take", "5"],
     "identify-absence-count-past-the-slice.json": [

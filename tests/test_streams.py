@@ -300,6 +300,34 @@ def test_prefix_serialization_round_trip():
     assert parse_prefix(format_prefix(inf), "informant") == inf
 
 
+def test_a_negative_example_is_rejected_where_items_enter():
+    with pytest.raises(ValueError, match="^line 2: text streams carry naturals, got -1$"):
+        parse_prefix("3\n-1\n", TEXT)
+    with pytest.raises(ValueError, match=r"^line 1: informant streams carry \(example, label\), "
+                                         r"got \(-2, 0\)$"):
+        parse_prefix("-2,0\n", "informant")
+    with pytest.raises(ValueError, match="^text streams carry naturals, got -5$"):
+        corrupt(canonical_text(H3), [(2, -5)])
+    with pytest.raises(ValueError, match="informant streams carry"):
+        corrupt(canonical_informant(H3), [(2, (-1, 1))])
+
+
+NATURALS = st.integers(0, 10 ** 6)
+ITEMS = {
+    CONTRASTIVE: st.tuples(NATURALS, NATURALS).filter(lambda p: p[0] != p[1])
+                   .map(lambda p: Pair.of(*p)),
+    TEXT: NATURALS,
+    "informant": st.tuples(NATURALS, st.sampled_from((0, 1))),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(*(st.lists(items, max_size=12).map(lambda xs, kind=kind: Prefix(kind, tuple(xs)))
+                   for kind, items in ITEMS.items())))
+def test_prefix_lines_round_trip(prefix):
+    assert parse_prefix(format_prefix(prefix), prefix.kind) == prefix
+
+
 def test_parse_injection():
     assert parse_injection("3:{0,4}", CONTRASTIVE) == (3, Pair.of(0, 4))
     assert parse_injection("2:9", TEXT) == (2, 9)
